@@ -25,6 +25,7 @@ from repro.bench.reporting import format_table
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.core.engine import ALGORITHMS, make_searcher
 from repro.core.query import UOTSQuery
+from repro.core.registry import SERVING_ALGORITHM
 from repro.errors import QueryError, ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowQueryJournal
@@ -672,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8000, help="0 picks a free port")
     p.add_argument(
-        "--algorithm", choices=sorted(ALGORITHMS), default="collaborative"
+        "--algorithm", choices=sorted(ALGORITHMS), default=SERVING_ALGORITHM
     )
     p.add_argument(
         "--gateway-workers", type=int, default=8, metavar="N",

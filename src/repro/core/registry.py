@@ -31,6 +31,7 @@ from typing import Callable, Mapping
 
 from repro.core.baselines import BruteForceSearcher, TextFirstSearcher
 from repro.core.plan import Searcher
+from repro.core.scan import ScanSearcher
 from repro.core.search import CollaborativeSearcher, SpatialFirstSearcher
 from repro.errors import QueryError
 from repro.index.database import TrajectoryDatabase
@@ -39,6 +40,7 @@ from repro.shard.searcher import ShardedSearcher
 __all__ = [
     "ALGORITHMS",
     "AlgorithmSpec",
+    "SERVING_ALGORITHM",
     "TUNING_KWARGS",
     "get_spec",
     "make_searcher",
@@ -48,6 +50,10 @@ __all__ = [
 TUNING_KWARGS = frozenset(
     {"alt", "batch_size", "refinement", "scheduler", "shards", "workers"}
 )
+
+#: What ``repro serve`` runs by default; library defaults stay on
+#: ``collaborative``, the paper's algorithm and the reference implementation.
+SERVING_ALGORITHM = "scan"
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,11 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
             "brute-force",
             BruteForceSearcher,
             description="exhaustive exact scoring (the oracle)",
+        ),
+        _spec(
+            "scan",
+            ScanSearcher,
+            description="flat exact scan: one SSSP per location, every trajectory scored",
         ),
         _spec(
             "sharded",

@@ -65,10 +65,40 @@ from repro.obs.trace import StageTimer, current_tracer
 from repro.resilience.budget import SearchBudget
 from repro.text.similarity import get_measure
 
-__all__ = ["CollaborativeSearcher", "SpatialFirstSearcher", "SearchContext"]
+__all__ = [
+    "CollaborativeSearcher",
+    "SpatialFirstSearcher",
+    "SearchContext",
+    "exact_text_scores",
+]
 
 _EPS = 1e-9
 _MISS = object()
+
+
+def exact_text_scores(
+    database: TrajectoryDatabase, query: UOTSQuery
+) -> dict[int, float]:
+    """Exact textual similarity for every keyword-sharing trajectory.
+
+    Cached across queries on ``(keyword set, measure)``: the score
+    table only depends on the query text, not the locations, so
+    repeated preference texts reuse it wholesale.
+    """
+    cache = database.caches.text
+    key = (query.keywords, query.text_measure)
+    cached = cache.get(key, _MISS)
+    if cached is not _MISS:
+        return dict(cached)
+    index = database.keyword_index
+    measure = get_measure(query.text_measure)
+    scores = {}
+    for trajectory_id in index.candidates(query.keywords):
+        score = measure(query.keywords, index.keywords_of(trajectory_id))
+        if score > 0.0:
+            scores[trajectory_id] = score
+    cache.put(key, dict(scores))
+    return scores
 
 
 class SearchContext:
@@ -385,7 +415,8 @@ class CollaborativeSearcher:
         """Stage ``resolve_text``: the exact SimT table (or nothing, for the
         spatial-first ablation that defers text to refinement)."""
         if self.use_text_in_bounds or ctx.query.lam == 0.0:
-            ctx.text_scores = self._exact_text_scores(ctx.query, ctx.stats)
+            ctx.text_scores = exact_text_scores(self._database, ctx.query)
+            ctx.stats.text_candidates = len(ctx.text_scores)
         else:
             ctx.text_scores = {}  # spatial-first defers all text evaluation
 
@@ -693,32 +724,6 @@ class CollaborativeSearcher:
         return sorted(entries.values())[: query.k]
 
     # -------------------------------------------------------------- pieces
-    def _exact_text_scores(
-        self, query: UOTSQuery, stats: SearchStats
-    ) -> dict[int, float]:
-        """Exact textual similarity for every keyword-sharing trajectory.
-
-        Cached across queries on ``(keyword set, measure)``: the score
-        table only depends on the query text, not the locations, so
-        repeated preference texts reuse it wholesale.
-        """
-        cache = self._database.caches.text
-        key = (query.keywords, query.text_measure)
-        cached = cache.get(key, _MISS)
-        if cached is not _MISS:
-            stats.text_candidates = len(cached)
-            return dict(cached)
-        index = self._database.keyword_index
-        measure = get_measure(query.text_measure)
-        scores = {}
-        for trajectory_id in index.candidates(query.keywords):
-            score = measure(query.keywords, index.keywords_of(trajectory_id))
-            if score > 0.0:
-                scores[trajectory_id] = score
-        stats.text_candidates = len(scores)
-        cache.put(key, dict(scores))
-        return scores
-
     def _make_frontier_caps(
         self, query: UOTSQuery, alpha: float, sigma: float
     ) -> Callable[[int], list[float]] | None:

@@ -81,29 +81,39 @@ class CSRAdjacency:
 
     The NumPy arrays serve vectorised consumers (SciPy, landmark tables);
     the ``*_list`` mirrors serve the interpreted kernels, where Python-list
-    scalar indexing avoids a NumPy-scalar box per access.
+    scalar indexing avoids a NumPy-scalar box per access.  The mirrors are
+    built on the first interpreted-kernel access: a process that only runs
+    the SciPy tier (the serving default) never boxes them.
     """
 
-    __slots__ = (
-        "num_vertices",
-        "indptr",
-        "indices",
-        "weights",
-        "indptr_list",
-        "indices_list",
-        "weights_list",
-        "_matrix",
-    )
+    __slots__ = ("num_vertices", "indptr", "indices", "weights", "_lists", "_matrix")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
         self.num_vertices = len(indptr) - 1
-        self.indptr_list: list[int] = indptr.tolist()
-        self.indices_list: list[int] = indices.tolist()
-        self.weights_list: list[float] = weights.tolist()
+        self._lists: tuple[list[int], list[int], list[float]] | None = None
         self._matrix = None
+
+    def _mirrors(self) -> tuple[list[int], list[int], list[float]]:
+        if self._lists is None:
+            self._lists = (
+                self.indptr.tolist(), self.indices.tolist(), self.weights.tolist()
+            )
+        return self._lists
+
+    @property
+    def indptr_list(self) -> list[int]:
+        return self._mirrors()[0]
+
+    @property
+    def indices_list(self) -> list[int]:
+        return self._mirrors()[1]
+
+    @property
+    def weights_list(self) -> list[float]:
+        return self._mirrors()[2]
 
     @classmethod
     def from_edges(

@@ -24,7 +24,9 @@ how many re-submissions the query needed.
 The parent-to-worker handoff rides module globals through ``fork`` (never
 pickled).  :func:`_worker_handoff` makes that exception-safe: the parent's
 global is populated only inside the context manager (cleared on any exit
-path), re-entrant use fails fast instead of silently mixing payloads, and
+path), one fan-out at a time holds it — a second one, from any thread,
+fails fast with :class:`FanOutBusy` instead of silently mixing payloads
+(the sharded searcher answers that by running its wave in process) — and
 each worker moves the inherited payload into its own ``_WORKER_STATE`` and
 clears the global so a nested ``parallel_search`` inside a worker starts
 from a clean slate.
@@ -44,6 +46,7 @@ the fork paths are byte-identical to the pre-harvest behaviour.
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -75,17 +78,26 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+class FanOutBusy(RuntimeError):
+    """Another fork fan-out of this process holds the worker handoff."""
+
+
+# Held for the life of one fan-out and only ever taken without blocking.
+_HANDOFF_LOCK = threading.Lock()
+
+
 @contextmanager
 def _worker_handoff(payload: dict[str, object]):
     """Stage ``payload`` in the fork-inherited global, exception-safely.
 
-    Raises on re-entrant use from the same process: two concurrent fork
-    fan-outs would race on the single global and workers could inherit the
-    wrong payload.  (Workers themselves are safe to nest — ``_worker_init``
-    clears their inherited copy.)
+    Raises :class:`FanOutBusy` on re-entrant use from the same process:
+    two concurrent fork fan-outs would race on the single global and
+    workers could inherit the wrong payload.  (Workers themselves are safe
+    to nest — ``_worker_init`` clears their inherited copy.)
     """
-    if _WORKER:
-        raise RuntimeError(
+    lock = _HANDOFF_LOCK
+    if not lock.acquire(blocking=False):
+        raise FanOutBusy(
             "re-entrant parallel fan-out: a _WORKER handoff is already staged "
             "in this process; finish the outer parallel call first"
         )
@@ -94,6 +106,7 @@ def _worker_handoff(payload: dict[str, object]):
         yield
     finally:
         _WORKER.clear()
+        lock.release()
 
 
 def _worker_init() -> None:
@@ -101,8 +114,10 @@ def _worker_init() -> None:
 
     Moving it into ``_WORKER_STATE`` and clearing ``_WORKER`` keeps the
     handoff single-use — a nested parallel call inside this worker stages
-    its own payload instead of silently reusing the parent's.
+    its own payload (under a fresh lock: the inherited one is held).
     """
+    global _HANDOFF_LOCK
+    _HANDOFF_LOCK = threading.Lock()
     _WORKER_STATE.clear()
     _WORKER_STATE.update(_WORKER)
     _WORKER.clear()
@@ -275,20 +290,17 @@ def _shard_worker(
 ) -> tuple[SearchResult, "harvest.WorkerTelemetry | None"]:
     searchers = _WORKER_STATE["shard_searchers"]
     plans = _WORKER_STATE["shard_plans"]
-    caps = _WORKER_STATE["shard_caps"]
     floor = _WORKER_STATE["shard_floor"]
     maps = _WORKER_STATE["shard_maps"]
     config = _WORKER_STATE.get("harvest")
     if not config:
         result = searchers[index].execute(
-            plans[index], score_floor=floor, unseen_caps=caps[index],
-            distance_maps=maps,
+            plans[index], score_floor=floor, distance_maps=maps
         )
         return result, None
     with harvest.collecting(config) as collector:
         result = searchers[index].execute(
-            plans[index], score_floor=floor, unseen_caps=caps[index],
-            distance_maps=maps,
+            plans[index], score_floor=floor, distance_maps=maps
         )
         collector.record_result(result, kind="shard")
     return result, collector.telemetry()
@@ -297,11 +309,10 @@ def _shard_worker(
 def _fork_shard_batch(
     searchers: list,
     plans: list,
-    caps: list,
     floor: float | None,
     workers: int,
     max_task_retries: int,
-    distance_maps=None,
+    distance_maps,
 ) -> tuple[list[SearchResult], list["harvest.WorkerTelemetry | None"]]:
     """Execute one scatter wave of shard searches across forked workers.
 
@@ -330,7 +341,6 @@ def _fork_shard_batch(
     payload = {
         "shard_searchers": searchers,
         "shard_plans": plans,
-        "shard_caps": caps,
         "shard_floor": floor,
         # Shared per-source distance maps, inherited through fork's memory
         # copy like everything else in the payload (never pickled).
@@ -397,8 +407,7 @@ def _fork_shard_batch(
         tracer.event("sequential_fallback", shards=len(pending))
     for i in pending:
         results[i] = searchers[i].execute(
-            plans[i], score_floor=floor, unseen_caps=caps[i],
-            distance_maps=distance_maps,
+            plans[i], score_floor=floor, distance_maps=distance_maps
         )
         results[i].stats.executor = "sequential-fallback"
         results[i].stats.retries = retry_counts[i]

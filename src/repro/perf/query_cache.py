@@ -10,7 +10,7 @@ results recur across queries and are cached here:
   common case for popular places) skip the traversal entirely on a full
   hit and shrink it to the missing locations on a partial hit.
 - **text-score cache** — the keyword-postings evaluation in front of
-  ``_exact_text_scores``, keyed on ``(keyword set, measure)``.  Queries
+  ``exact_text_scores``, keyed on ``(keyword set, measure)``.  Queries
   with the same preference text reuse the whole score table.
 
 Both caches hold exact values only, so hits never change results — the

@@ -53,9 +53,10 @@ import numpy as np
 from repro.core.instrument import annotate_search_span, execute_span
 from repro.core.plan import QueryPlan
 from repro.core.query import UOTSQuery
-from repro.core.results import ScoredTrajectory, SearchResult, SearchStats, TopK
+from repro.core.results import SearchResult, SearchStats, TopK
+from repro.core.scan import ScanArrays
 from repro.core.scheduler import Scheduler
-from repro.core.search import CollaborativeSearcher
+from repro.core.search import CollaborativeSearcher, exact_text_scores
 from repro.index.database import TrajectoryDatabase
 from repro.network.csr import sssp_arrays_batch
 from repro.network.landmarks import LandmarkIndex
@@ -96,113 +97,36 @@ class _Shard:
 
 
 class _ShardSearcher(CollaborativeSearcher):
-    """The per-shard execution engine.
+    """The per-shard execution engine: plans like the flat searcher (the
+    schedule orders shards by that estimate), executes as a scan.
 
-    When the scattering parent supplies shared per-source *distance maps*
-    (one dense ``|V|``-array per query location, computed once per query —
-    the spatial work flat search repeats per shard is paid exactly once),
-    the shard answers with an exact vectorised scan of its members: the
-    spatial term is the per-member min network distance via one
-    ``minimum.reduceat`` over the shard's concatenated vertex arrays, the
-    textual term comes from the shard's own inverted index, and the local
-    top-k is selected under the library-wide total order (score desc,
-    id asc).  The scan is exact for every member, so the merged global
-    top-k equals the brute-force canonical answer.  Without maps (direct
-    use, crash fallback before maps existed) it behaves as the plain
-    collaborative searcher over the shard view.
+    The scattering parent supplies shared per-source *distance maps* (one
+    dense ``|V|``-array per query location, computed once per query — the
+    spatial work flat search would repeat per shard is paid exactly once)
+    and the shard answers with :func:`~repro.core.scan.scan_topk` over its
+    own members: exact for every member, so the merged global top-k equals
+    the brute-force canonical answer.
     """
 
     def __init__(self, view, scheduler, batch_size, refinement, alt):
         super().__init__(view, scheduler, batch_size, refinement, alt)
-        self._scan_arrays = None
-        view.add_mutation_listener(self._invalidate_scan)
-
-    def _invalidate_scan(self, _event) -> None:
-        self._scan_arrays = None
-
-    def _member_arrays(self):
-        """``(ids, starts, vertices, positions)``, rebuilt after mutation."""
-        if self._scan_arrays is None:
-            ids: list[int] = []
-            starts: list[int] = []
-            vertices: list[int] = []
-            for trajectory in sorted(
-                self._database.trajectories, key=lambda t: t.id
-            ):
-                ids.append(trajectory.id)
-                starts.append(len(vertices))
-                vertices.extend(trajectory.vertex_set)
-            self._scan_arrays = (
-                np.array(ids, dtype=np.int64),
-                np.array(starts, dtype=np.intp),
-                np.array(vertices, dtype=np.intp),
-                {tid: i for i, tid in enumerate(ids)},
-            )
-        return self._scan_arrays
+        self._arrays = ScanArrays(view)
 
     def execute(
         self,
         plan: QueryPlan,
         budget: SearchBudget | None = None,
         *,
-        score_floor: float | None = None,
-        unseen_caps: list[float] | None = None,
-        distance_maps: np.ndarray | None = None,
-    ) -> SearchResult:
-        if distance_maps is None:
-            return super().execute(
-                plan, budget, score_floor=score_floor, unseen_caps=unseen_caps
-            )
-        with execute_span("shard-scan") as span:
-            result = self._scan_execute(
-                plan, score_floor=score_floor, distance_maps=distance_maps
-            )
-            annotate_search_span(span, result)
-        return result
-
-    def _scan_execute(
-        self,
-        plan: QueryPlan,
-        *,
         score_floor: float | None,
         distance_maps: np.ndarray,
     ) -> SearchResult:
-        started = time.perf_counter()
-        query: UOTSQuery = plan.query
-        stats = SearchStats()
-        ids, starts, vertices, positions = self._member_arrays()
-        if ids.size == 0:
-            stats.elapsed_seconds = time.perf_counter() - started
-            return SearchResult(items=[], stats=stats)
-        sigma = self._database.sigma
-        spatial = np.zeros(ids.size)
-        for row in distance_maps:
-            spatial += np.exp(-np.minimum.reduceat(row[vertices], starts) / sigma)
-        spatial /= query.num_locations
-        textual = np.zeros(ids.size)
-        if query.lam != 1.0 and query.keywords:
-            for tid, sim in self._exact_text_scores(query, stats).items():
-                textual[positions[tid]] = sim
-        scores = query.lam * spatial + (1.0 - query.lam) * textual
-        stats.visited_trajectories = int(ids.size)
-        stats.similarity_evaluations = int(ids.size)
-        keep = (
-            np.flatnonzero(scores >= score_floor)
-            if score_floor is not None
-            else np.arange(ids.size)
-        )
-        order = keep[np.lexsort((ids[keep], -scores[keep]))][: query.k]
-        items = [
-            ScoredTrajectory(
-                trajectory_id=int(ids[i]),
-                score=float(scores[i]),
-                spatial_similarity=float(spatial[i]),
-                text_similarity=float(textual[i]),
-            )
-            for i in order
-        ]
-        stats.elapsed_seconds = time.perf_counter() - started
-        return SearchResult(items=items, stats=stats)
+        """``budget`` is ignored: budgeted queries never scatter."""
+        with execute_span("shard-scan") as span:
+            started = time.perf_counter()
+            result = self._arrays.topk(distance_maps, plan.query, score_floor)
+            result.stats.elapsed_seconds = time.perf_counter() - started
+            annotate_search_span(span, result)
+        return result
 
 
 class ShardCollection:
@@ -526,9 +450,8 @@ class ShardedSearcher(CollaborativeSearcher):
             )
             for shard, caps in zip(shards, caps_by_shard)
         }
-        caps = {shard.shard_id: c for shard, c in zip(shards, caps_by_shard)}
 
-        text_scores = self._exact_text_scores(query, SearchStats())
+        text_scores = exact_text_scores(self._database, query)
         floor = self._floor_from_scores(query, text_scores)
         # The query's spatial work, paid once for every shard: one dense
         # distance array per query location (CSR kernel, vectorised).
@@ -590,17 +513,29 @@ class ShardedSearcher(CollaborativeSearcher):
             # and offered — the merged TopK's shared total order (score
             # desc, id asc) then resolves ties exactly like the flat path.
             shard_floor = floor - 2.0 * _EPS if floor > 0.0 else None
+            outcome = None
             if use_fork and len(survivors) > 1:
+                # Built here, a snapshot is inherited by every later fork;
+                # built in a worker it dies with it, after its refcount
+                # traffic has copied the worker's heap page by page.
+                for shard in survivors:
+                    shard.searcher._arrays.snapshot()
+                try:
+                    outcome = _executor._fork_shard_batch(
+                        [s.searcher for s in survivors],
+                        [shard_plans[s.shard_id] for s in survivors],
+                        shard_floor,
+                        workers,
+                        self._max_task_retries,
+                        distance_maps=distance_maps,
+                    )
+                except _executor.FanOutBusy:
+                    # A concurrent request is mid-fork: run this wave in
+                    # process below instead of failing the request.
+                    pass
+            if outcome is not None:
                 forked = True
-                results, telemetries = _executor._fork_shard_batch(
-                    [s.searcher for s in survivors],
-                    [shard_plans[s.shard_id] for s in survivors],
-                    [caps[s.shard_id] for s in survivors],
-                    shard_floor,
-                    workers,
-                    self._max_task_retries,
-                    distance_maps=distance_maps,
-                )
+                results, telemetries = outcome
                 if tracer.enabled:
                     for shard, result, telemetry in zip(
                         survivors, results, telemetries
@@ -625,29 +560,15 @@ class ShardedSearcher(CollaborativeSearcher):
             else:
                 results = []
                 for shard in survivors:
-                    if tracer.enabled:
-                        with tracer.span(
-                            f"shard[{shard.shard_id}]", executed=True
-                        ) as sspan:
-                            result = shard.searcher.execute(
-                                shard_plans[shard.shard_id],
-                                score_floor=shard_floor,
-                                unseen_caps=caps[shard.shard_id],
-                                distance_maps=distance_maps,
-                            )
-                            if sspan is not None:
-                                sspan.set("items", len(result.items))
-                                sspan.set(
-                                    "evaluations",
-                                    result.stats.similarity_evaluations,
-                                )
-                    else:
+                    with tracer.span(f"shard[{shard.shard_id}]", executed=True) as sspan:
                         result = shard.searcher.execute(
                             shard_plans[shard.shard_id],
                             score_floor=shard_floor,
-                            unseen_caps=caps[shard.shard_id],
                             distance_maps=distance_maps,
                         )
+                        if sspan is not None:
+                            sspan.set("items", len(result.items))
+                            sspan.set("evaluations", result.stats.similarity_evaluations)
                     results.append(result)
             wave_seconds = [r.stats.elapsed_seconds for r in results]
             stats.shard_seconds += sum(wave_seconds)
@@ -686,7 +607,7 @@ class ShardedSearcher(CollaborativeSearcher):
     def _textual_floor(self, query: UOTSQuery) -> float:
         """Planning-time floor: kth best ``(1-lam) * SimT`` globally."""
         return self._floor_from_scores(
-            query, self._exact_text_scores(query, SearchStats())
+            query, exact_text_scores(self._database, query)
         )
 
     def _floor_from_scores(

@@ -36,6 +36,8 @@ class VertexGrid:
         extent = max(max_x - min_x, max_y - min_y, 1.0)
         self._cell = cell_size or extent / max(1.0, math.sqrt(graph.num_vertices))
         self._origin = (min_x, min_y)
+        # Occupied cells span (0, 0) .. _last; `within` never looks outside.
+        self._last = self._key(max_x, max_y)
         self._cells: dict[tuple[int, int], list[int]] = {}
         for v in graph.vertices():
             self._cells.setdefault(self._key(*graph.position(v)), []).append(v)
@@ -56,14 +58,16 @@ class VertexGrid:
         return best, math.hypot(xs[best] - x, ys[best] - y)
 
     def within(self, x: float, y: float, radius: float) -> list[int]:
-        """All vertices within Euclidean ``radius`` of ``(x, y)``."""
+        """All vertices within Euclidean ``radius`` of ``(x, y)``; the cell
+        window is clamped to the occupied extent, so a far point costs O(grid)."""
         cx, cy = self._key(x, y)
         reach = int(radius // self._cell) + 1
+        last_x, last_y = self._last
         xs, ys = self._graph.xs, self._graph.ys
         r2 = radius * radius
         found = []
-        for gx in range(cx - reach, cx + reach + 1):
-            for gy in range(cy - reach, cy + reach + 1):
+        for gx in range(max(cx - reach, 0), min(cx + reach, last_x) + 1):
+            for gy in range(max(cy - reach, 0), min(cy + reach, last_y) + 1):
                 for v in self._cells.get((gx, gy), ()):
                     if (xs[v] - x) ** 2 + (ys[v] - y) ** 2 <= r2:
                         found.append(v)

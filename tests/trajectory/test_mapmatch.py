@@ -1,5 +1,7 @@
 """Unit tests for map matching."""
 
+import time
+
 import pytest
 
 from repro.errors import DatasetError
@@ -24,9 +26,19 @@ class TestVertexGrid:
 
     def test_nearest_far_away_point(self, grid20):
         grid = VertexGrid(grid20)
+        started = time.perf_counter()
         found, dist = grid.nearest(-1e6, -1e6)
+        elapsed = time.perf_counter() - started
         assert 0 <= found < grid20.num_vertices
         assert dist > 0
+        # Hostile input costs bounded time: a fix 1 000 km off the map must
+        # not walk a (2 * reach + 1)^2 window of empty cells (137 s once).
+        assert elapsed < 0.1
+        # ...and still names the true nearest vertex.
+        xs, ys = grid20.xs, grid20.ys
+        assert found == min(
+            grid20.vertices(), key=lambda v: (xs[v] + 1e6) ** 2 + (ys[v] + 1e6) ** 2
+        )
 
     def test_within_radius(self, grid20):
         grid = VertexGrid(grid20)
