@@ -13,7 +13,7 @@ mathematical tie at the kth boundary can resolve toward a different
 (equally correct) id once unrelated mutations shift the search dynamics.
 An id substitution at a rank is therefore accepted only after exact
 rescoring proves both trajectories genuinely achieve that score — the
-same acceptance rule BENCH_x4 documents for the sharded searcher.
+same acceptance rule ``benchmarks/e2e/oracle.py`` applies on the wire.
 
 Stream shape: ``U`` unique queries read uniformly (the worst case for a
 wholesale cache: a wide working set rebuilds slowly after every clear),
@@ -60,7 +60,7 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 #: Acceptance floor: scoped hit rate over wholesale hit rate.
 HIT_RATE_RATIO_MIN = 10.0
 
-#: Float tolerance for score equality (same as the BENCH_x4 tie rule).
+#: Float tolerance for score equality (same as the e2e oracle's tie rule).
 TIE_EPS = 1e-9
 
 #: One write per this many operations (19 reads : 1 write = 95/5).

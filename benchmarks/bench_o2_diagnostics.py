@@ -1,17 +1,18 @@
-"""O2 — full-diagnostics overhead on the sharded scatter path: A/B.
+"""O2 — full-diagnostics overhead on the forked batch path: A/B.
 
-Claims checked, on the forked 8-shard scatter battery:
+Claims checked, on a forked ``execute_many(workers=2)`` batch (the one
+place a query's work leaves the process):
 
 1. **Overhead** — running with the whole diagnostics stack on (tracing +
    metrics registry + cross-process telemetry harvest + slow-query
    journal + drift accounting) costs <= 5% wall time versus the same
-   battery with observability off.
-2. **Span coverage** — the stitched trace accounts for the shard work:
-   summed ``shard[i]`` span durations (worker-measured for forked
-   shards, harvested home by :mod:`repro.obs.harvest`) cover >= 90% of
-   the per-shard seconds the result stats report.
-3. **Counter parity** — the parent-merged worker counter deltas equal
-   the per-worker counts summed from the shard spans exactly: harvested
+   batch with observability off.
+2. **Span coverage** — the stitched trace accounts for the worker-side
+   work: the ``execute`` trees harvested home by :mod:`repro.obs.harvest`
+   and grafted under the forked ``query`` spans cover >= 90% of the
+   worker-measured ``elapsed_seconds`` the result stats report.
+3. **Counter parity** — the parent-merged ``repro_worker_*`` counter
+   deltas equal the per-query result stats summed exactly: harvested
    metrics are an accounting identity, not a sample.
 
 Results must stay identical across modes (diagnostics are measurement,
@@ -37,135 +38,120 @@ from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.obs.harvest import WORKER_COUNTERS
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel.executor import fork_available
 from repro.service import QueryService
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Acceptance ceiling: full diagnostics may cost this fraction of wall time.
 OVERHEAD_MAX = 0.05
-#: Acceptance floor: stitched shard spans must cover this share of the
-#: per-shard seconds the stats report.
+#: Acceptance floor: grafted worker trees must cover this share of the
+#: worker-measured seconds the stats report.
 SPAN_COVERAGE_MIN = 0.90
 
-SHARDS = 8
-WORKERS = 4
+ALGORITHM = "collaborative"
+WORKERS = 2
 
-
-def _timed_submit(service, query) -> float:
-    started = time.perf_counter()
-    service.submit(query)
-    return time.perf_counter() - started
-
-
-def _time_paired(make_off, make_diag, queries, repeats: int) -> tuple[float, float]:
-    """``(off_seconds, diagnosed_seconds)`` from paired per-query samples.
-
-    Each scatter query spawns its own worker pools, so per-query wall
-    time is dominated by fork startup noise that (a) spikes heavily
-    under scheduler contention and (b) drifts as the parent process
-    accumulates memory (every forked page-table copy gets dearer).
-    Whole-battery A-then-B timing therefore carries a *positional* bias:
-    whichever mode runs later forks from a fatter parent and reads
-    slower for reasons that have nothing to do with diagnostics.
-
-    So the modes run back-to-back per query (adjacent samples share the
-    machine state the noise comes from), with the order flipped per
-    ``(repeat, query)`` parity so neither mode always rides the later
-    position.  The diagnostics cost is then the per-query **median of
-    the paired differences** — pairing cancels the common-mode drift and
-    the median discards the throttle spikes that make means (and even
-    minima) of independent samples unstable on a contended box.
-    """
-    off_samples: list[list[float]] = [[] for __ in queries]
-    diffs: list[list[float]] = [[] for __ in queries]
-    for repeat in range(repeats):
-        off_service, diag_service = make_off(), make_diag()
-        for i, query in enumerate(queries):
-            if (repeat + i) % 2:
-                diagnosed = _timed_submit(diag_service, query)
-                off = _timed_submit(off_service, query)
-            else:
-                off = _timed_submit(off_service, query)
-                diagnosed = _timed_submit(diag_service, query)
-            off_samples[i].append(off)
-            diffs[i].append(diagnosed - off)
-    off_s = sum(median(samples) for samples in off_samples)
-    return off_s, off_s + sum(median(d) for d in diffs)
+#: The parity audit: harvested counter -> the result-stats field it mirrors.
+PARITY = {
+    "evaluations": "similarity_evaluations",
+    "expanded": "expanded_vertices",
+    "visited": "visited_trajectories",
+}
 
 
 def _make_service(bundle, **service_kwargs) -> QueryService:
-    return QueryService(
-        bundle.database, "sharded", shards=SHARDS, workers=WORKERS,
-        **service_kwargs,
+    return QueryService(bundle.database, ALGORITHM, **service_kwargs)
+
+
+def _make_diagnosed(bundle) -> QueryService:
+    return _make_service(
+        bundle, trace=True, metrics=MetricsRegistry(), slowlog=True
     )
 
 
 def _run_battery(service, queries):
-    return [service.submit(query) for query in queries]
+    return service.execute_many(queries, workers=WORKERS)
 
 
-def _shard_spans(tracer):
-    """Every ``shard[i]`` span across the tracer's finished traces."""
-    return [
-        span
-        for root in tracer.traces
-        for span in root.walk()
-        if span.name.startswith("shard[")
-    ]
+def _timed_battery(service, queries) -> float:
+    started = time.perf_counter()
+    _run_battery(service, queries)
+    return time.perf_counter() - started
+
+
+def _time_paired(bundle, queries, repeats: int) -> tuple[float, float]:
+    """``(off_seconds, diagnosed_seconds)`` from paired per-batch samples.
+
+    A forked batch's wall time carries fork start-up noise that spikes
+    under scheduler contention and drifts as the parent accumulates
+    memory, so the two modes run back-to-back per repeat (adjacent samples
+    share the machine state the noise comes from) with the order flipped
+    every repeat, and the diagnostics cost is the **median of the paired
+    differences** — pairing cancels the common-mode drift, the median
+    discards the throttle spikes.
+    """
+    offs, diffs = [], []
+    for repeat in range(repeats):
+        off_service, diag_service = _make_service(bundle), _make_diagnosed(bundle)
+        if repeat % 2:
+            diagnosed = _timed_battery(diag_service, queries)
+            off = _timed_battery(off_service, queries)
+        else:
+            off = _timed_battery(off_service, queries)
+            diagnosed = _timed_battery(diag_service, queries)
+        offs.append(off)
+        diffs.append(diagnosed - off)
+    return median(offs), median(offs) + median(diffs)
 
 
 def _audit_diagnostics(service, results) -> dict:
-    """Coverage + parity readouts from one fully-diagnosed battery."""
-    spans = _shard_spans(service.tracer)
-    executed = [s for s in spans if s.attributes.get("executed")]
-    forked = [s for s in executed if s.attributes.get("executor") == "fork"]
-    span_seconds = sum(s.duration_s for s in executed)
-    shard_seconds = sum(r.stats.shard_seconds for r in results)
-    coverage = span_seconds / shard_seconds if shard_seconds > 0 else 1.0
+    """Coverage + parity readouts from one fully-diagnosed batch."""
+    forked = [
+        span
+        for root in service.tracer.traces
+        for span in root.walk()
+        if span.name == "query" and span.attributes.get("forked")
+    ]
+    span_seconds = sum(
+        c.duration_s for s in forked for c in s.children if c.name == "execute"
+    )
+    worker_seconds = sum(r.stats.elapsed_seconds for r in results)
+    coverage = span_seconds / worker_seconds if worker_seconds > 0 else 1.0
 
     registry = service.metrics
-    name, help_ = WORKER_COUNTERS["evaluations"]
-    worker_evaluations = registry.counter(name, help_).value(kind="shard")
-    name, help_ = WORKER_COUNTERS["tasks"]
-    worker_tasks = registry.counter(name, help_).value(kind="shard")
-    span_evaluations = sum(s.attributes.get("evaluations", 0) for s in forked)
+    harvested = {
+        key: registry.counter(*WORKER_COUNTERS[key]).value(kind="search")
+        for key in (*PARITY, "tasks")
+    }
     return {
-        "shard_spans": len(executed),
-        "forked_shard_spans": len(forked),
+        "forked_query_spans": len(forked),
         "span_seconds": round(span_seconds, 6),
-        "shard_seconds": round(shard_seconds, 6),
+        "worker_seconds": round(worker_seconds, 6),
         "span_coverage": round(coverage, 4),
-        "worker_tasks": int(worker_tasks),
-        "worker_evaluations": int(worker_evaluations),
-        "span_evaluations": int(span_evaluations),
+        "worker_tasks": int(harvested["tasks"]),
+        "worker_evaluations": int(harvested["evaluations"]),
         "counter_parity": (
-            worker_evaluations == span_evaluations
-            and worker_tasks == len(forked)
+            harvested["tasks"] == len(forked) == len(results)
+            and all(
+                harvested[key] == sum(getattr(r.stats, field) for r in results)
+                for key, field in PARITY.items()
+            )
         ),
         "slowlog_entries": len(service.slowlog),
     }
 
 
 def compare_modes(bundle, queries, repeats: int) -> dict:
-    """Time the battery bare vs. under the full diagnostics stack."""
+    """Time the batch bare vs. under the full diagnostics stack."""
     off_results = _run_battery(_make_service(bundle), queries)
-    diagnosed = _make_service(
-        bundle, trace=True, metrics=MetricsRegistry(), slowlog=True
-    )
+    diagnosed = _make_diagnosed(bundle)
     diag_results = _run_battery(diagnosed, queries)
     for a, b in zip(off_results, diag_results):  # measurement, not behaviour
         assert a.ids == b.ids, f"diagnostics changed results: {a.ids} vs {b.ids}"
         assert a.scores == b.scores
     audit = _audit_diagnostics(diagnosed, diag_results)
-
-    off_s, diag_s = _time_paired(
-        lambda: _make_service(bundle),
-        lambda: _make_service(
-            bundle, trace=True, metrics=MetricsRegistry(), slowlog=True
-        ),
-        queries,
-        repeats,
-    )
+    off_s, diag_s = _time_paired(bundle, queries, repeats)
     return {
         "num_queries": len(queries),
         "off_ms": round(off_s * 1000, 2),
@@ -182,7 +168,7 @@ def run_suite(profile: Profile, repeats: int) -> dict:
             "trajectories": profile.trajectories,
             "queries": profile.queries,
         },
-        "config": {"shards": SHARDS, "workers": WORKERS},
+        "config": {"algorithm": ALGORITHM, "workers": WORKERS},
         "targets": {
             "overhead_max": OVERHEAD_MAX,
             "span_coverage_min": SPAN_COVERAGE_MIN,
@@ -212,7 +198,7 @@ def _render(report: dict) -> str:
         rows.append((
             dataset, f"{data['off_ms']:.1f}", f"{data['diagnostics_ms']:.1f}",
             f"{data['overhead']:+.1%}", f"{data['span_coverage']:.1%}",
-            str(data["forked_shard_spans"]),
+            str(data["forked_query_spans"]),
             "yes" if data["counter_parity"] else "NO",
         ))
     table = format_table(
@@ -235,11 +221,14 @@ def _render(report: dict) -> str:
 
 def run_experiment(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if not fork_available():
+        print("O2 needs the fork start method; nothing to measure here")
+        return 0
     smoke = "--smoke" in argv
     profile = SMOKE if smoke else paper_profile()
-    repeats = 3 if smoke else 9
+    repeats = 3 if smoke else 25
     print_header(
-        "O2  full-diagnostics overhead on the sharded scatter path",
+        "O2  full-diagnostics overhead on the forked batch path",
         f"profile={'smoke' if smoke else 'paper'} scale={profile.scale}",
     )
     report = run_suite(profile, repeats)
@@ -262,18 +251,16 @@ def run_experiment(argv: list[str] | None = None) -> int:
 # ------------------------------------------------------ pytest-benchmark
 @pytest.mark.benchmark(group="o2-diagnostics")
 @pytest.mark.parametrize("mode", ["off", "diagnosed"])
-def test_o2_sharded_battery(benchmark, mode):
+def test_o2_forked_batch(benchmark, mode):
+    if not fork_available():
+        pytest.skip("fork not available")
     bundle = bundle_for(SMOKE, "brn")
     queries = make_queries(
         bundle, WorkloadConfig(num_queries=SMOKE.queries, seed=7)
     )
-    kwargs = (
-        {"trace": True, "metrics": MetricsRegistry(), "slowlog": True}
-        if mode == "diagnosed"
-        else {}
-    )
+    make = _make_diagnosed if mode == "diagnosed" else _make_service
     benchmark.pedantic(
-        lambda: _run_battery(_make_service(bundle, **kwargs), queries),
+        lambda: _run_battery(make(bundle), queries),
         rounds=1, iterations=1, warmup_rounds=1,
     )
 

@@ -142,7 +142,6 @@ def _make_service(
         batch_size=args.batch_size,
         scheduler=args.scheduler,
         shards=args.shards,
-        workers=args.workers,
     )
 
 
@@ -225,8 +224,7 @@ def _cmd_slowlog(args: argparse.Namespace) -> int:
     journal = SlowQueryJournal(
         capacity=args.capacity, threshold_ms=args.threshold_ms
     )
-    # Tracing on: admitted entries carry the stitched trace (including
-    # harvested worker spans on forked scatter paths) for --show-trace.
+    # Tracing on: admitted entries carry the trace for --show-trace.
     service = _make_service(database, args, trace=True, slowlog=journal)
     for _ in range(args.repeat):
         service.search(query, tenant=args.tenant, priority=args.priority)
@@ -484,11 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(ignored by flat algorithms; default 8)",
         )
         p.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="parallel shard workers for --algorithm sharded "
-                 "(default scales to the machine's cores)",
-        )
-        p.add_argument(
             "--cache-size", type=int, default=None, metavar="N",
             help="bound on the cross-query distance cache "
                  "(0 disables caching; default keeps the built-in bounds)",
@@ -698,10 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scheduler", choices=["heuristic", "round-robin"], default=None
     )
     p.add_argument("--shards", type=int, default=None, metavar="N")
-    p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="parallel shard workers for --algorithm sharded",
-    )
     p.add_argument("--cache-size", type=int, default=None, metavar="N")
     p.add_argument(
         "--result-cache-size", type=int, default=256, metavar="N",

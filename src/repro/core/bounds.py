@@ -25,7 +25,7 @@ quantity the termination test needs.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 __all__ = ["SourceRadiiWeights", "BoundTracker"]
 
@@ -75,7 +75,6 @@ class BoundTracker:
         default_text: float = 0.0,
         unseen_text_override: float | None = None,
         frontier_caps: Callable[[int], list[float] | None] | None = None,
-        unseen_caps: Sequence[float] | None = None,
     ):
         """``text_scores`` maps trajectory id -> *exact* textual similarity.
 
@@ -97,23 +96,12 @@ class BoundTracker:
         lazily — only for trajectories that surface as the loosest active
         candidate — so its cost scales with the handful of states blocking
         termination, not with everything scanned.
-
-        ``unseen_caps`` are per-source constants capping the contribution
-        of any *never-scanned* trajectory, regardless of the current radii.
-        A sharded search supplies ``alpha_i * exp(-lb_i / sigma_i)`` from a
-        lower bound ``lb_i`` on source ``i``'s distance to the whole shard:
-        every unseen trajectory of the shard satisfies the bound, so the
-        capped unseen bound stays admissible while letting a far shard
-        terminate without growing its radii past the shard's distance.
         """
         if num_sources < 1:
             raise ValueError("need at least one query source")
         self._m = num_sources
         self._text_weight = text_weight
         self._frontier_caps = frontier_caps
-        if unseen_caps is not None and len(unseen_caps) != num_sources:
-            raise ValueError("unseen_caps must have one entry per source")
-        self._unseen_caps = list(unseen_caps) if unseen_caps is not None else None
         self._text = dict(text_scores)
         self._default_text = default_text
         self._unseen_text_override = unseen_text_override
@@ -312,14 +300,7 @@ class BoundTracker:
 
     def unseen_upper_bound(self, radii_weights: SourceRadiiWeights) -> float:
         """Upper bound for every trajectory no source has reached yet."""
-        caps = self._unseen_caps
-        if caps is None:
-            frontier = radii_weights.total
-        else:
-            frontier = 0.0
-            for w, c in zip(radii_weights.weights, caps):
-                frontier += w if w < c else c
-        return frontier + self._text_weight * self.best_unseen_text()
+        return radii_weights.total + self._text_weight * self.best_unseen_text()
 
     def best_active_bound(
         self, radii_weights: SourceRadiiWeights, refine_rounds: int = 8

@@ -11,7 +11,7 @@ is guaranteed to satisfy the :class:`~repro.core.plan.Searcher` protocol
 Kwarg semantics
 ---------------
 - The universal tuning vocabulary is ``alt``, ``batch_size``,
-  ``refinement``, ``scheduler``, ``shards``, ``workers``.  Anything else raises
+  ``refinement``, ``scheduler``, ``shards``.  Anything else raises
   :class:`~repro.errors.QueryError` (typos should not pass silently).
 - ``None``-valued kwargs mean "keep the default" and are dropped — this is
   what lets the CLI forward unset flags wholesale.
@@ -47,9 +47,7 @@ __all__ = [
 ]
 
 #: The universal tuning vocabulary accepted by :func:`make_searcher`.
-TUNING_KWARGS = frozenset(
-    {"alt", "batch_size", "refinement", "scheduler", "shards", "workers"}
-)
+TUNING_KWARGS = frozenset({"alt", "batch_size", "refinement", "scheduler", "shards"})
 
 #: What ``repro serve`` runs by default; library defaults stay on
 #: ``collaborative``, the paper's algorithm and the reference implementation.
@@ -161,8 +159,8 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
         _spec(
             "sharded",
             ShardedSearcher,
-            accepts=("shards", "workers", "scheduler", "batch_size", "refinement", "alt"),
-            description="scatter-gather over spatial shards with bound-based shard pruning",
+            accepts=("shards", "scheduler", "batch_size", "refinement", "alt"),
+            description="in-process scan of spatial shards with bound-based shard pruning",
         ),
     )
 }

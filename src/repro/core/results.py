@@ -69,10 +69,10 @@ class SearchStats:
     planner considered, ``shards_executed`` the shards actually searched,
     ``shards_pruned`` the shards skipped because their best-possible upper
     bound fell below the running global kth score.  ``shard_seconds`` sums
-    per-shard search wall time; ``shard_critical_seconds`` sums, per
-    scheduling wave, only the *slowest* shard of the wave — the scatter
-    phase's critical path, i.e. what the shard portion of the query would
-    cost with one core per shard.  Flat searches leave all five at zero.
+    per-shard scan wall time; ``shard_critical_seconds`` is the shard
+    phase's critical path, which equals ``shard_seconds`` now that the
+    shards of one query run one after another in process (the field stays
+    for its readers).  Flat searches leave all five at zero.
     """
 
     visited_trajectories: int = 0

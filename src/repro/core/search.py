@@ -115,8 +115,6 @@ class SearchContext:
     __slots__ = (
         "query",
         "budget",
-        "score_floor",
-        "unseen_caps",
         "meter",
         "started",
         "stats",
@@ -139,17 +137,9 @@ class SearchContext:
         "text_snapshot",
     )
 
-    def __init__(
-        self,
-        query: UOTSQuery,
-        budget: SearchBudget | None,
-        score_floor: float | None = None,
-        unseen_caps: list[float] | None = None,
-    ):
+    def __init__(self, query: UOTSQuery, budget: SearchBudget | None):
         self.query = query
         self.budget = budget
-        self.score_floor = score_floor
-        self.unseen_caps = unseen_caps
         self.meter = None if budget is None or budget.unlimited else budget.start()
         self.started = time.perf_counter()
         self.stats = SearchStats()
@@ -279,12 +269,7 @@ class CollaborativeSearcher:
         )
 
     def execute(
-        self,
-        plan: QueryPlan,
-        budget: SearchBudget | None = None,
-        *,
-        score_floor: float | None = None,
-        unseen_caps: list[float] | None = None,
+        self, plan: QueryPlan, budget: SearchBudget | None = None
     ) -> SearchResult:
         """Run a previously built plan; exact top-k, or best-so-far under a
         budget.
@@ -295,17 +280,6 @@ class CollaborativeSearcher:
         bound tracker's residual upper bound as the score error bar — the
         anytime behaviour a latency-bound service needs.  Strict budgets
         raise :class:`~repro.errors.BudgetExceededError` instead.
-
-        ``score_floor`` is the scatter-gather hook: a caller merging this
-        result with others (the sharded searcher) promises it will discard
-        anything scoring at or below the floor, so the termination test may
-        prune against ``max(kth score, floor)`` — and may terminate before
-        ``k`` items are even collected once every unresolved bound sits at
-        or below the floor.  ``unseen_caps`` (per-source contribution caps
-        valid for every trajectory of this database, see
-        :class:`~repro.core.bounds.BoundTracker`) tightens the unseen bound
-        the same way.  Both default to off, leaving the classic single
-        -database semantics byte-identical.
         """
         query: UOTSQuery = plan.query
         query.validate_against(self._database.graph)
@@ -313,10 +287,7 @@ class CollaborativeSearcher:
             budget = query.budget
         with execute_span(self.plan_name) as span:
             timer = StageTimer() if span is not None else None
-            result = self._run_stages(
-                plan, query, budget, timer,
-                score_floor=score_floor, unseen_caps=unseen_caps,
-            )
+            result = self._run_stages(plan, query, budget, timer)
             result.stats.estimated_cost = plan.estimated_cost
             if span is not None:
                 timer.attach_to(span)
@@ -329,9 +300,6 @@ class CollaborativeSearcher:
         query: UOTSQuery,
         budget: SearchBudget | None,
         timer: StageTimer | None = None,
-        *,
-        score_floor: float | None = None,
-        unseen_caps: list[float] | None = None,
     ) -> SearchResult:
         """The pipeline-stage loop, optionally metered by a stage timer.
 
@@ -340,7 +308,7 @@ class CollaborativeSearcher:
         stage transition, which is what makes the per-stage breakdown sum to
         the execute-span total by construction.
         """
-        ctx = self._open_context(query, budget, score_floor, unseen_caps)
+        ctx = self._open_context(query, budget)
         if timer is not None:
             timer.enter("resolve_text")
         self._resolve_text(ctx)
@@ -397,14 +365,10 @@ class CollaborativeSearcher:
 
     # ------------------------------------------------------ pipeline stages
     def _open_context(
-        self,
-        query: UOTSQuery,
-        budget: SearchBudget | None,
-        score_floor: float | None = None,
-        unseen_caps: list[float] | None = None,
+        self, query: UOTSQuery, budget: SearchBudget | None
     ) -> SearchContext:
         """Stage 0: the per-query state container plus cache snapshots."""
-        ctx = SearchContext(query, budget, score_floor, unseen_caps)
+        ctx = SearchContext(query, budget)
         caches = self._database.caches
         ctx.caches = caches
         ctx.distance_snapshot = caches.distances.stats.snapshot()
@@ -430,9 +394,7 @@ class CollaborativeSearcher:
             if alt_enabled
             else None
         )
-        ctx.tracker = self._make_tracker(
-            query, ctx.text_scores, ctx.frontier_caps, ctx.unseen_caps
-        )
+        ctx.tracker = self._make_tracker(query, ctx.text_scores, ctx.frontier_caps)
         ctx.sources = make_sources(self._database.graph, query.locations)
         ctx.topk = TopK(query.k)
         ctx.measure = get_measure(query.text_measure)
@@ -466,20 +428,11 @@ class CollaborativeSearcher:
         runs once per round.
         """
         topk = ctx.topk
-        floor = ctx.score_floor
         if not topk.full:
-            if floor is None:
-                ctx.round_threshold = None
-                ctx.round_best_id = None
-                return False
-            # Scatter-gather mode: the merging caller discards anything at
-            # or below the floor, so the floor alone justifies termination
-            # even before k items exist in this shard.
-            threshold = floor
-        elif floor is None:
-            threshold = topk.threshold
-        else:
-            threshold = max(topk.threshold, floor)
+            ctx.round_threshold = None
+            ctx.round_best_id = None
+            return False
+        threshold = topk.threshold
         tracker = ctx.tracker
         radii_weights = ctx.radii_weights
         unseen = tracker.unseen_upper_bound(radii_weights)
@@ -754,14 +707,12 @@ class CollaborativeSearcher:
         query: UOTSQuery,
         text_scores: dict[int, float],
         frontier_caps: Callable[[int], list[float]] | None = None,
-        unseen_caps: list[float] | None = None,
     ) -> BoundTracker:
         return BoundTracker(
             num_sources=query.num_locations,
             text_weight=1.0 - query.lam,
             text_scores=text_scores,
             frontier_caps=frontier_caps,
-            unseen_caps=unseen_caps,
         )
 
     def _finalize_text_only(self, ctx: SearchContext) -> SearchResult:
@@ -850,7 +801,6 @@ class SpatialFirstSearcher(CollaborativeSearcher):
         query: UOTSQuery,
         text_scores: dict[int, float],
         frontier_caps: Callable[[int], list[float]] | None = None,
-        unseen_caps: list[float] | None = None,
     ) -> BoundTracker:
         text_bound = 1.0 if query.keywords else 0.0
         return BoundTracker(
@@ -860,5 +810,4 @@ class SpatialFirstSearcher(CollaborativeSearcher):
             default_text=text_bound,
             unseen_text_override=text_bound,
             frontier_caps=frontier_caps,
-            unseen_caps=unseen_caps,
         )

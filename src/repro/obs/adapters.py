@@ -88,7 +88,7 @@ def bind_search_stats(
         "repro_search_elapsed_seconds_total", "Wall time spent inside searches"
     )
     shard_planned = registry.counter(
-        "repro_shard_planned_total", "Shards considered by scatter-gather plans"
+        "repro_shard_planned_total", "Shards considered by sharded plans"
     )
     shard_executed = registry.counter(
         "repro_shard_executed_total", "Shards actually searched"

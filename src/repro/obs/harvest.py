@@ -1,10 +1,11 @@
 """Cross-process telemetry harvest: worker spans and counters come home.
 
-The fork executor (:mod:`repro.parallel.executor`) runs searches in forked
-worker processes whose memory — including any spans or metric increments
-they record — is copy-on-write private and dies with the worker.  Before
-this module, the parent's trace showed a forked ``shard[i]`` as an opaque
-box and the process registry never saw worker-side work.
+The fork executor (:mod:`repro.parallel.executor`) runs batch queries and
+join tasks in forked worker processes whose memory — including any spans
+or metric increments they record — is copy-on-write private and dies with
+the worker.  Before this module, the parent's trace showed a forked
+``query`` as an opaque box and the process registry never saw worker-side
+work.
 
 The harvest protocol closes that gap in three steps:
 
@@ -20,7 +21,7 @@ The harvest protocol closes that gap in three steps:
    tuples — a plain picklable :class:`WorkerTelemetry` that rides back
    alongside each ``SearchResult``.
 3. **Graft and merge (parent side).**  The parent grafts the worker's
-   span trees under the owning ``query``/``shard[i]`` span via
+   span trees under the owning ``query``/``parallel_join`` span via
    :meth:`~repro.obs.trace.Tracer.graft` (through the trace's buffer
    caps) and folds the counter deltas into the harvest *sink* registry
    via :meth:`~repro.obs.metrics.MetricsRegistry.merge_counter_deltas`.
@@ -41,7 +42,7 @@ ambient tracer); :func:`sink_to` installs one for a dynamic extent, which
 is what :class:`~repro.service.service.QueryService` does around every
 query when built with ``metrics=``.  Crashed workers ship nothing: the
 executor emits a ``telemetry_lost`` trace event so a stitched trace is
-explicit about which shard's telemetry vanished rather than silently thin.
+explicit about whose telemetry vanished rather than silently thin.
 """
 
 from __future__ import annotations

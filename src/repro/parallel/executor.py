@@ -2,14 +2,18 @@
 
 The paper's central systems claim is that per-trajectory (and per-query)
 searches are embarrassingly parallel while the merge step stays constant
-cost.  This module provides that fan-out for batch UOTS queries and for
-phase 1 of the two-phase join.
+cost.  This module provides that fan-out at the two grains where it
+measurably pays: a *batch* of UOTS queries
+(:func:`_fork_search_batch`, reached through
+``QueryService.execute_many(workers=N)``) and phase 1 of the two-phase
+join.  Nothing on the single-query path forks — the sharded searcher
+scans its shards in process.
 
-Processes, not threads, carry the parallelism: the searches are pure Python
-and GIL-bound.  Workers are forked (POSIX), so the database is shared
-copy-on-write and never pickled; the per-task payload is just the query or
-trajectory id.  On platforms without ``fork`` the executor transparently
-falls back to sequential execution (documented, and reported in the stats).
+Processes, not threads, carry the parallelism.  Workers are forked
+(POSIX), so the database is shared copy-on-write and never pickled; the
+per-task payload is just the query or trajectory id.  On platforms
+without ``fork`` the callers run sequentially (documented, and reported
+in the stats).
 
 Failure containment (``parallel_search``): a query that raises inside a
 worker comes back as an *error-marked* :class:`SearchResult` (``error``
@@ -26,7 +30,7 @@ pickled).  :func:`_worker_handoff` makes that exception-safe: the parent's
 global is populated only inside the context manager (cleared on any exit
 path), one fan-out at a time holds it — a second one, from any thread,
 fails fast with :class:`FanOutBusy` instead of silently mixing payloads
-(the sharded searcher answers that by running its wave in process) — and
+(``QueryService`` answers that by running the batch sequentially) — and
 each worker moves the inherited payload into its own ``_WORKER_STATE`` and
 clears the global so a nested ``parallel_search`` inside a worker starts
 from a clean slate.
@@ -282,136 +286,6 @@ def _fork_search_batch(
         results[i].stats.executor = "sequential-fallback"
         results[i].stats.retries = retry_counts[i]
     return results  # type: ignore[return-value]  # every slot is filled
-
-
-# -------------------------------------------------------- sharded scatter
-def _shard_worker(
-    index: int,
-) -> tuple[SearchResult, "harvest.WorkerTelemetry | None"]:
-    searchers = _WORKER_STATE["shard_searchers"]
-    plans = _WORKER_STATE["shard_plans"]
-    floor = _WORKER_STATE["shard_floor"]
-    maps = _WORKER_STATE["shard_maps"]
-    config = _WORKER_STATE.get("harvest")
-    if not config:
-        result = searchers[index].execute(
-            plans[index], score_floor=floor, distance_maps=maps
-        )
-        return result, None
-    with harvest.collecting(config) as collector:
-        result = searchers[index].execute(
-            plans[index], score_floor=floor, distance_maps=maps
-        )
-        collector.record_result(result, kind="shard")
-    return result, collector.telemetry()
-
-
-def _fork_shard_batch(
-    searchers: list,
-    plans: list,
-    floor: float | None,
-    workers: int,
-    max_task_retries: int,
-    distance_maps,
-) -> tuple[list[SearchResult], list["harvest.WorkerTelemetry | None"]]:
-    """Execute one scatter wave of shard searches across forked workers.
-
-    Same containment contract as :func:`_fork_search_batch`, at shard
-    granularity: a shard stranded by a crashed worker is re-submitted up to
-    ``max_task_retries`` pool rounds, then falls back to *sequential
-    execution of that shard only* in the parent — the merged top-k never
-    loses a shard's results.  Library errors raised by a shard search
-    propagate to the caller (exactly as the flat sequential path would
-    raise them); they are not retried.
-
-    Returns ``(results, telemetries)`` in shard order.  Counter deltas are
-    merged into the harvest sink here; span grafting is the caller's —
-    only the sharded searcher knows which ``shard[i]`` span owns each
-    telemetry.  A shard answered by the sequential fallback carries
-    ``None`` telemetry (its spans recorded live into the parent trace).
-    """
-    context = multiprocessing.get_context("fork")
-    results: list[SearchResult | None] = [None] * len(searchers)
-    telemetries: list["harvest.WorkerTelemetry | None"] = [None] * len(searchers)
-    retry_counts = [0] * len(searchers)
-    pending = list(range(len(searchers)))
-    rounds_failed = 0
-    tracer = current_tracer()
-    config = harvest.harvest_config()
-    payload = {
-        "shard_searchers": searchers,
-        "shard_plans": plans,
-        "shard_floor": floor,
-        # Shared per-source distance maps, inherited through fork's memory
-        # copy like everything else in the payload (never pickled).
-        "shard_maps": distance_maps,
-    }
-    if config is not None:
-        payload["harvest"] = config
-
-    def _claim(i: int, outcome) -> None:
-        results[i], telemetries[i] = outcome
-        results[i].stats.executor = "fork"
-        results[i].stats.retries = retry_counts[i]
-        harvest.merge_telemetry(telemetries[i])
-
-    with _worker_handoff(payload):
-        while pending and rounds_failed <= max_task_retries:
-            failed: list[int] = []
-            if rounds_failed == 0:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending)),
-                    mp_context=context,
-                    initializer=_worker_init,
-                ) as pool:
-                    futures = {pool.submit(_shard_worker, i): i for i in pending}
-                    for future in as_completed(futures):
-                        i = futures[future]
-                        try:
-                            _claim(i, future.result())
-                        except (BrokenProcessPool, OSError):
-                            # A worker died mid-shard; the shard is
-                            # re-runnable.
-                            failed.append(i)
-            else:
-                # Quarantine retries: one single-worker pool per stranded
-                # shard, so a shard that crashes its worker *every* time
-                # cannot poison the pool and re-strand healthy shards —
-                # only the true crasher reaches the sequential fallback.
-                for i in pending:
-                    with ProcessPoolExecutor(
-                        max_workers=1,
-                        mp_context=context,
-                        initializer=_worker_init,
-                    ) as pool:
-                        try:
-                            _claim(i, pool.submit(_shard_worker, i).result())
-                        except (BrokenProcessPool, OSError):
-                            failed.append(i)
-            if failed:
-                rounds_failed += 1
-                for i in failed:
-                    retry_counts[i] += 1
-                tracer.event(
-                    "worker_crash", stranded=len(failed), round=rounds_failed
-                )
-                if config is not None:
-                    # Crashed workers take their tracer/registry with
-                    # them; the stitched trace records the loss instead
-                    # of being silently thin on these shards.
-                    tracer.event(
-                        "telemetry_lost", shards=len(failed), round=rounds_failed
-                    )
-            pending = sorted(failed)
-    if pending:
-        tracer.event("sequential_fallback", shards=len(pending))
-    for i in pending:
-        results[i] = searchers[i].execute(
-            plans[i], score_floor=floor, distance_maps=distance_maps
-        )
-        results[i].stats.executor = "sequential-fallback"
-        results[i].stats.retries = retry_counts[i]
-    return results, telemetries  # type: ignore[return-value]  # slots filled
 
 
 # -------------------------------------------------------------- join phase 1

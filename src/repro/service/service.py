@@ -70,7 +70,12 @@ from repro.obs.metrics import (
 )
 from repro.obs.slowlog import SlowLogEntry, SlowQueryJournal
 from repro.obs.trace import Tracer, activated
-from repro.parallel.executor import _fork_search_batch, _safe_search, fork_available
+from repro.parallel.executor import (
+    FanOutBusy,
+    _fork_search_batch,
+    _safe_search,
+    fork_available,
+)
 from repro.perf.result_cache import ResultCache, query_fingerprint
 from repro.resilience.budget import SearchBudget
 from repro.service.admission import AdmissionController
@@ -779,7 +784,12 @@ class QueryService:
 
         The batch claims one admission slot under the caller's tenant and
         priority (no per-query cost opinion: a batch is deliberate bulk
-        work, and cost shedding is a per-query interactive policy)."""
+        work, and cost shedding is a per-query interactive policy).
+
+        One fork fan-out at a time holds the process's worker handoff: a
+        batch that finds it taken (a concurrent ``execute_many``) gives its
+        slot back and answers its misses through :meth:`_submit` — same
+        results by the executor's contract, just not forked."""
         batch_started = time.perf_counter()
         decision = self._admission.admit(tenant=tenant, priority=priority)
         if not decision.admitted:
@@ -792,10 +802,11 @@ class QueryService:
                 )
                 results.append(self._rejected(batch_started, decision))
             return results
+        results: list[SearchResult | None] = [None] * len(queries)
+        keys: list[Hashable | None] = [None] * len(queries)
+        pending: list[int] = []
+        forked: list[SearchResult] | None = None
         try:
-            results: list[SearchResult | None] = [None] * len(queries)
-            keys: list[Hashable | None] = [None] * len(queries)
-            pending: list[int] = []
             for i, query in enumerate(queries):
                 query_started = time.perf_counter()
                 keys[i] = self._cache_key(query, budget)
@@ -819,14 +830,17 @@ class QueryService:
                 with self._traced(
                     "execute_many", queries=len(queries), workers=workers, **attrs
                 ):
-                    forked = _fork_search_batch(
-                        self._searcher,
-                        [queries[i] for i in pending],
-                        budget,
-                        workers,
-                        max_task_retries,
-                    )
-                for i, result in zip(pending, forked):
+                    try:
+                        forked = _fork_search_batch(
+                            self._searcher,
+                            [queries[i] for i in pending],
+                            budget,
+                            workers,
+                            max_task_retries,
+                        )
+                    except FanOutBusy:
+                        pass  # answered below, once the batch slot is back
+                for i, result in zip(pending, forked or ()):
                     if keys[i] is not None:
                         self._result_cache.put(keys[i], result, query=queries[i])
                     self._admission.record_outcome(result)
@@ -839,6 +853,11 @@ class QueryService:
                         priority=priority,
                     )
                     results[i] = result
-            return results  # type: ignore[return-value]  # every slot filled
         finally:
             self._admission.release(decision)
+        if forked is None:
+            for i in pending:
+                results[i] = self._submit(
+                    queries[i], budget, "sequential", tenant, priority
+                )
+        return results  # type: ignore[return-value]  # every slot filled

@@ -1,6 +1,6 @@
 """Per-shard keyword/region summaries and the shard-level score bound.
 
-A shard summary is everything the scatter-gather planner needs to bound the
+A shard summary is everything the sharded planner needs to bound the
 score of *any* trajectory in the shard without touching its members:
 
 - the shard's keyword **vocabulary** — every member's textual similarity to

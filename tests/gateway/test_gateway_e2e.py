@@ -16,6 +16,7 @@ import pytest
 pytest.importorskip("pydantic")
 
 from repro.core.query import UOTSQuery
+from repro.core.registry import make_searcher
 from repro.gateway import AsyncQueryService
 from repro.gateway.app import create_app
 from repro.gateway.testing import ASGITestClient
@@ -149,6 +150,33 @@ def test_batch_endpoint_matches_execute_many(stack, gateway_database):
         json={"queries": [_payload(deadline_ms=10), _payload()]},
     )
     assert response.status == 422
+
+
+def test_two_concurrent_forked_batches_both_answer(stack, gateway_database):
+    """Regression: the second of two concurrent ``"workers": 2`` batches
+    found the fork handoff taken and took its connection down with it."""
+    _, _, client = stack
+    bodies = [
+        {"workers": 2, "queries": [_payload(locations=[a, b], k=3) for b in (40, 60, 80)]}
+        for a in (3, 17)
+    ]
+
+    async def fire():
+        return await asyncio.gather(
+            *(client.arequest("POST", "/query/batch", json=body) for body in bodies)
+        )
+
+    oracle = make_searcher(gateway_database, "brute-force")
+    for body, response in zip(bodies, asyncio.run(fire())):
+        assert response.status == 200
+        for wire, result in zip(body["queries"], response.json()["results"]):
+            reference = oracle.search(
+                UOTSQuery.create(wire["locations"], wire["preference"], k=wire["k"])
+            )
+            assert [item["trajectory_id"] for item in result["items"]] == reference.ids
+            assert [item["score"] for item in result["items"]] == pytest.approx(
+                reference.scores, abs=1e-9
+            )
 
 
 def test_explain_matches_service_explain(stack, gateway_database):

@@ -3,7 +3,7 @@
 Worker span trees graft under their owning parent spans *through* the
 trace's buffer caps (a forked query obeys the same memory bounds as a
 sequential one, drop counts stay accurate), worker counter deltas merge
-into the sink with exact parity against the per-shard result stats, and a
+into the sink with exact parity against the per-query result stats, and a
 crashed worker leaves an explicit ``telemetry_lost`` event rather than a
 silently thin trace.
 """
@@ -13,14 +13,14 @@ import os
 import pytest
 
 from repro.core.query import UOTSQuery
-from repro.core.registry import make_searcher
+from repro.core.registry import ALGORITHMS
+from repro.core.search import CollaborativeSearcher
 from repro.obs import harvest
 from repro.obs.harvest import WORKER_COUNTERS, HarvestCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, activated
 from repro.parallel.executor import fork_available
-
-QUERY = UOTSQuery.create([5, 210], [], lam=0.9, k=5)
+from repro.service import QueryService
 
 fork_only = pytest.mark.skipif(
     not fork_available(), reason="fork start method not available"
@@ -164,42 +164,46 @@ class TestCountersAndConfig:
 
 @fork_only
 class TestScatterHarvest:
-    """An 8-shard traced scatter: worker spans come home, bounded."""
+    """A traced forked batch (``execute_many(workers=2)``): worker spans
+    come home under their ``query`` spans, bounded."""
 
-    def _run(self, database, tracer, shards=8, workers=4):
-        sharded = make_searcher(database, "sharded", shards=shards, workers=workers)
+    QUERIES = [
+        UOTSQuery.create([i * 7 % 400, (i * 31 + 5) % 400], ["park"], k=3)
+        for i in range(6)
+    ]
+
+    def _run(self, database, tracer, algorithm="collaborative", queries=QUERIES):
         sink = MetricsRegistry()
-        with activated(tracer), harvest.sink_to(sink):
-            result = sharded.search(QUERY)
-        assert result.stats.executor == "fork"
-        return result, tracer.last_trace(), sink
+        service = QueryService(database, algorithm, trace=tracer, metrics=sink)
+        results = service.execute_many(queries, workers=2)
+        assert all(result.ok for result in results)
+        return results, tracer.last_trace(), sink
 
-    def test_worker_spans_graft_under_their_shard_spans(self, database):
-        _, trace, _ = self._run(database, Tracer())
+    def test_worker_spans_graft_under_their_query_spans(self, database):
+        results, trace, _ = self._run(database, Tracer())
+        assert all(result.stats.executor == "fork" for result in results)
         forked = [
-            span
-            for span in trace.walk()
-            if span.name.startswith("shard[")
-            and span.attributes.get("executor") == "fork"
+            span for span in trace.walk()
+            if span.name == "query" and span.attributes.get("forked")
         ]
-        assert forked, "no forked shard spans in the stitched trace"
+        assert len(forked) == len(self.QUERIES)
         for span in forked:
-            assert [c.name for c in span.children] == ["execute"], span.name
-            assert span.children[0].attributes["algorithm"] == "shard-scan"
+            assert [c.name for c in span.children] == ["plan", "execute"]
+            assert span.children[1].attributes["algorithm"] == "collaborative"
+            assert span.attributes["worker_pid"] != os.getpid()
 
-    def test_counter_deltas_match_the_shard_results_exactly(self, database):
-        _, trace, sink = self._run(database, Tracer())
-        forked = [
-            span
-            for span in trace.walk()
-            if span.name.startswith("shard[")
-            and span.attributes.get("executor") == "fork"
-        ]
-        name, help_ = WORKER_COUNTERS["evaluations"]
-        harvested = sink.counter(name, help_).value(kind="shard")
-        assert harvested == sum(s.attributes["evaluations"] for s in forked)
+    def test_counter_deltas_match_the_worker_results_exactly(self, database):
+        results, _, sink = self._run(database, Tracer())
+        for key, field in (
+            ("evaluations", "similarity_evaluations"),
+            ("expanded", "expanded_vertices"),
+            ("visited", "visited_trajectories"),
+        ):
+            name, help_ = WORKER_COUNTERS[key]
+            harvested = sink.counter(name, help_).value(kind="search")
+            assert harvested == sum(getattr(r.stats, field) for r in results), key
         name, help_ = WORKER_COUNTERS["tasks"]
-        assert sink.counter(name, help_).value(kind="shard") == len(forked)
+        assert sink.counter(name, help_).value(kind="search") == len(results)
 
     def test_trace_stays_bounded_and_drops_are_counted(self, database):
         tracer = Tracer(max_spans=8)
@@ -209,29 +213,29 @@ class TestScatterHarvest:
         assert trace.dropped_spans > 0
         assert tracer.dropped_spans_total >= trace.dropped_spans
 
-    def test_crashed_worker_leaves_a_telemetry_lost_event(self, database):
-        sharded = make_searcher(database, "sharded", shards=8, workers=4)
+    def test_crashed_worker_leaves_a_telemetry_lost_event(
+        self, database, monkeypatch
+    ):
         parent_pid = os.getpid()
-        victim = sharded._collection.shards[4].searcher
-        real_execute = victim.execute
 
-        def crashing_execute(plan, budget=None, **kwargs):
-            if os.getpid() != parent_pid:
-                os._exit(17)
-            return real_execute(plan, budget, **kwargs)
+        class CrashOnce(CollaborativeSearcher):
+            """Kills the forked worker that draws the marked query."""
 
-        victim.execute = crashing_execute
-        tracer = Tracer()
-        with activated(tracer):
-            result = sharded.search(QUERY)
-        assert result.ok
-        events = [
-            event
-            for span in tracer.last_trace().walk()
-            for event in span.events
-        ]
+            def search(self, query, budget=None):
+                if os.getpid() != parent_pid and query.k == 4:
+                    os._exit(17)
+                return super().search(query, budget)
+
+        monkeypatch.setitem(ALGORITHMS, "crash-once", CrashOnce)
+        queries = self.QUERIES + [UOTSQuery.create([5, 210], ["park"], k=4)]
+        results, trace, _ = self._run(
+            database, Tracer(), algorithm="crash-once", queries=queries
+        )
+        # The crasher dies in every pool round and ends in the parent.
+        assert results[-1].stats.executor == "sequential-fallback"
+        events = [event for span in trace.walk() for event in span.events]
         names = [event["name"] for event in events]
         assert "worker_crash" in names
         assert "telemetry_lost" in names
         lost = [e for e in events if e["name"] == "telemetry_lost"]
-        assert all(e["shards"] >= 1 for e in lost)
+        assert all(e["tasks"] >= 1 for e in lost)

@@ -81,6 +81,15 @@ class TestSearchStatsSurface:
         results = service.execute_many(queries, workers=1)
         assert all(r.stats.executor == "sequential" for r in results)
 
+    def test_shard_timing_fields_still_filled_by_sharded(self, database):
+        """``benchmarks/e2e/tracing.py`` reads these four by name."""
+        service = QueryService(database, "sharded", shards=4)
+        stats = service.submit(UOTSQuery.create([5, 210], "park", k=3)).stats
+        assert stats.shard_seconds > 0.0
+        # One process, one shard at a time: the critical path is the sum.
+        assert stats.shard_critical_seconds == stats.shard_seconds
+        assert stats.executor == "" and stats.retries == 0
+
     def test_merge_still_accumulates(self):
         a = SearchStats(expanded_vertices=3, retries=1)
         b = SearchStats(expanded_vertices=4, executor="fork")

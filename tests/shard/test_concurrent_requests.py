@@ -3,8 +3,8 @@
 ``repro serve --algorithm sharded`` used to reset the connection of a
 second concurrent request: its scatter wave found the fork handoff of the
 first still staged and died with ``RuntimeError: re-entrant parallel
-fan-out``.  The handoff is now a non-blocking lock, and a wave that
-cannot take it runs in process — the ``workers=1`` path — instead.
+fan-out``.  The sharded searcher no longer forks — a query is a loop over
+per-query locals — so two threads sharing one searcher cannot collide.
 """
 
 import threading
@@ -13,12 +13,6 @@ import pytest
 
 from repro.core.query import UOTSQuery
 from repro.core.registry import make_searcher
-from repro.parallel import executor
-from repro.parallel.executor import fork_available
-
-pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="fork start method not available"
-)
 
 QUERIES = [
     UOTSQuery.create([5, 210], ["park"], lam=0.7, k=5),
@@ -34,32 +28,8 @@ def _assert_equal(result, reference):
     assert result.scores == pytest.approx(reference.scores, abs=1e-9)
 
 
-def test_wave_runs_in_process_while_another_fan_out_holds_the_handoff(database):
-    sharded = make_searcher(database, "sharded", shards=4, workers=4)
-    oracle = make_searcher(database, "brute-force")
-    assert sharded.search(QUERIES[0]).stats.executor == "fork"
-    with executor._worker_handoff({}):  # "another request is mid-scatter"
-        result = sharded.search(QUERIES[0])
-    assert result.stats.executor == ""  # answered without forking
-    _assert_equal(result, oracle.search(QUERIES[0]))
-
-
-def test_forked_waves_inherit_array_snapshots_built_in_the_parent(database):
-    """A snapshot built inside a fork worker dies with it, so every query
-    would rebuild it (copying the worker's heap as it goes): the parent
-    builds the snapshots of the shards it is about to fork."""
-    sharded = make_searcher(database, "sharded", shards=4, workers=4)
-    result = sharded.search(QUERIES[0])
-    assert result.stats.executor == "fork" and result.stats.shards_executed > 1
-    built = [
-        shard for shard in sharded._collection.shards
-        if shard.searcher._arrays._built is not None
-    ]
-    assert len(built) >= result.stats.shards_executed
-
-
 def test_two_threads_searching_one_sharded_searcher_both_match_brute_force(database):
-    sharded = make_searcher(database, "sharded", shards=4, workers=4)
+    sharded = make_searcher(database, "sharded", shards=4)
     oracle = make_searcher(database, "brute-force")
     references = [oracle.search(query) for query in QUERIES]
     barrier = threading.Barrier(2)
@@ -86,4 +56,4 @@ def test_two_threads_searching_one_sharded_searcher_both_match_brute_force(datab
         assert len(outcomes[number]) == 2 * len(QUERIES)
         for query, result in outcomes[number]:
             _assert_equal(result, references[QUERIES.index(query)])
-    assert not executor._WORKER  # every handoff was released
+            assert result.stats.executor == ""  # nothing forked

@@ -21,7 +21,7 @@ QUERY = UOTSQuery.create([5, 100], ["park", "museum"], lam=0.4, k=5)
 class TestServiceRouting:
     def test_submit_routes_through_shards(self, database):
         flat = QueryService(database, "collaborative")
-        sharded = QueryService(database, "sharded", shards=8, workers=1)
+        sharded = QueryService(database, "sharded", shards=8)
         reference = flat.submit(QUERY)
         result = sharded.submit(QUERY)
         assert result.ids == reference.ids
@@ -30,7 +30,7 @@ class TestServiceRouting:
 
     def test_execute_many_agrees_with_flat(self, database):
         flat = QueryService(database, "collaborative")
-        sharded = QueryService(database, "sharded", shards=8, workers=1)
+        sharded = QueryService(database, "sharded", shards=8)
         queries = [
             QUERY,
             UOTSQuery.create([0, 210], ["lake"], lam=0.6, k=3),
@@ -44,14 +44,14 @@ class TestServiceRouting:
             assert r.scores == pytest.approx(ref.scores, abs=1e-9)
 
     def test_execute_many_forked_batch_nests_safely(self, database):
-        """A forked batch of sharded queries must not nest fork pools:
-        inside a batch worker the scatter degrades to sequential."""
+        """The batch fork x sharded check: batch workers run the same
+        in-process shard loop, there is no second fork level to nest."""
         from repro.parallel.executor import fork_available
 
         if not fork_available():
             pytest.skip("fork start method not available")
         flat = QueryService(database, "collaborative")
-        sharded = QueryService(database, "sharded", shards=4, workers=4)
+        sharded = QueryService(database, "sharded", shards=4)
         queries = [QUERY, UOTSQuery.create([0, 210], ["lake"], lam=0.6, k=3)]
         for r, ref in zip(
             sharded.execute_many(queries, workers=2),
@@ -64,7 +64,7 @@ class TestServiceRouting:
         from repro.service.admission import AdmissionController
 
         service = QueryService(
-            database, "sharded", shards=4, workers=1,
+            database, "sharded", shards=4,
             admission=AdmissionController(max_inflight=1),
         )
         result = service.submit(QUERY)
@@ -72,7 +72,7 @@ class TestServiceRouting:
         assert service.stats.rejected_queries == 0
 
     def test_explain_shows_shard_schedule(self, database):
-        service = QueryService(database, "sharded", shards=8, workers=1)
+        service = QueryService(database, "sharded", shards=8)
         text = service.explain(QUERY)
         assert "QueryPlan[sharded]" in text
         assert "shards:" in text
@@ -81,7 +81,7 @@ class TestServiceRouting:
 
 class TestServiceStatsLanes:
     def test_shard_lanes_appear_after_sharded_traffic(self, database):
-        service = QueryService(database, "sharded", shards=8, workers=1)
+        service = QueryService(database, "sharded", shards=8)
         service.submit(QUERY)
         snapshot = service.stats.snapshot()
         assert snapshot["shards_planned"] > 0
@@ -104,7 +104,7 @@ class TestMetrics:
     def test_shard_counters_exported(self, database):
         registry = MetricsRegistry()
         service = QueryService(
-            database, "sharded", shards=8, workers=1, metrics=registry
+            database, "sharded", shards=8, metrics=registry
         )
         service.submit(QUERY)
         registry.collect()
@@ -132,7 +132,7 @@ class TestMetrics:
 
 class TestTraceNesting:
     def test_spans_nest_query_shard(self, database):
-        service = QueryService(database, "sharded", shards=8, workers=1)
+        service = QueryService(database, "sharded", shards=8)
         tracer = Tracer()
         with activated(tracer):
             service.submit(QUERY)

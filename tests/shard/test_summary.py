@@ -60,7 +60,7 @@ class TestTextUpperBound:
 @pytest.fixture(scope="module")
 def collection(grid20, annotated_trips):
     database = TrajectoryDatabase(grid20, annotated_trips)
-    searcher = make_searcher(database, "sharded", shards=8, workers=1)
+    searcher = make_searcher(database, "sharded", shards=8)
     return database, searcher._collection
 
 
@@ -143,7 +143,7 @@ class TestSummaryInvalidation:
 
         trips = list(annotated_trips)
         database = TrajectoryDatabase(grid20, TrajectorySet(trips[:-1]))
-        searcher = make_searcher(database, "sharded", shards=4, workers=1)
+        searcher = make_searcher(database, "sharded", shards=4)
         shards = searcher._collection
         before = [shards.summary_of(s) for s in shards.shards]
         database.add(trips[-1])

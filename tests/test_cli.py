@@ -100,11 +100,20 @@ class TestQuery:
             [
                 "query", "--data", str(dataset_dir), "--locations", "1,5,9",
                 "--preference", "park seafood", "--k", "3",
-                "--algorithm", "sharded", "--shards", "4", "--workers", "1",
+                "--algorithm", "sharded", "--shards", "4",
             ]
         )
         assert code == 0
         assert "trajectory" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["query", "--locations", "1"], ["serve"]], ids=["query", "serve"]
+    )
+    def test_workers_flag_is_gone(self, dataset_dir, capsys, argv):
+        """Nothing on the per-query path forks, so there is no width to set."""
+        with pytest.raises(SystemExit):
+            main(argv + ["--data", str(dataset_dir), "--workers", "2"])
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 class TestExplain:
