@@ -1,7 +1,9 @@
-"""O2 — full-diagnostics overhead on the forked batch path: A/B.
+"""O2 — full-diagnostics overhead on the pooled batch path: A/B.
 
-Claims checked, on a forked ``execute_many(workers=2)`` batch (the one
-place a query's work leaves the process):
+Claims checked, on an ``execute_many(workers=2)`` batch riding the search
+worker pool (the one place a query's work leaves the process — the pool
+is opened per batch here, so its fork is inside the timed region on both
+sides of the A/B):
 
 1. **Overhead** — running with the whole diagnostics stack on (tracing +
    metrics registry + cross-process telemetry harvest + slow-query
@@ -9,7 +11,7 @@ place a query's work leaves the process):
    batch with observability off.
 2. **Span coverage** — the stitched trace accounts for the worker-side
    work: the ``execute`` trees harvested home by :mod:`repro.obs.harvest`
-   and grafted under the forked ``query`` spans cover >= 90% of the
+   and grafted under the pooled ``query`` spans cover >= 90% of the
    worker-measured ``elapsed_seconds`` the result stats report.
 3. **Counter parity** — the parent-merged ``repro_worker_*`` counter
    deltas equal the per-query result stats summed exactly: harvested
@@ -83,7 +85,7 @@ def _timed_battery(service, queries) -> float:
 def _time_paired(bundle, queries, repeats: int) -> tuple[float, float]:
     """``(off_seconds, diagnosed_seconds)`` from paired per-batch samples.
 
-    A forked batch's wall time carries fork start-up noise that spikes
+    A pooled batch's wall time carries fork start-up noise that spikes
     under scheduler contention and drifts as the parent accumulates
     memory, so the two modes run back-to-back per repeat (adjacent samples
     share the machine state the noise comes from) with the order flipped

@@ -2,7 +2,11 @@
 
 Claim checked: per-query (and per-trajectory, for the join) searches are
 independent, so batch throughput scales with workers while results stay
-identical, and the join's merge phase is worker-independent.
+identical, and the join's merge phase is worker-independent.  The batch
+grain rides the search worker pool (``execute_many(workers=N)`` opens one
+for the call); the held-pool section measures the same pool the way
+``repro serve`` uses it — forked once, then one caller (c1) against two
+(c2) — which is the c2/c1 ratio ROADMAP item 2 asks for.
 
 Honesty note: the measured speedup is a property of the host.  On a
 single-core machine (like some CI sandboxes) fork overhead makes the
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 import time
 from statistics import median
 
@@ -23,6 +28,7 @@ from common import SMOKE, bundle_for, paper_profile
 from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.parallel.executor import fork_available, parallel_search, parallel_self_join
+from repro.service import QueryService
 
 WORKERS = [1, 2, 4]
 #: The batch sweep runs the paper's algorithm and the serving default.
@@ -30,6 +36,11 @@ ALGORITHMS = ["collaborative", "scan"]
 #: Timed runs per table cell (the median is reported): one forked run
 #: spreads by +-20% on a shared 2-vCPU host.
 REPEATS = 3
+#: Gate (2+ CPU hosts): a pool that serialised its workers reads ~1.0x.
+#: The rows committed for fork-per-batch read 1.61x for ``scan``; the same
+#: parent code reads 1.40-1.48x in the hour this was re-measured, so the
+#: floor sits below that spread, not at the best run on record.
+MIN_SCAN_SPEEDUP = 1.3
 
 
 def _median_seconds(run):
@@ -87,6 +98,48 @@ def run_experiment() -> None:
             ))
     print(format_table(
         ["algorithm", "workers", "seconds", "speedup", "identical"], rows
+    ))
+    assert all(row[-1] == "yes" for row in rows), "results differ across workers"
+    scan_at_two = next(
+        float(row[3]) for row in rows if row[0] == "scan" and row[1] == 2
+    )
+    if (os.cpu_count() or 1) >= 2:
+        assert scan_at_two >= MIN_SCAN_SPEEDUP, (
+            f"scan batch speed-up at 2 workers {scan_at_two:.2f} < {MIN_SCAN_SPEEDUP}"
+        )
+
+    print_header("X2  Held pool (forked once): one caller vs two")
+    rows = []
+    for algorithm in ALGORITHMS:
+        service = QueryService(bundle.database, algorithm, pool=2)
+        try:
+            rates = {}
+            for callers in (1, 2):
+                def lane(part):
+                    for query in part:
+                        service.submit(query)
+
+                def run(callers=callers):
+                    threads = [
+                        threading.Thread(target=lane, args=(queries[i::callers],))
+                        for i in range(callers)
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join()
+
+                run()  # untimed: both workers touch their pages once
+                elapsed, _ = _median_seconds(run)
+                rates[callers] = len(queries) / elapsed
+            rows.append((
+                algorithm, f"{rates[1]:.1f}", f"{rates[2]:.1f}",
+                f"{rates[2] / rates[1]:.2f}", service.pool.fallbacks,
+            ))
+        finally:
+            service.close()
+    print(format_table(
+        ["algorithm", "c1 q/s", "c2 q/s", "c2/c1", "fallbacks"], rows
     ))
 
     print_header("X2  Parallel self join (phase 1 fan-out)")

@@ -124,11 +124,13 @@ def _make_service(
     trace: bool = False,
     metrics: MetricsRegistry | None = None,
     slowlog: SlowQueryJournal | bool | None = None,
+    pool: int = 0,
 ) -> QueryService:
     """A one-shot query service configured from the CLI tuning flags.
 
     Unset flags arrive as ``None`` and mean "keep the algorithm default"
-    (the registry drops them).
+    (the registry drops them).  ``pool`` is the number of search worker
+    processes to fork (``repro serve`` only; 0 searches in process).
     """
     return QueryService(
         database,
@@ -138,6 +140,7 @@ def _make_service(
         metrics=metrics,
         result_cache=args.result_cache_size,
         slowlog=slowlog,
+        pool=pool,
         alt=False if args.no_alt else None,
         batch_size=args.batch_size,
         scheduler=args.scheduler,
@@ -393,9 +396,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.gateway.app import create_app
     from repro.gateway.server import serve as serve_app
     from repro.obs.metrics import get_registry
+    from repro.parallel.pool import serving_workers
 
     database = _load_database(args.data, cache_size=args.cache_size)
-    service = _make_service(database, args, metrics=get_registry())
+    # The service forks its search workers here (warm -> freeze -> fork),
+    # while this process is still single-threaded: before the bridge
+    # threads and the event loop exist.
+    service = _make_service(
+        database,
+        args,
+        metrics=get_registry(),
+        pool=serving_workers(args.gateway_workers),
+    )
     gateway = AsyncQueryService(
         service,
         max_workers=args.gateway_workers,
@@ -427,7 +439,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await gateway.close()
 
-    asyncio.run(run())
+    try:
+        asyncio.run(run())
+    finally:
+        service.close()
     print("shutdown complete")
     return 0
 
@@ -670,7 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--gateway-workers", type=int, default=8, metavar="N",
-        help="worker threads bridging searches off the event loop",
+        help="bridge threads = searches in flight at once; searches run in "
+             "parallel on min(usable CPUs, N) pre-forked worker processes "
+             "(threads alone do not: the search holds the GIL)",
     )
     p.add_argument(
         "--max-pending", type=int, default=None, metavar="N",

@@ -135,7 +135,10 @@ class Searcher(Protocol):
 
     Implementations hold only immutable configuration plus shared indexes;
     per-query mutable state is created inside ``execute`` so instances are
-    shareable, reusable, and safe to call concurrently.
+    shareable, reusable, and safe to call concurrently.  A searcher may
+    also offer ``warm()`` — build now what the first query would build
+    lazily — which :class:`~repro.parallel.pool.SearchWorkerPool` calls
+    before it forks.
     """
 
     def plan(self, query) -> QueryPlan:

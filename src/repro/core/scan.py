@@ -142,6 +142,11 @@ class ScanSearcher:
         self._arrays = ScanArrays(database)
         self._anytime = CollaborativeSearcher(database)
 
+    def warm(self) -> None:
+        """Build the SciPy matrix and the snapshot ahead of a fork."""
+        self._database.graph.csr.matrix()
+        self._arrays.snapshot()
+
     def plan(self, query: UOTSQuery) -> QueryPlan:
         """The (trivial) plan; ``estimated_cost`` counts what the executed
         stats will report — vertex settles plus evaluations."""

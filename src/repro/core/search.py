@@ -223,6 +223,16 @@ class CollaborativeSearcher:
             self.use_alt = alt
 
     # ----------------------------------------------------------------- API
+    def warm(self) -> None:
+        """Build now what the first query would build lazily (SciPy matrix,
+        the interpreted kernels' list mirrors, the landmark table) — ahead
+        of a fork, so workers share it instead of each building a copy."""
+        csr = self._database.graph.csr
+        csr.matrix()
+        _ = csr.indptr_list
+        if self.use_alt:
+            _ = self._database.landmark_index
+
     def plan(self, query: UOTSQuery) -> QueryPlan:
         """Resolve the query's execution decisions without running it."""
         database = self._database

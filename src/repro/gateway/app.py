@@ -197,12 +197,15 @@ def create_app(gateway: AsyncQueryService, registry: MetricsRegistry | None = No
 
     async def handle_readyz(receive, send) -> None:
         ready, reason = gateway.ready()
+        pool = gateway.service.pool
         body = json.dumps(
             {
                 "ready": ready,
                 "reason": reason,
                 "pending": gateway.pending,
                 "max_pending": gateway.max_pending,
+                # Zero workers is degraded, not down: searches run in process.
+                "pool_workers": pool.live_workers if pool is not None else 0,
             }
         ).encode()
         await _send_response(send, 200 if ready else 503, body, list(_JSON))

@@ -1,8 +1,8 @@
 """The asyncio bridge: event-loop front half, thread-pool back half.
 
 :class:`AsyncQueryService` puts an ``await``-able face on a synchronous
-:class:`~repro.service.service.QueryService` without forking it.  The
-split follows the cost structure of one served query:
+:class:`~repro.service.service.QueryService`.  The split follows the
+cost structure of one served query:
 
 - the **cheap, shared-state half** — result-cache probe, admission
   decision (including the cost-policy plan) — runs directly on the event
@@ -15,7 +15,13 @@ split follows the cost structure of one served query:
 - the **expensive, CPU-bound half** — the actual search — is bridged
   onto a bounded :class:`~concurrent.futures.ThreadPoolExecutor` through
   ``_execute_admitted``, which owns the admission slot it was handed and
-  releases it on every path.
+  releases it on every path.  The bridge threads bound the requests in
+  flight and overlap their I/O; they do **not** make searches parallel —
+  SciPy's Dijkstra holds the GIL (two threads of full SSSPs measure 0.98x
+  one).  Search parallelism is carried by processes: when the service
+  holds a :class:`~repro.parallel.pool.SearchWorkerPool`, the bridge
+  thread only waits on a worker's pipe while the search runs on another
+  core.
 
 State-ownership rules (DESIGN.md §14): the event loop owns the gateway's
 own mutable state (the pending counter); the service's shared state is
@@ -70,10 +76,11 @@ class AsyncQueryService:
         The synchronous service to serve.  Shared: the same instance may
         keep answering CLI/batch callers concurrently.
     max_workers:
-        Worker threads for bridged searches (the HTTP serving
-        parallelism).  Defaults to 8 — enough to saturate a typical
-        multi-core box with CPU-bound searches while the GIL interleaves
-        the pure-Python sections.
+        Bridge threads: the bound on searches in flight at once (each
+        thread waits on one search — on a pool worker's pipe, or runs it
+        under the GIL when the service has no pool).  Defaults to 8.
+        Threads do not add search parallelism; the service's worker pool
+        does (``repro serve`` sizes it ``min(usable CPUs, max_workers)``).
     max_pending:
         Bound on bridged calls queued-or-running; ``None`` derives
         ``4 * max_workers`` (a small queue smooths bursts without letting
@@ -204,10 +211,9 @@ class AsyncQueryService:
     ) -> list[SearchResult]:
         """Bridge a whole batch through :meth:`QueryService.execute_many`.
 
-        The batch rides as *one* bridged call so the fork-based fan-out
-        (``workers > 1`` on a fork platform) stays available to HTTP
-        batch endpoints — the worker thread drives the forked children
-        exactly as a CLI batch caller would.
+        The batch rides as *one* bridged call; with ``workers > 1`` the
+        service fans it out over its search worker pool (or one opened
+        for the call), exactly as for a library batch caller.
         """
         if self._closed:
             raise GatewayError("gateway is closed")
@@ -218,7 +224,6 @@ class AsyncQueryService:
             list(queries),
             budget,
             1 if workers is None else workers,
-            2,  # max_task_retries: the service default
             tenant,
             priority,
         )

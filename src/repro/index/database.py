@@ -200,6 +200,11 @@ class TrajectoryDatabase:
         """
         self._mutation_listeners.append(listener)
 
+    def remove_mutation_listener(self, listener: Callable[[MutationEvent], None]) -> None:
+        """Unregister a mutation listener (a no-op when it is not registered)."""
+        if listener in self._mutation_listeners:
+            self._mutation_listeners.remove(listener)
+
     def add_invalidation_listener(self, listener: Callable[[int], None]) -> None:
         """Legacy hook: register an id-only mutation callback.
 

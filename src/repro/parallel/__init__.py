@@ -1,4 +1,4 @@
-"""Process-parallel fan-out for batch queries and join phase 1."""
+"""Process parallelism: the search worker pool and the join phase-1 fan-out."""
 
 from repro.parallel.executor import (
     fork_available,
@@ -6,5 +6,12 @@ from repro.parallel.executor import (
     parallel_search,
     parallel_self_join,
 )
+from repro.parallel.pool import SearchWorkerPool
 
-__all__ = ["fork_available", "parallel_join", "parallel_search", "parallel_self_join"]
+__all__ = [
+    "SearchWorkerPool",
+    "fork_available",
+    "parallel_join",
+    "parallel_search",
+    "parallel_self_join",
+]

@@ -1,50 +1,38 @@
-"""Parallel execution of independent searches.
+"""Batch entry point and the join fan-out.
 
 The paper's central systems claim is that per-trajectory (and per-query)
 searches are embarrassingly parallel while the merge step stays constant
-cost.  This module provides that fan-out at the two grains where it
-measurably pays: a *batch* of UOTS queries
-(:func:`_fork_search_batch`, reached through
-``QueryService.execute_many(workers=N)``) and phase 1 of the two-phase
-join.  Nothing on the single-query path forks — the sharded searcher
-scans its shards in process.
+cost.  Processes, not threads, carry that parallelism (SciPy's Dijkstra
+holds the GIL), and two things fork:
 
-Processes, not threads, carry the parallelism.  Workers are forked
-(POSIX), so the database is shared copy-on-write and never pickled; the
-per-task payload is just the query or trajectory id.  On platforms
-without ``fork`` the callers run sequentially (documented, and reported
-in the stats).
+- **searches** run on a :class:`~repro.parallel.pool.SearchWorkerPool` —
+  pre-forked workers, one pipe round trip per query.  This module keeps
+  only what both sides of that pipe share: :func:`_safe_search` (one
+  isolated search: a library error becomes an *error-marked*
+  :class:`SearchResult` instead of poisoning a batch) and
+  :func:`parallel_search`, the library's batch convenience over
+  ``QueryService.execute_many(workers=N)``;
+- **phase 1 of the two-phase join** (:func:`parallel_self_join`,
+  :func:`parallel_join`) fans out over a ``multiprocessing`` pool forked
+  for the call.  Workers are forked (POSIX), so the database is shared
+  copy-on-write and never pickled; the per-task payload is a trajectory
+  id.  Without ``fork`` the joins run sequentially.
 
-Failure containment (``parallel_search``): a query that raises inside a
-worker comes back as an *error-marked* :class:`SearchResult` (``error``
-set, empty items) instead of poisoning the batch; tasks stranded by a
-crashed worker process are re-submitted to a fresh pool up to
-``max_task_retries`` rounds; if the pool keeps dying, the remaining
-queries run sequentially in the parent.  Each result's
-``stats.executor`` records which path actually produced it (``"fork"``,
-``"sequential"``, or ``"sequential-fallback"``) and ``stats.retries``
-how many re-submissions the query needed.
-
-The parent-to-worker handoff rides module globals through ``fork`` (never
-pickled).  :func:`_worker_handoff` makes that exception-safe: the parent's
-global is populated only inside the context manager (cleared on any exit
-path), one fan-out at a time holds it — a second one, from any thread,
-fails fast with :class:`FanOutBusy` instead of silently mixing payloads
-(``QueryService`` answers that by running the batch sequentially) — and
-each worker moves the inherited payload into its own ``_WORKER_STATE`` and
-clears the global so a nested ``parallel_search`` inside a worker starts
-from a clean slate.
+The join's parent-to-worker handoff rides module globals through ``fork``
+(never pickled).  :func:`_worker_handoff` makes that exception-safe: the
+parent's global is populated only inside the context manager (cleared on
+any exit path), one fan-out at a time holds it — a second one, from any
+thread, fails fast with :class:`FanOutBusy` instead of silently mixing
+payloads — and each worker moves the inherited payload into its own
+``_WORKER_STATE`` and clears the global, so a nested fan-out inside a
+worker starts from a clean slate.
 
 Telemetry harvest (:mod:`repro.obs.harvest`): when the parent traces (or a
 metric sink is installed), the handoff payload carries a harvest config
-and every worker task runs under its own tracer/registry, returning a
+and every join task runs under its own tracer/registry, returning a
 picklable :class:`~repro.obs.harvest.WorkerTelemetry` alongside its
-result.  The parent grafts worker span trees under the owning span and
-merges counter deltas into the sink; tasks stranded by a crashed worker
-additionally emit a ``telemetry_lost`` event next to ``worker_crash`` —
-the diagnostics vanish with the worker, the trace says so explicitly.
-With harvest off (the default), workers return a ``None`` telemetry and
-the fork paths are byte-identical to the pre-harvest behaviour.
+result; the parent grafts the span trees under ``parallel_join`` and
+merges the counter deltas into the sink.
 """
 
 from __future__ import annotations
@@ -52,8 +40,6 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Sequence
 
@@ -156,136 +142,31 @@ def _safe_search(searcher, query: UOTSQuery, budget: SearchBudget | None) -> Sea
         return result
 
 
-def _search_worker(
-    query: UOTSQuery,
-) -> tuple[SearchResult, "harvest.WorkerTelemetry | None"]:
-    searcher = _WORKER_STATE["searcher"]
-    budget = _WORKER_STATE.get("budget")
-    config = _WORKER_STATE.get("harvest")
-    if not config:
-        return _safe_search(searcher, query, budget), None
-    with harvest.collecting(config) as collector:
-        result = _safe_search(searcher, query, budget)
-        collector.record_result(result, kind="search")
-    return result, collector.telemetry()
-
-
 def parallel_search(
     database: TrajectoryDatabase,
     queries: Sequence[UOTSQuery],
     algorithm: str = "collaborative",
     workers: int = 1,
     budget: SearchBudget | None = None,
-    max_task_retries: int = 2,
 ) -> list[SearchResult]:
     """Run a batch of UOTS queries across ``workers`` processes.
 
     Results come back in query order.  ``workers=1`` (or an unavailable
     ``fork``) runs sequentially in-process.  ``budget`` applies to every
     query (a per-query ``query.budget`` wins where set).  A failing query
-    yields an error-marked result; a crashed worker's tasks are retried up
-    to ``max_task_retries`` pool rounds, then finished sequentially —
-    see the module docstring for the containment contract.
+    yields an error-marked result; a query whose worker died is re-run in
+    the parent (``stats.executor = "sequential-fallback"``).
 
     This is a convenience over a one-shot
     :class:`~repro.service.service.QueryService` (imported lazily — the
-    serving layer sits above this module); long-lived callers should hold
-    a service of their own to keep its aggregated stats.
+    serving layer sits above this module), which opens a
+    :class:`~repro.parallel.pool.SearchWorkerPool` for the call;
+    long-lived callers should hold a service (and its pool) of their own.
     """
     from repro.service.service import QueryService
 
     service = QueryService(database, algorithm)
-    return service.execute_many(
-        queries, budget=budget, workers=workers, max_task_retries=max_task_retries
-    )
-
-
-def _fork_search_batch(
-    searcher,
-    queries: list[UOTSQuery],
-    budget: SearchBudget | None,
-    workers: int,
-    max_task_retries: int,
-) -> list[SearchResult]:
-    context = multiprocessing.get_context("fork")
-    results: list[SearchResult | None] = [None] * len(queries)
-    retry_counts = [0] * len(queries)
-    pending = list(range(len(queries)))
-    rounds_failed = 0
-    tracer = current_tracer()
-    config = harvest.harvest_config()
-    payload: dict[str, object] = {"searcher": searcher, "budget": budget}
-    if config is not None:
-        payload["harvest"] = config
-    with _worker_handoff(payload):
-        while pending and rounds_failed <= max_task_retries:
-            failed: list[int] = []
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(pending)),
-                mp_context=context,
-                initializer=_worker_init,
-            ) as pool:
-                futures = {
-                    pool.submit(_search_worker, queries[i]): i for i in pending
-                }
-                for future in as_completed(futures):
-                    i = futures[future]
-                    try:
-                        results[i], telemetry = future.result()
-                        results[i].stats.executor = "fork"
-                        results[i].stats.retries = retry_counts[i]
-                        if telemetry is not None:
-                            harvest.merge_telemetry(telemetry)
-                            if tracer.enabled:
-                                # The owning per-query span the worker's
-                                # plan/execute roots graft under; it opened
-                                # after the fork returned, so its honest
-                                # duration is the worker-measured wall time.
-                                with tracer.span(
-                                    "query",
-                                    forked=True,
-                                    worker_pid=telemetry.pid,
-                                    elapsed_seconds=(
-                                        results[i].stats.elapsed_seconds
-                                    ),
-                                ) as qspan:
-                                    harvest.graft_telemetry(
-                                        tracer, qspan, telemetry
-                                    )
-                                if qspan is not None:
-                                    qspan.duration_s = (
-                                        results[i].stats.elapsed_seconds
-                                    )
-                    except (BrokenProcessPool, OSError):
-                        # A worker died; the task may be re-runnable.
-                        failed.append(i)
-                    except Exception as exc:  # non-library worker bug:
-                        results[i] = _error_result(exc)  # isolate, don't retry
-                        results[i].stats.executor = "fork"
-            if failed:
-                rounds_failed += 1
-                for i in failed:
-                    retry_counts[i] += 1
-                tracer.event(
-                    "worker_crash", stranded=len(failed), round=rounds_failed
-                )
-                if config is not None:
-                    # The crashed workers' tracer/registry died with them:
-                    # whatever these tasks had recorded is gone for good
-                    # (a retry re-runs the task, it cannot replay drops).
-                    tracer.event(
-                        "telemetry_lost", tasks=len(failed), round=rounds_failed
-                    )
-            pending = sorted(failed)
-    # Pool kept dying: finish the stranded queries in-process so the batch
-    # still completes (the documented last-resort degradation).
-    if pending:
-        tracer.event("sequential_fallback", queries=len(pending))
-    for i in pending:
-        results[i] = _safe_search(searcher, queries[i], budget)
-        results[i].stats.executor = "sequential-fallback"
-        results[i].stats.retries = retry_counts[i]
-    return results  # type: ignore[return-value]  # every slot is filled
+    return service.execute_many(queries, budget=budget, workers=workers)
 
 
 # -------------------------------------------------------------- join phase 1

@@ -31,18 +31,21 @@ carry:
   and any database mutation clears it through the database's invalidation
   hook.
 
-``execute_many`` keeps the fork-based fan-out of the parallel executor:
-with ``workers > 1`` on a fork platform the batch runs across processes
-(the database shared copy-on-write), otherwise sequentially in-process —
-same results either way, by the executor's containment contract.  Both
-paths pass the same admission gate: the forked fan-out claims one batch
-slot up front and rejects the whole batch when the controller is
-saturated, exactly as the sequential path would reject each query.
+There is one pipeline — probe → admit → execute → record — and one place
+a search leaves the process: given a ``pool=``
+(:class:`~repro.parallel.pool.SearchWorkerPool`), ``_execute_admitted``
+dispatches the search to a pre-forked worker and everything else stays
+here in the parent; without one (the default) the search runs on the
+calling thread.  ``execute_many(workers=N)`` is N threads calling that
+same pipeline over the service's pool — or over a pool opened for the
+duration of the call when the service has none — so batch and single
+queries share admission, caching, recording and crash containment.
 """
 
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from typing import Hashable, Sequence
@@ -70,12 +73,8 @@ from repro.obs.metrics import (
 )
 from repro.obs.slowlog import SlowLogEntry, SlowQueryJournal
 from repro.obs.trace import Tracer, activated
-from repro.parallel.executor import (
-    FanOutBusy,
-    _fork_search_batch,
-    _safe_search,
-    fork_available,
-)
+from repro.parallel.executor import _safe_search, fork_available
+from repro.parallel.pool import SearchWorkerPool
 from repro.perf.result_cache import ResultCache, query_fingerprint
 from repro.resilience.budget import SearchBudget
 from repro.service.admission import AdmissionController
@@ -133,6 +132,14 @@ class QueryService:
         ring, capturing fingerprint, plan text, work counters, drift
         ratio, and — when tracing — the stitched trace (read it back via
         :attr:`slowlog` or ``repro slowlog``).
+    pool:
+        ``None``/``0`` (default: every search runs in this process) or
+        the number of search worker processes to fork — here, in the
+        constructor, so build the service before starting threads.  The
+        service then holds a
+        :class:`~repro.parallel.pool.SearchWorkerPool` (:attr:`pool`):
+        admitted searches run on its workers while cache, admission and
+        recording stay in this process; :meth:`close` stops the workers.
     **searcher_kwargs:
         Tuning kwargs forwarded to the registry factory (``alt=``,
         ``batch_size=``, ``refinement=``, ``scheduler=``).
@@ -147,6 +154,7 @@ class QueryService:
         metrics: MetricsRegistry | bool | None = None,
         result_cache: ResultCache | int | bool | None = None,
         slowlog: SlowQueryJournal | int | bool | None = None,
+        pool: int | None = None,
         **searcher_kwargs,
     ):
         self._database = database
@@ -228,6 +236,25 @@ class QueryService:
             self._drift = None
             self._executor_paths = None
             self._executor_retries = None
+        # Last: the workers fork with everything above already in place.
+        self._pool: SearchWorkerPool | None = (
+            self._open_pool(pool, self._metrics) if pool else None
+        )
+
+    def _open_pool(
+        self, workers: int, metrics: MetricsRegistry | None = None
+    ) -> SearchWorkerPool:
+        """Fork ``workers`` search workers over this service's searcher."""
+        parent_only = (self._on_mutation,) if self._result_cache is not None else ()
+        return SearchWorkerPool(
+            self._searcher, self._database, workers, metrics, parent_only
+        )
+
+    def close(self) -> None:
+        """Stop the search workers (a no-op without a pool); the service
+        keeps answering, in process."""
+        if self._pool is not None:
+            self._pool.close()
 
     # ------------------------------------------------------------ accessors
     @property
@@ -275,6 +302,11 @@ class QueryService:
         """The slow-query journal (``None`` when disabled)."""
         return self._slowlog
 
+    @property
+    def pool(self) -> SearchWorkerPool | None:
+        """The search worker pool (``None``: searches run in process)."""
+        return self._pool
+
     # ------------------------------------------------------------- planning
     def plan(self, query: UOTSQuery) -> QueryPlan:
         """The searcher's plan, stamped with the *registry* name.
@@ -314,8 +346,8 @@ class QueryService:
 
         When metrics are bound, the block also runs with the service
         registry installed as the telemetry harvest sink, so counter
-        deltas from any forked workers under it merge into *this*
-        service's registry (``repro_worker_*`` series).
+        deltas from pool workers under it merge into *this* service's
+        registry (``repro_worker_*`` series).
         """
         with ExitStack() as stack:
             if self._metrics is not None:
@@ -337,11 +369,11 @@ class QueryService:
         policy_degraded: bool = False,
     ) -> None:
         """THE recording path: every answered query — ``search``,
-        ``submit``, both ``execute_many`` branches, result-cache hits —
-        folds into the service stats (and live metrics) through here, so
-        outcome counters, the latency reservoir, drift accounting, and
-        the slow-query journal can never diverge between single-process
-        and forked execution.
+        ``submit``, ``execute_many``, result-cache hits — folds into the
+        service stats (and live metrics) through here, so outcome
+        counters, the latency reservoir, drift accounting, and the
+        slow-query journal can never diverge between in-process and
+        pooled execution.
         """
         self._stats.record(
             result,
@@ -400,7 +432,7 @@ class QueryService:
         trace = None
         if self._tracer is not None:
             root = self._tracer.last_trace()
-            # Only attach a root this query owns: forked-batch queries
+            # Only attach a root this query owns: sequential-batch queries
             # share one execute_many root, which must not be duplicated
             # into every entry of the batch.
             if root is not None and root.name == "query":
@@ -593,6 +625,7 @@ class QueryService:
         executor_label: str | None,
         tenant: str | None = None,
         priority: str | None = None,
+        pool: SearchWorkerPool | None = None,
     ) -> SearchResult:
         started = time.perf_counter()
         key = self._cache_key(query, budget)
@@ -604,7 +637,7 @@ class QueryService:
         if not decision.admitted:
             return self._reject(decision, started, query, tenant, priority)
         return self._execute_admitted(
-            query, budget, decision, key, executor_label, tenant, priority
+            query, budget, decision, key, executor_label, tenant, priority, pool
         )
 
     def _admit_decision(
@@ -663,15 +696,22 @@ class QueryService:
         executor_label: str | None = None,
         tenant: str | None = None,
         priority: str | None = None,
+        pool: SearchWorkerPool | None = None,
     ) -> SearchResult:
         """Execute one *admitted* query: search, record, release the slot.
 
-        The other half of the :meth:`_admit_decision` seam.  Runs wholly
-        on the calling thread (the gateway calls it from a pool worker),
-        owns the admission slot it was handed, and releases it on every
-        path.  ``key`` is the query's result-cache key from
-        :meth:`_cache_key` (``None`` bypasses the cache).
+        The other half of the :meth:`_admit_decision` seam.  Called on
+        the thread that waits for the answer (the gateway calls it from a
+        bridge thread), owns the admission slot it was handed, and
+        releases it on every path.  The search itself runs on a worker of
+        ``pool`` (default: the service's own) when there is one — the
+        time spent waiting for an idle worker is charged to the budget's
+        deadline — and on this thread otherwise.  ``key`` is the query's
+        result-cache key from :meth:`_cache_key` (``None`` bypasses the
+        cache).
         """
+        if pool is None:
+            pool = self._pool
         try:
             # The policy's tightened budget applies only when the caller
             # did not bring their own — an explicit budget always wins.
@@ -688,8 +728,11 @@ class QueryService:
                 **self._query_span_attrs(key),
                 **self._label_span_attrs(tenant, priority),
                 **degrade_attrs,
-            ):
-                result = _safe_search(self._searcher, query, effective)
+            ) as span:
+                if pool is None:
+                    result = _safe_search(self._searcher, query, effective)
+                else:
+                    result = pool.search(query, effective, started, span)
             if executor_label is not None and not result.stats.executor:
                 result.stats.executor = executor_label
             self._admission.record_outcome(result)
@@ -724,140 +767,55 @@ class QueryService:
         queries: Sequence[UOTSQuery],
         budget: SearchBudget | None = None,
         workers: int = 1,
-        max_task_retries: int = 2,
         tenant: str | None = None,
         priority: str | None = None,
     ) -> list[SearchResult]:
         """Answer a batch of queries, in query order.
 
-        ``workers > 1`` fans out over forked processes where the platform
-        allows (crashed workers retried up to ``max_task_retries`` pool
-        rounds, then finished sequentially); otherwise the batch runs
-        through :meth:`submit` in-process.  Every result's
-        ``stats.executor`` records the path that produced it.
+        Every query goes through :meth:`submit`'s pipeline (result-cache
+        probe, admission, search, recording).  ``workers > 1`` runs that
+        pipeline from ``workers`` threads over the service's pool — or,
+        when the service has none and the platform can fork, over a pool
+        opened for the duration of the call — so up to ``workers``
+        searches run at once on separate processes; a query whose worker
+        died is re-run in this process.  Every result's
+        ``stats.executor`` records the path that produced it
+        (``"fork"``, ``"sequential"``, ``"sequential-fallback"``).
 
-        The forked fan-out passes the same admission gate as the
-        sequential path: the batch claims one in-flight slot before
-        forking (released when the batch completes), so a saturated
-        controller rejects every query of the batch exactly as sequential
-        submission would, and ``rejected`` counters agree across executor
-        paths.  With a result cache enabled, queries are probed in the
-        parent first — hits are answered O(1) and only misses fork.
-
-        ``tenant``/``priority`` apply to every query of the batch (the
-        forked path admits the whole batch under those labels).  While an
-        overload controller's circuit breaker is open or probing, the
-        batch runs sequentially even when ``workers > 1`` — a half-open
-        probe must not fan out over the pool that may be the broken part.
+        The batch never runs wider than the admission cap, so its own
+        parallelism cannot shed its own queries.  ``tenant``/``priority``
+        apply to every query of the batch.  While an overload
+        controller's circuit breaker is open or probing, the batch runs
+        sequentially even when ``workers > 1`` — a half-open probe must
+        not fan out.
         """
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
-        if max_task_retries < 0:
-            raise QueryError(f"max_task_retries must be >= 0, got {max_task_retries}")
         queries = list(queries)
+
+        def submit(query: UOTSQuery, pool: SearchWorkerPool | None = None):
+            return self._submit(query, budget, "sequential", tenant, priority, pool)
+
+        width = min(workers, len(queries), self._admission.max_inflight or workers)
         if (
-            workers > 1
-            and fork_available()
-            and len(queries) > 1
-            and not self._admission.prefer_sequential
+            width < 2
+            or self._admission.prefer_sequential
+            or (self._pool is None and not fork_available())
         ):
-            return self._execute_forked(
-                queries, budget, workers, max_task_retries, tenant, priority
+            with self._traced("execute_many", queries=len(queries), workers=1):
+                return [submit(query) for query in queries]
+        with ExitStack() as stack:
+            pool = self._pool or stack.enter_context(self._open_pool(width))
+            span = stack.enter_context(
+                self._traced("execute_many", queries=len(queries), workers=width)
             )
-        with self._traced("execute_many", queries=len(queries), workers=1):
-            return [
-                self._submit(query, budget, "sequential", tenant, priority)
-                for query in queries
-            ]
-
-    def _execute_forked(
-        self,
-        queries: list[UOTSQuery],
-        budget: SearchBudget | None,
-        workers: int,
-        max_task_retries: int,
-        tenant: str | None = None,
-        priority: str | None = None,
-    ) -> list[SearchResult]:
-        """The forked branch of :meth:`execute_many`: admission-gated,
-        result-cache probed in the parent, misses fanned out over fork.
-
-        The batch claims one admission slot under the caller's tenant and
-        priority (no per-query cost opinion: a batch is deliberate bulk
-        work, and cost shedding is a per-query interactive policy).
-
-        One fork fan-out at a time holds the process's worker handoff: a
-        batch that finds it taken (a concurrent ``execute_many``) gives its
-        slot back and answers its misses through :meth:`_submit` — same
-        results by the executor's contract, just not forked."""
-        batch_started = time.perf_counter()
-        decision = self._admission.admit(tenant=tenant, priority=priority)
-        if not decision.admitted:
-            results = []
-            for _ in queries:
-                self._stats.record_rejection(
-                    reason=decision.reason or None,
-                    tenant=tenant,
-                    priority=priority,
+            # Each thread's ``query`` span is a root of its own (spans nest
+            # per thread); the batch span carries the totals.
+            with ThreadPoolExecutor(width, "uots-batch") as threads:
+                results = list(threads.map(lambda query: submit(query, pool), queries))
+            if span is not None and self._result_cache is not None:
+                span.set(
+                    "result_cache_hits",
+                    sum(1 for result in results if result.stats.cache == "result"),
                 )
-                results.append(self._rejected(batch_started, decision))
-            return results
-        results: list[SearchResult | None] = [None] * len(queries)
-        keys: list[Hashable | None] = [None] * len(queries)
-        pending: list[int] = []
-        forked: list[SearchResult] | None = None
-        try:
-            for i, query in enumerate(queries):
-                query_started = time.perf_counter()
-                keys[i] = self._cache_key(query, budget)
-                hit = (
-                    self._result_cache.get(keys[i])
-                    if keys[i] is not None
-                    else None
-                )
-                if hit is not None:
-                    results[i] = self._serve_hit(
-                        query, hit, query_started, tenant, priority
-                    )
-                else:
-                    pending.append(i)
-            if pending:
-                attrs = (
-                    {"result_cache_hits": len(queries) - len(pending)}
-                    if self._result_cache is not None
-                    else {}
-                )
-                with self._traced(
-                    "execute_many", queries=len(queries), workers=workers, **attrs
-                ):
-                    try:
-                        forked = _fork_search_batch(
-                            self._searcher,
-                            [queries[i] for i in pending],
-                            budget,
-                            workers,
-                            max_task_retries,
-                        )
-                    except FanOutBusy:
-                        pass  # answered below, once the batch slot is back
-                for i, result in zip(pending, forked or ()):
-                    if keys[i] is not None:
-                        self._result_cache.put(keys[i], result, query=queries[i])
-                    self._admission.record_outcome(result)
-                    # Worker wall-clock is the honest latency of a forked query.
-                    self._record(
-                        result,
-                        result.stats.elapsed_seconds,
-                        query=queries[i],
-                        tenant=tenant,
-                        priority=priority,
-                    )
-                    results[i] = result
-        finally:
-            self._admission.release(decision)
-        if forked is None:
-            for i in pending:
-                results[i] = self._submit(
-                    queries[i], budget, "sequential", tenant, priority
-                )
-        return results  # type: ignore[return-value]  # every slot filled
+        return results

@@ -273,6 +273,14 @@ class ShardedSearcher(CollaborativeSearcher):
         )
 
     # ----------------------------------------------------------------- API
+    def warm(self) -> None:
+        """Build the SciPy matrix and every shard's snapshot and summary
+        ahead of a fork (the landmark table exists since construction)."""
+        self._database.graph.csr.matrix()
+        for shard in self._collection.shards:
+            shard.arrays.snapshot()
+            self._collection.summary_of(shard)
+
     def plan(self, query: UOTSQuery) -> ShardedQueryPlan:
         """The flat plan plus the per-shard schedule."""
         base = super().plan(query)

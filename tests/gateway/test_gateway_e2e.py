@@ -16,7 +16,7 @@ import pytest
 pytest.importorskip("pydantic")
 
 from repro.core.query import UOTSQuery
-from repro.core.registry import make_searcher
+from repro.core.registry import ALGORITHMS, make_searcher
 from repro.gateway import AsyncQueryService
 from repro.gateway.app import create_app
 from repro.gateway.testing import ASGITestClient
@@ -245,3 +245,80 @@ def test_result_cache_hit_visible_through_http(stack):
     assert first.json()["stats"]["cache"] == ""
     assert second.json()["stats"]["cache"] == "result"
     assert second.json()["items"] == first.json()["items"]
+
+
+# ----------------------------------------------------- pooled serving path
+def _pooled_stack(database, algorithm):
+    """A ``repro serve``-shaped stack: the service forks its workers before
+    the gateway (and with it any thread) exists."""
+    from repro.parallel.executor import fork_available
+
+    if not fork_available():
+        pytest.skip("fork start method not available")
+    registry = MetricsRegistry()
+    service = QueryService(
+        database, algorithm, metrics=registry, result_cache=16, pool=2
+    )
+    gateway = AsyncQueryService(service, max_workers=4)
+    return service, gateway, ASGITestClient(create_app(gateway, registry=registry))
+
+
+def test_readyz_reports_pool_workers_and_zero_is_not_down(stack, gateway_database):
+    _, _, plain = stack
+    assert plain.get("/readyz").json()["pool_workers"] == 0
+    service, gateway, client = _pooled_stack(gateway_database, "scan")
+    try:
+        assert client.get("/readyz").json()["pool_workers"] == 2
+        service.close()  # every worker gone: degraded, still ready
+        ready = client.get("/readyz")
+        assert ready.status == 200
+        assert ready.json()["pool_workers"] == 0
+        response = client.post("/query", json=_payload())
+        assert response.status == 200
+        assert response.json()["stats"]["executor"] == "gateway-thread"
+    finally:
+        asyncio.run(gateway.close())
+        service.close()
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_two_connections_on_a_pooled_gateway_only_see_oracle_answers(
+    gateway_database, algorithm
+):
+    service, gateway, client = _pooled_stack(gateway_database, algorithm)
+    lanes = [
+        [_payload(locations=[a, b], k=3) for b in (40, 60, 80, 99)] for a in (3, 17)
+    ]
+
+    async def lane(bodies):
+        return [await client.arequest("POST", "/query", json=body) for body in bodies]
+
+    async def fire():
+        return await asyncio.gather(*(lane(bodies) for bodies in lanes))
+
+    oracle = make_searcher(gateway_database, "brute-force")
+    try:
+        for bodies, responses in zip(lanes, asyncio.run(fire())):
+            for wire, response in zip(bodies, responses):
+                assert response.status == 200
+                body = response.json()
+                assert body["exact"] and body["stats"]["executor"] == "fork"
+                reference = oracle.search(
+                    UOTSQuery.create(wire["locations"], wire["preference"], k=3)
+                )
+                assert [i["score"] for i in body["items"]] == pytest.approx(
+                    reference.scores, abs=1e-9
+                )
+                assert [i["trajectory_id"] for i in body["items"]] == reference.ids
+        text = client.get("/metrics").text
+        assert "repro_pool_workers 2" in text
+        assert "repro_pool_fallbacks_total 0" in text
+        assert "repro_pool_wait_seconds_count 8" in text
+        counts = re.findall(r'repro_pool_dispatched_total\{worker="\d"\} (\d+)', text)
+        assert len(counts) == 2 and sum(map(int, counts)) == 8
+        for line in text.splitlines():
+            if line.startswith("repro_pool"):
+                assert PROMETHEUS_LINE.match(line), line
+    finally:
+        asyncio.run(gateway.close())
+        service.close()

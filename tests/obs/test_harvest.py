@@ -164,7 +164,7 @@ class TestCountersAndConfig:
 
 @fork_only
 class TestScatterHarvest:
-    """A traced forked batch (``execute_many(workers=2)``): worker spans
+    """A traced pooled batch (``execute_many(workers=2)``): worker spans
     come home under their ``query`` spans, bounded."""
 
     QUERIES = [
@@ -173,24 +173,26 @@ class TestScatterHarvest:
     ]
 
     def _run(self, database, tracer, algorithm="collaborative", queries=QUERIES):
+        """Results, the batch's ``query`` roots (one per query: each batch
+        thread's span tree is its own trace), and the metric sink."""
         sink = MetricsRegistry()
         service = QueryService(database, algorithm, trace=tracer, metrics=sink)
         results = service.execute_many(queries, workers=2)
         assert all(result.ok for result in results)
-        return results, tracer.last_trace(), sink
+        assert tracer.last_trace().name == "execute_many"
+        roots = [root for root in tracer.traces if root.name == "query"]
+        assert len(roots) == len(queries)
+        return results, roots, sink
 
     def test_worker_spans_graft_under_their_query_spans(self, database):
-        results, trace, _ = self._run(database, Tracer())
+        results, roots, _ = self._run(database, Tracer())
         assert all(result.stats.executor == "fork" for result in results)
-        forked = [
-            span for span in trace.walk()
-            if span.name == "query" and span.attributes.get("forked")
-        ]
-        assert len(forked) == len(self.QUERIES)
-        for span in forked:
+        for span in roots:
+            assert span.attributes["forked"] is True
             assert [c.name for c in span.children] == ["plan", "execute"]
             assert span.children[1].attributes["algorithm"] == "collaborative"
             assert span.attributes["worker_pid"] != os.getpid()
+        assert len({span.attributes["worker_pid"] for span in roots}) == 2
 
     def test_counter_deltas_match_the_worker_results_exactly(self, database):
         results, _, sink = self._run(database, Tracer())
@@ -206,12 +208,13 @@ class TestScatterHarvest:
         assert sink.counter(name, help_).value(kind="search") == len(results)
 
     def test_trace_stays_bounded_and_drops_are_counted(self, database):
-        tracer = Tracer(max_spans=8)
-        _, trace, _ = self._run(database, tracer)
-        assert trace._recorded_spans <= 8
-        assert sum(1 for _ in trace.walk()) <= 8
-        assert trace.dropped_spans > 0
-        assert tracer.dropped_spans_total >= trace.dropped_spans
+        tracer = Tracer(max_spans=4)
+        _, roots, _ = self._run(database, tracer)
+        for trace in roots:
+            assert trace._recorded_spans <= 4
+            assert sum(1 for _ in trace.walk()) <= 4
+        assert sum(trace.dropped_spans for trace in roots) > 0
+        assert tracer.dropped_spans_total >= sum(t.dropped_spans for t in roots)
 
     def test_crashed_worker_leaves_a_telemetry_lost_event(
         self, database, monkeypatch
@@ -219,7 +222,7 @@ class TestScatterHarvest:
         parent_pid = os.getpid()
 
         class CrashOnce(CollaborativeSearcher):
-            """Kills the forked worker that draws the marked query."""
+            """Kills the worker that draws the marked query."""
 
             def search(self, query, budget=None):
                 if os.getpid() != parent_pid and query.k == 4:
@@ -228,14 +231,15 @@ class TestScatterHarvest:
 
         monkeypatch.setitem(ALGORITHMS, "crash-once", CrashOnce)
         queries = self.QUERIES + [UOTSQuery.create([5, 210], ["park"], k=4)]
-        results, trace, _ = self._run(
+        results, roots, _ = self._run(
             database, Tracer(), algorithm="crash-once", queries=queries
         )
-        # The crasher dies in every pool round and ends in the parent.
+        # The crasher takes its worker with it and ends in the parent.
         assert results[-1].stats.executor == "sequential-fallback"
-        events = [event for span in trace.walk() for event in span.events]
-        names = [event["name"] for event in events]
-        assert "worker_crash" in names
-        assert "telemetry_lost" in names
-        lost = [e for e in events if e["name"] == "telemetry_lost"]
-        assert all(e["tasks"] >= 1 for e in lost)
+        assert results[-1].stats.retries == 1
+        crashed = [root for root in roots if root.attributes["k"] == 4]
+        assert len(crashed) == 1
+        names = [event["name"] for event in crashed[0].events]
+        assert names == ["worker_crash", "telemetry_lost", "sequential_fallback"]
+        # The fallback's own plan/execute spans nest live, in this process.
+        assert [c.name for c in crashed[0].children] == ["plan", "execute"]

@@ -1,9 +1,11 @@
-"""Concurrent forked batches on one service (regression).
+"""Concurrent pooled batches on one service (regression).
 
-One fork fan-out at a time holds the process's worker handoff.  A second
-``execute_many(workers=2)`` arriving meanwhile — two ``POST /query/batch``
-bodies with ``"workers": 2`` — used to raise ``FanOutBusy`` straight out
-of the service; it now answers its cache misses sequentially instead.
+A second ``execute_many(workers=2)`` arriving while one is in flight — two
+``POST /query/batch`` bodies with ``"workers": 2`` — used to find the
+one-at-a-time fork handoff taken: first it raised, then it took a
+sequential detour.  Batches now ride a worker pool (the service's, or one
+opened per call), which holds no process-wide handoff: every concurrent
+batch is answered by workers.
 """
 
 import threading
@@ -43,25 +45,20 @@ def references(database):
     return [oracle.search(query) for query in QUERIES]
 
 
-def test_batch_answers_sequentially_while_the_handoff_is_held(database, references):
-    admission = AdmissionController(max_inflight=1)
+def test_batch_forks_while_a_join_holds_the_handoff(database, references):
+    admission = AdmissionController(max_inflight=2)
     service = QueryService(
         database, "collaborative", admission=admission, result_cache=16
     )
     service.submit(QUERIES[0])  # one hit for the batch to serve up front
-    with executor._worker_handoff({}):  # "another batch is mid-fork"
+    with executor._worker_handoff({}):  # "a join fan-out is mid-fork"
         results = service.execute_many(QUERIES, workers=2)
     _assert_oracle_equal(results, references)
     assert results[0].stats.cache == "result"  # the hit stayed a hit
-    assert [r.stats.executor for r in results[1:]] == ["sequential"] * 3
-    # The batch slot went back exactly once — before the misses took
-    # theirs, or a cap of 1 would have rejected every one of them.
+    assert [r.stats.executor for r in results[1:]] == ["fork"] * 3
     assert admission.inflight == 0
     assert service.stats.rejected_queries == 0
     assert service.stats.queries_served == 1 + len(QUERIES)
-    # With the handoff free again the same service forks as usual.
-    fresh = [UOTSQuery.create([7, 77], ["park"], k=3), UOTSQuery.create([9], [], k=2)]
-    assert {r.stats.executor for r in service.execute_many(fresh, workers=2)} == {"fork"}
 
 
 def test_three_threads_batching_at_once_all_match_brute_force(database, references):
@@ -86,4 +83,6 @@ def test_three_threads_batching_at_once_all_match_brute_force(database, referenc
     assert not failures, failures
     for number in range(3):
         _assert_oracle_equal(outcomes[number], references)
-    assert not executor._WORKER  # every handoff was released
+        # No sequential detour: every batch was answered by workers.
+        assert {r.stats.executor for r in outcomes[number]} == {"fork"}
+    assert not executor._WORKER  # the join handoff was never involved

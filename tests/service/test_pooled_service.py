@@ -1,0 +1,74 @@
+"""``QueryService(pool=...)``: what moves to a worker and what stays home."""
+
+import inspect
+import os
+from pathlib import Path
+
+import pytest
+
+from repro.core.query import UOTSQuery
+from repro.obs.metrics import MetricsRegistry
+from repro.parallel.executor import fork_available, parallel_search
+from repro.service import QueryService
+
+pytestmark = pytest.mark.skipif(
+    not fork_available(), reason="fork start method not available"
+)
+
+QUERY = UOTSQuery.create([5, 210], ["park"], lam=0.7, k=5)
+BATCH = [
+    UOTSQuery.create([i * 7 % 400, (i * 31 + 5) % 400], ["park"], k=3)
+    for i in range(6)
+]
+
+
+def test_a_default_service_has_no_pool_and_forks_nothing(database):
+    service = QueryService(
+        database, "scan", result_cache=8, metrics=MetricsRegistry()
+    )
+    assert service.pool is None
+    service.submit(QUERY)
+    children = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
+    before = children.read_text()
+    service.execute_many(BATCH, workers=1)
+    assert children.read_text() == before
+    assert "repro_pool" not in service.metrics.render_prometheus()
+    service.close()  # a no-op without a pool
+
+
+def test_the_retry_knob_is_gone():
+    for function in (QueryService.execute_many, parallel_search):
+        assert "max_task_retries" not in inspect.signature(function).parameters
+
+
+def test_a_pooled_query_traces_plan_and_execute_under_its_query_span(database):
+    service = QueryService(
+        database, "collaborative", pool=2, trace=True, metrics=MetricsRegistry()
+    )
+    try:
+        result = service.submit(QUERY)
+        root = service.tracer.last_trace()
+        assert root.name == "query" and root.attributes["forked"] is True
+        assert root.attributes["worker_pid"] in service.pool.worker_pids
+        assert [child.name for child in root.children] == ["plan", "execute"]
+        # Recording stayed in the parent.
+        assert service.stats.queries_served == 1
+        assert result.stats.executor == "fork"
+        rendered = service.metrics.render_prometheus()
+        assert 'repro_executor_queries_total{path="fork"} 1' in rendered
+        assert 'repro_worker_tasks_total{kind="search"} 1' in rendered
+    finally:
+        service.close()
+
+
+def test_a_batch_never_runs_wider_than_the_admission_cap(database):
+    service = QueryService(database, "scan", admission=2, pool=3)
+    try:
+        results = service.execute_many(BATCH, workers=4)
+        assert all(result.ok for result in results)
+        assert service.stats.rejected_queries == 0
+        assert {result.stats.executor for result in results} == {"fork"}
+        assert sum(service.pool.dispatched) == len(BATCH)
+        assert service.admission.inflight == 0
+    finally:
+        service.close()

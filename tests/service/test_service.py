@@ -97,8 +97,6 @@ def test_execute_many_validates_arguments(bundle, workload):
     service = QueryService(bundle.database, "collaborative")
     with pytest.raises(QueryError, match="workers"):
         service.execute_many(workload, workers=0)
-    with pytest.raises(QueryError, match="max_task_retries"):
-        service.execute_many(workload, max_task_retries=-1)
 
 
 def test_service_forwards_tuning_kwargs(bundle):
