@@ -20,7 +20,7 @@ ALGOS = ["collaborative", "collaborative-rr", "spatial-first", "text-first",
          "brute-force"]
 
 #: Fast subset used by the pytest-benchmark smoke targets.
-SMOKE_ALGOS = ["collaborative", "brute-force"]
+SMOKE_ALGOS = ["collaborative", "scan", "brute-force"]
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ The expansion search needs to answer, for every vertex it settles, "which
 trajectories pass through here?".  This index stores, per network vertex,
 the sorted posting list of trajectory ids covering it — the in-memory
 analogue of the per-vertex ArrayLists the paper describes for its
-disk-resident variant.
+disk-resident variant.  The owning database validates vertex ids before a
+trajectory reaches this index (see
+:func:`~repro.index.database.check_vertices`).
 """
 
 from __future__ import annotations
@@ -38,12 +40,10 @@ class VertexTrajectoryIndex:
 
     # ------------------------------------------------------------- mutation
     def add(self, trajectory: Trajectory) -> None:
-        """Index one trajectory; validates vertices and rejects duplicates."""
+        """Index one trajectory (vertices already validated); rejects
+        duplicates."""
         if trajectory.id in self._indexed:
             raise TrajectoryIndexError(f"trajectory {trajectory.id} already indexed")
-        for vertex in trajectory.vertex_set:
-            if not (0 <= vertex < self._graph.num_vertices):
-                raise VertexNotFoundError(vertex, self._graph.num_vertices)
         self._indexed[trajectory.id] = trajectory.vertex_set
         for vertex in trajectory.vertex_set:
             insort(self._postings[vertex], trajectory.id)

@@ -234,20 +234,24 @@ def sssp_array(
     return _sssp_python(csr, source_list, cutoff, target)
 
 
-def sssp_arrays_batch(csr: CSRAdjacency, sources: Sequence[int]) -> np.ndarray:
-    """Full distances from each source: shape ``(len(sources), |V|)``.
+def sssp_arrays_batch(
+    csr: CSRAdjacency, sources: Sequence[int], limit: float | None = None
+) -> np.ndarray:
+    """Distances from each source: shape ``(len(sources), |V|)``.
 
-    One vectorised SciPy call when available (the all-pairs / landmark-table
-    shape), otherwise a row-per-source interpreted loop.
+    Full rows by default; with ``limit``, entries farther than it are
+    ``inf``.  One vectorised SciPy call when available (the all-pairs /
+    landmark-table shape), otherwise a row-per-source interpreted loop.
     """
     if not len(sources):
         return np.empty((0, csr.num_vertices))
     dijkstra = _scipy_kernels()[1]
     if dijkstra is not None and csr.num_vertices > 0:
+        bound = np.inf if limit is None else float(limit)
         return np.atleast_2d(
-            dijkstra(csr.matrix(), directed=True, indices=list(sources))
+            dijkstra(csr.matrix(), directed=True, indices=list(sources), limit=bound)
         )
-    return np.vstack([_sssp_python(csr, (s,), None, None) for s in sources])
+    return np.vstack([_sssp_python(csr, (s,), limit, None) for s in sources])
 
 
 # Above this vertex count a full C-speed sweep beats the interpreted

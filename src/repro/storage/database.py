@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import DatasetError, GraphError
+from repro.index.database import check_vertices
 from repro.index.vertex_index import VertexTrajectoryIndex
 from repro.network.graph import SpatialNetwork
 from repro.network.landmarks import LandmarkIndex
@@ -92,6 +93,7 @@ class DiskTrajectoryDatabase:
         """
         if len(trajectories) == 0:
             raise DatasetError("a trajectory database needs at least one trajectory")
+        check_vertices(graph, trajectories)
         store = DiskTrajectoryStore.build(
             path, trajectories, page_size=page_size,
             buffer_capacity=buffer_capacity, retry=retry, checksum=checksum,

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.errors import DatasetError, TrajectoryIndexError, TrajectoryError
+from repro.errors import (
+    DatasetError,
+    TrajectoryError,
+    TrajectoryIndexError,
+    VertexNotFoundError,
+)
 from repro.index.database import TrajectoryDatabase
 from repro.trajectory.model import Trajectory, TrajectoryPoint, TrajectorySet
 
@@ -50,6 +55,20 @@ class TestConstruction:
         with pytest.raises(TrajectoryError):
             db.get(9)
 
+    def test_out_of_range_vertex_rejected(self, grid10):
+        trips = TrajectorySet([_traj(0, [1]), _traj(1, [2, grid10.num_vertices + 5])])
+        with pytest.raises(VertexNotFoundError):
+            TrajectoryDatabase(grid10, trips)
+
+    def test_vertex_index_is_built_on_first_access(self, db):
+        assert db._vertex_index is None
+        db.add(_traj(2, [5]))
+        db.remove(0)
+        index = db.vertex_index  # built from the live set, writes included
+        assert db.vertex_index is index
+        assert index.trajectories_at(5) == [2]
+        assert index.trajectories_at(1) == []
+
 
 class TestMutation:
     def test_add_updates_all_indexes(self, db):
@@ -70,6 +89,16 @@ class TestMutation:
             db.add(bad)
         assert len(db) == 2
         assert 3 not in db.trajectories
+
+    def test_invalid_vertex_leaves_a_built_vertex_index_unchanged(self, db, grid10):
+        index = db.vertex_index
+        with pytest.raises(VertexNotFoundError):
+            db.add(_traj(12, [1, grid10.num_vertices + 5], ["museum"]))
+        assert index.num_trajectories == 2
+        assert 12 not in index
+        assert index.trajectories_at(1) == [0]
+        assert db.keyword_index.postings("museum") == []
+        assert 12 not in db.trajectories
 
     def test_remove_updates_all_indexes(self, db):
         removed = db.remove(0)

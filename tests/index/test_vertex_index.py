@@ -56,17 +56,6 @@ class TestMutation:
         with pytest.raises(TrajectoryIndexError, match="already"):
             index.add(_traj(0, [5]))
 
-    def test_out_of_range_trajectory_rejected(self, index, grid10):
-        with pytest.raises(VertexNotFoundError):
-            index.add(_traj(11, [grid10.num_vertices + 5]))
-
-    def test_failed_add_leaves_index_unchanged(self, index, grid10):
-        before = index.num_trajectories
-        with pytest.raises(VertexNotFoundError):
-            index.add(_traj(12, [1, grid10.num_vertices + 5]))
-        assert index.num_trajectories == before
-        assert 12 not in index.trajectories_at(1)
-
     def test_remove_cleans_postings(self, index):
         index.remove(0)
         assert index.trajectories_at(2) == [1]

@@ -25,6 +25,7 @@ assert not leaked, f"importing {module} pulled in scipy: {{leaked}}"
     "module",
     [
         "repro.core.search",
+        "repro.core.scan",
         "repro.core.plan",
         "repro.core.registry",
         "repro.service",
