@@ -3,7 +3,8 @@
 The paper reports the memory its structures occupy (index and network tens
 of MB, trajectories hundreds of MB).  This bench measures the analogous
 quantities for the reproduction: build time and (deep-ish) memory estimate
-of each structure as |P| grows, plus the disk footprint of the page store.
+of each structure as |P| grows, plus the time ``repro serve`` spends reading
+the same trajectories back from their JSON-lines file.
 
 Claim checked: index sizes grow linearly in |P|; the network's footprint is
 independent of |P|; trajectory payloads dominate the indexes, matching the
@@ -13,7 +14,9 @@ paper's memory breakdown.
 from __future__ import annotations
 
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +24,7 @@ from common import SMOKE, paper_profile
 from repro.bench.datasets import build_bundle
 from repro.bench.reporting import format_table, print_header
 from repro.index.database import TrajectoryDatabase
+from repro.trajectory.io import load_jsonl, save_jsonl
 
 
 def _deep_size(obj, _seen=None) -> int:
@@ -79,10 +83,17 @@ def run_experiment() -> None:
         )
         vertex_index = database.vertex_index  # built on first access: timed too
         build_seconds = time.perf_counter() - started
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trajectories.jsonl"
+            save_jsonl(bundle.trajectories, path)
+            started = time.perf_counter()
+            load_jsonl(path)
+            load_seconds = time.perf_counter() - started
         rows.append(
             (
                 cardinality,
                 f"{build_seconds:.2f}",
+                f"{load_seconds:.2f}",
                 _megabytes(_deep_size(bundle.graph.adjacency)),
                 _megabytes(_deep_size(vertex_index)),
                 _megabytes(_deep_size(database.keyword_index)),
@@ -92,7 +103,7 @@ def run_experiment() -> None:
             )
         )
     print(format_table(
-        ["|P|", "index build s", "network MB", "vertex idx MB",
+        ["|P|", "index build s", "load s", "network MB", "vertex idx MB",
          "keyword idx MB", "trajectories MB"],
         rows,
     ))

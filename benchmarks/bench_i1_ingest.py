@@ -53,7 +53,7 @@ from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.index.database import TrajectoryDatabase
 from repro.perf import ResultCache
 from repro.service import QueryService
-from repro.trajectory.model import Trajectory, TrajectoryPoint, TrajectorySet
+from repro.trajectory.model import Trajectory, TrajectorySet
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -91,11 +91,7 @@ def make_ops(bundle: DatasetBundle, num_unique: int, num_ops: int, seed: int):
             if next_is_add:
                 donor = live[rng.choice(sorted(live))]
                 max_id += 1
-                fresh = Trajectory(
-                    max_id,
-                    [TrajectoryPoint(p.vertex, p.timestamp) for p in donor.points],
-                    sorted(donor.keywords)[:3],
-                )
+                fresh = donor.with_id(max_id).with_keywords(sorted(donor.keywords)[:3])
                 live[max_id] = fresh
                 ops.append(("add", fresh))
             else:

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import threading
 import time
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -140,15 +139,27 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
 def _build(database: TrajectoryDatabase) -> tuple:
     """A snapshot read from the trajectories themselves (first use only).
     The id -> trajectory pairs are copied in one call, so a concurrent
-    write is either in the copy or still queued for the next fold."""
+    write is either in the copy or still queued for the next fold.  One
+    sort of ``position * |V| + vertex`` keys over every sample yields each
+    trajectory's distinct vertices, ascending."""
     members = sorted(database.trajectories.as_mapping().items())
-    ids = [tid for tid, _ in members]
-    sets = [trajectory.vertex_set for _, trajectory in members]
-    lengths = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    vertices = np.fromiter(
-        chain.from_iterable(sets), dtype=np.int32, count=int(lengths.sum())
-    )
-    return np.array(ids, dtype=np.int64), _starts(lengths), vertices, database.sigma
+    ids = np.array([tid for tid, _ in members], dtype=np.int64)
+    samples = [trajectory.vertex_array for _, trajectory in members]
+    lengths = np.fromiter(map(len, samples), dtype=np.intp, count=len(samples))
+    num_vertices = database.graph.num_vertices
+    keys = np.repeat(np.arange(ids.size, dtype=np.int64) * num_vertices, lengths)
+    if samples:
+        keys += np.concatenate(samples)
+    # Sort and drop repeats by hand (``np.unique`` is an order of magnitude
+    # slower on these keys), in place where possible: this runs at the
+    # serving parent's memory peak.
+    keys.sort()
+    distinct = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    keys = keys[distinct]
+    lengths = np.bincount(keys // num_vertices, minlength=ids.size)
+    keys %= num_vertices
+    return ids, _starts(lengths), keys.astype(np.int32), database.sigma
 
 
 def _fold(arrays: tuple, events: Sequence[MutationEvent]) -> tuple:

@@ -53,8 +53,11 @@ def check_vertices(graph: SpatialNetwork, trajectories: Iterable[Trajectory]) ->
     """Reject any trajectory on a vertex the graph lacks (vertex ids are
     non-negative by construction), before anything is indexed."""
     num_vertices = graph.num_vertices
-    for trajectory in trajectories:
-        top = max(trajectory.vertex_set)
+    samples = [trajectory.vertex_array for trajectory in trajectories]
+    if not samples or np.concatenate(samples).max() < num_vertices:
+        return
+    for vertices in samples:  # name the first offender
+        top = int(vertices.max())
         if top >= num_vertices:
             raise VertexNotFoundError(top, num_vertices)
 
@@ -93,7 +96,6 @@ class TrajectoryDatabase:
         self._caches = QueryCaches(capacity=cache_size)
         self._num_landmarks = num_landmarks
         self._landmark_index: LandmarkIndex | None | object = _UNSET
-        self._vertex_arrays: dict[int, np.ndarray] = {}
         self._mutation_listeners: list[Callable[[MutationEvent], None]] = []
 
     # ------------------------------------------------------------ accessors
@@ -168,18 +170,9 @@ class TrajectoryDatabase:
         self._landmark_index = index
 
     def vertex_array(self, trajectory_id: int) -> np.ndarray:
-        """The trajectory's vertex set as a cached integer array.
-
-        The vectorised ALT bound (:meth:`LandmarkIndex.lower_bounds_to_set`)
-        indexes the landmark table with this array; caching it per
-        trajectory amortises the set->array conversion across queries.
-        """
-        array = self._vertex_arrays.get(trajectory_id)
-        if array is None:
-            vertex_set = self._trajectories.get(trajectory_id).vertex_set
-            array = np.fromiter(vertex_set, dtype=np.intp, count=len(vertex_set))
-            self._vertex_arrays[trajectory_id] = array
-        return array
+        """The trajectory's distinct vertices as an integer array (what the
+        vectorised ALT bound indexes the landmark table with)."""
+        return self._trajectories.get(trajectory_id).distinct_vertices
 
     def __len__(self) -> int:
         return len(self._trajectories)
@@ -254,21 +247,13 @@ class TrajectoryDatabase:
         self._mutation_listeners.append(lambda event: listener(event.trajectory_id))
 
     def _event(self, kind: str, trajectory: Trajectory) -> MutationEvent:
-        """Build the scoped event for a just-applied mutation.
-
-        For removals the cached vertex array (if any) is reused — the
-        trajectory is already out of the set, so this is the last cheap
-        chance to capture its spatial reach.
-        """
-        vertices = self._vertex_arrays.get(trajectory.id)
-        if vertices is None:
-            vertex_set = trajectory.vertex_set
-            vertices = np.fromiter(vertex_set, dtype=np.intp, count=len(vertex_set))
+        """Build the scoped event for a just-applied mutation (its vertex
+        array is the trajectory's own distinct-vertex array)."""
         return MutationEvent(
             kind=kind,
             trajectory_id=trajectory.id,
             keywords=trajectory.keywords,
-            vertices=vertices,
+            vertices=trajectory.distinct_vertices,
         )
 
     def _dispatch(self, event: MutationEvent) -> None:
@@ -280,7 +265,6 @@ class TrajectoryDatabase:
         :class:`~repro.errors.MutationDispatchError`.
         """
         self._caches.on_event(event)
-        self._vertex_arrays.pop(event.trajectory_id, None)
         failures: list[BaseException] = []
         for listener in self._mutation_listeners:
             try:

@@ -113,11 +113,11 @@ class PairwiseScorer:
         stamps = self._timestamps(t2_from_other, t2_id)
         spatial = 0.0
         temporal = 0.0
-        for point in t1.points:
-            d = transform.get(point.vertex)
+        for vertex, timestamp in t1.samples():
+            d = transform.get(vertex)
             if d is not None:
                 spatial += math.exp(-d / self._sigma)
-            gap = min_time_gap(point.timestamp, stamps)
+            gap = min_time_gap(timestamp, stamps)
             if gap != _INF:
                 temporal += math.exp(-gap / self._sigma_t)
         m = len(t1)

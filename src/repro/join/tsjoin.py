@@ -95,7 +95,7 @@ class TwoPhaseJoin:
         sets: dict[int, dict[int, float]] = {}
         for trajectory in source.trajectories:
             candidates = target_engine.threshold_search(
-                [(p.vertex, p.timestamp) for p in trajectory.points],
+                trajectory.samples(),
                 self._lam,
                 limit,
                 exclude_id=trajectory.id if exclude_self else None,
@@ -221,7 +221,7 @@ class TopKJoin:
                 heapq.heapreplace(heap, entry)
 
         def process(trajectory, permissive: bool) -> None:
-            points = [(p.vertex, p.timestamp) for p in trajectory.points]
+            points = trajectory.samples()
             if permissive:
                 seeded = engine.topk_search(
                     points, self._lam, k + 1, exclude_id=trajectory.id
@@ -242,7 +242,7 @@ class TopKJoin:
                     continue
                 partner = database.get(partner_id)
                 backward = engine.exact_value(
-                    [(p.vertex, p.timestamp) for p in partner.points],
+                    partner.samples(),
                     self._lam,
                     trajectory.id,
                 )

@@ -53,7 +53,7 @@ class PTMQuery:
     @property
     def points(self) -> list[tuple[int, float]]:
         """The query's ``(vertex, timestamp)`` pairs."""
-        return [(p.vertex, p.timestamp) for p in self.trajectory.points]
+        return self.trajectory.samples()
 
 
 class PTMMatcher:

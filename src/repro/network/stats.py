@@ -10,8 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import GraphError
-from repro.network.dijkstra import eccentricity, single_source_distances
+from repro.network.csr import sssp_arrays_batch
+from repro.network.dijkstra import eccentricity
 from repro.network.graph import SpatialNetwork
 
 __all__ = ["NetworkStats", "network_stats", "estimate_diameter", "characteristic_distance"]
@@ -81,15 +84,16 @@ def characteristic_distance(graph: SpatialNetwork, samples: int = 16, seed: int 
     if graph.num_vertices < 2:
         raise GraphError("characteristic distance needs at least two vertices")
     rng = random.Random(seed)
-    values: list[float] = []
-    for __ in range(max(1, samples)):
-        source = rng.randrange(graph.num_vertices)
-        distances = single_source_distances(graph, source)
-        reachable = [d for d in distances.values() if d > 0.0]
-        if reachable:
-            reachable.sort()
-            values.append(reachable[len(reachable) // 2])
-    if not values:
+    sources = [rng.randrange(graph.num_vertices) for __ in range(max(1, samples))]
+    rows = sssp_arrays_batch(graph.csr, sources)
+    reached = [row[np.isfinite(row) & (row > 0.0)] for row in rows]
+    medians = np.array([_upper_median(row) for row in reached if row.size])
+    if not medians.size:
         raise GraphError("graph has no reachable vertex pairs")
-    values.sort()
-    return values[len(values) // 2]
+    return float(_upper_median(medians))
+
+
+def _upper_median(values: np.ndarray) -> float:
+    """The element a sort would put at ``len(values) // 2``."""
+    k = values.size // 2
+    return np.partition(values, k)[k]

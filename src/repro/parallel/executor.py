@@ -178,7 +178,7 @@ def _join_worker(
     lam: float = _WORKER_STATE["lam"]
     limit: float = _WORKER_STATE["limit"]
     trajectory = database.get(trajectory_id)
-    points = [(p.vertex, p.timestamp) for p in trajectory.points]
+    points = trajectory.samples()
     config = _WORKER_STATE.get("harvest")
     if not config:
         candidates = engine.threshold_search(
@@ -267,7 +267,7 @@ def _cross_join_worker(
     lam: float = _WORKER_STATE["lam"]
     limit: float = _WORKER_STATE["limit"]
     trajectory = database.get(trajectory_id)
-    points = [(p.vertex, p.timestamp) for p in trajectory.points]
+    points = trajectory.samples()
     config = _WORKER_STATE.get("harvest")
     if not config:
         candidates = engine.threshold_search(points, lam, limit)

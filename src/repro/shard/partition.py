@@ -26,9 +26,7 @@ __all__ = ["Partitioner", "GridPartitioner", "trajectory_center"]
 
 def trajectory_center(graph: SpatialNetwork, trajectory: Trajectory) -> tuple[float, float]:
     """Center of the trajectory's vertex bounding box (its shard locus)."""
-    vertices = np.fromiter(
-        trajectory.vertex_set, dtype=np.intp, count=len(trajectory.vertex_set)
-    )
+    vertices = trajectory.vertex_array
     xs = graph.xs[vertices]
     ys = graph.ys[vertices]
     return (

@@ -59,11 +59,11 @@ class ShardSummary:
     ) -> "ShardSummary":
         """Summarise one shard view (vocabulary + landmark intervals)."""
         vocabulary: set[str] = set()
-        covered_set: set[int] = set()
+        samples = []
         for trajectory in database.trajectories:
             vocabulary.update(trajectory.keywords)
-            covered_set.update(trajectory.vertex_set)
-        covered = np.fromiter(covered_set, dtype=np.intp, count=len(covered_set))
+            samples.append(trajectory.vertex_array)
+        covered = np.unique(np.concatenate(samples)) if samples else np.empty(0, np.intp)
         landmark_min = landmark_max = None
         if landmark_index is not None and covered.size:
             table = landmark_index._table[:, covered]  # (L, |covered|)

@@ -153,11 +153,11 @@ class DiskTrajectoryDatabase:
         return self._landmark_index
 
     def vertex_array(self, trajectory_id: int) -> np.ndarray:
-        """The trajectory's vertex set as a cached integer array (for ALT)."""
+        """The trajectory's distinct vertices as a cached integer array (for
+        ALT), kept so a query does not re-read the record from disk."""
         array = self._vertex_arrays.get(trajectory_id)
         if array is None:
-            vertex_set = self._store.get(trajectory_id).vertex_set
-            array = np.fromiter(vertex_set, dtype=np.intp, count=len(vertex_set))
+            array = self._store.get(trajectory_id).distinct_vertices
             self._vertex_arrays[trajectory_id] = array
         return array
 

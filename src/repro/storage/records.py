@@ -18,13 +18,16 @@ from __future__ import annotations
 
 import struct
 
+import numpy as np
+
 from repro.errors import DatasetError
-from repro.trajectory.model import Trajectory, TrajectoryPoint
+from repro.trajectory.model import Trajectory
 
 __all__ = ["encode_trajectory", "decode_trajectory"]
 
 _HEADER = struct.Struct("<IHH")
-_POINT = struct.Struct("<Id")
+#: One packed ``(u32 vertex, f64 timestamp)`` point, as ``struct`` "<Id" lays it out.
+_POINTS = np.dtype([("vertex", "<u4"), ("timestamp", "<f8")])
 
 
 def encode_trajectory(trajectory: Trajectory) -> bytes:
@@ -38,9 +41,12 @@ def encode_trajectory(trajectory: Trajectory) -> bytes:
         raise DatasetError(
             f"trajectory {trajectory.id} has too many keywords to encode"
         )
-    parts = [_HEADER.pack(trajectory.id, len(trajectory), len(keywords))]
-    for point in trajectory.points:
-        parts.append(_POINT.pack(point.vertex, point.timestamp))
+    if trajectory.vertex_array.max() > 0xFFFFFFFF:
+        raise DatasetError(f"trajectory {trajectory.id} has a vertex id too large to encode")
+    points = np.empty(len(trajectory), dtype=_POINTS)
+    points["vertex"] = trajectory.vertex_array
+    points["timestamp"] = trajectory.timestamp_array
+    parts = [_HEADER.pack(trajectory.id, len(trajectory), len(keywords)), points.tobytes()]
     for keyword in keywords:
         raw = keyword.encode("utf-8")
         if len(raw) > 0xFF:
@@ -58,17 +64,19 @@ def decode_trajectory(data: bytes, offset: int = 0) -> tuple[Trajectory, int]:
     try:
         trajectory_id, num_points, num_keywords = _HEADER.unpack_from(data, offset)
         offset += _HEADER.size
-        points = []
-        for __ in range(num_points):
-            vertex, timestamp = _POINT.unpack_from(data, offset)
-            offset += _POINT.size
-            points.append(TrajectoryPoint(vertex, timestamp))
+        points = np.frombuffer(data, dtype=_POINTS, count=num_points, offset=offset)
+        offset += points.nbytes
         keywords = []
         for __ in range(num_keywords):
             length = data[offset]
             offset += 1
             keywords.append(data[offset : offset + length].decode("utf-8"))
             offset += length
-        return Trajectory(trajectory_id, points, keywords), offset
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        return (
+            Trajectory.from_arrays(
+                trajectory_id, points["vertex"], points["timestamp"], keywords
+            ),
+            offset,
+        )
+    except (struct.error, IndexError, ValueError) as exc:  # incl. UnicodeDecodeError
         raise DatasetError(f"corrupt trajectory record: {exc}") from exc

@@ -66,7 +66,7 @@ def annotate_trajectories(
     annotated = TrajectorySet()
     for trajectory in trajectories:
         collected: set[str] = set()
-        for vertex in trajectory.vertex_set:
+        for vertex in trajectory.vertices():
             collected.update(vertex_keywords.get(vertex, ()))
         if len(collected) > max_keywords:
             collected = set(rng.sample(sorted(collected), max_keywords))

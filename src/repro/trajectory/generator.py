@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from repro.errors import DatasetError
 from repro.network.graph import SpatialNetwork
-from repro.trajectory.model import DAY_SECONDS, Trajectory, TrajectoryPoint, TrajectorySet
+from repro.trajectory.model import DAY_SECONDS, Trajectory, TrajectorySet
 
 __all__ = ["TripConfig", "TripGenerator", "generate_trips"]
 
@@ -176,24 +176,20 @@ class TripGenerator:
                 continue
             departure = self._sample_departure()
             speed = rng.uniform(config.speed_low, config.speed_high)
-            points = []
+            stamps = []
             t = departure
             previous = path[0]
             for vertex in path:
                 if vertex != previous:
                     t += graph.euclidean(previous, vertex) / speed
-                points.append(TrajectoryPoint(vertex, t % DAY_SECONDS))
+                stamps.append(t % DAY_SECONDS)
                 previous = vertex
             # Shift trips that cross midnight back to 0:00 so timestamps
             # stay non-decreasing, as the trajectory model requires.
-            stamps = [p.timestamp for p in points]
             if any(b < a for a, b in zip(stamps, stamps[1:])):
                 shift = DAY_SECONDS - departure
-                points = [
-                    TrajectoryPoint(p.vertex, (p.timestamp + shift) % DAY_SECONDS)
-                    for p in points
-                ]
-            return Trajectory(trajectory_id, points)
+                stamps = [(stamp + shift) % DAY_SECONDS for stamp in stamps]
+            return Trajectory.from_arrays(trajectory_id, path, stamps)
         raise DatasetError("could not generate a trip (graph too fragmented?)")
 
     def _subsample(self, path: list[int]) -> list[int]:

@@ -2,6 +2,7 @@
 
 One trajectory per line keeps files streamable and diff-friendly, and lets a
 partially written file be detected (the loader validates every record).
+Each record's ``points`` list becomes the trajectory's two arrays directly.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import json
 from pathlib import Path
 
 from repro.errors import TrajectoryError
-from repro.trajectory.model import Trajectory, TrajectoryPoint, TrajectorySet
+from repro.trajectory.model import Trajectory, TrajectorySet
 
 __all__ = ["save_jsonl", "load_jsonl"]
 
@@ -22,13 +23,23 @@ def save_jsonl(trajectories: TrajectorySet, path: str | Path) -> int:
         for trajectory in trajectories:
             record = {
                 "id": trajectory.id,
-                "points": [[p.vertex, p.timestamp] for p in trajectory.points],
+                "points": trajectory.samples(),
                 "keywords": sorted(trajectory.keywords),
             }
             fh.write(json.dumps(record))
             fh.write("\n")
             count += 1
     return count
+
+
+def _from_record(record: dict) -> Trajectory:
+    # Transposing the pairs fails on anything but an (n, 2) list (strict:
+    # a point of another length is an error, not a truncation); the array
+    # conversion then applies int() / float() to every value.
+    vertices, timestamps = zip(*record["points"], strict=True)
+    return Trajectory.from_arrays(
+        int(record["id"]), vertices, timestamps, record.get("keywords", ())
+    )
 
 
 def load_jsonl(path: str | Path) -> TrajectorySet:
@@ -40,13 +51,10 @@ def load_jsonl(path: str | Path) -> TrajectorySet:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                trajectory = Trajectory(
-                    int(record["id"]),
-                    (TrajectoryPoint(int(v), float(t)) for v, t in record["points"]),
-                    record.get("keywords", ()),
-                )
-            except (KeyError, ValueError, TypeError) as exc:
+                trajectory = _from_record(json.loads(line))
+            except (
+                KeyError, ValueError, TypeError, OverflowError, TrajectoryError
+            ) as exc:
                 raise TrajectoryError(f"{path}:{line_no}: malformed record: {exc}") from exc
             trajectories.add(trajectory)
     return trajectories

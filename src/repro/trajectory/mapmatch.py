@@ -19,7 +19,7 @@ import math
 from repro.errors import DatasetError
 from repro.network.dijkstra import distances_to_targets
 from repro.network.graph import SpatialNetwork
-from repro.trajectory.model import Trajectory, TrajectoryPoint
+from repro.trajectory.model import Trajectory
 from repro.trajectory.noise import RawFix
 
 __all__ = ["snap_match", "HmmMatcher", "VertexGrid"]
@@ -89,16 +89,7 @@ def snap_match(
     if not fixes:
         raise DatasetError("cannot map match an empty fix list")
     grid = grid or VertexGrid(graph)
-    points: list[TrajectoryPoint] = []
-    for fix in fixes:
-        vertex, __ = grid.nearest(fix.x, fix.y)
-        if points and points[-1].vertex == vertex:
-            continue
-        timestamp = fix.timestamp
-        if points and timestamp < points[-1].timestamp:
-            timestamp = points[-1].timestamp  # clamp clock jitter
-        points.append(TrajectoryPoint(vertex, timestamp))
-    return Trajectory(trajectory_id, points)
+    return _collapse(trajectory_id, fixes, (grid.nearest(f.x, f.y)[0] for f in fixes))
 
 
 class HmmMatcher:
@@ -188,11 +179,18 @@ class HmmMatcher:
             chain.append(layers[i][j][0])
             j = parents[i][j]
         chain.reverse()
+        return _collapse(trajectory_id, fixes, chain)
 
-        points: list[TrajectoryPoint] = []
-        for fix, vertex in zip(fixes, chain):
-            if points and points[-1].vertex == vertex:
-                continue
-            timestamp = max(fix.timestamp, points[-1].timestamp) if points else fix.timestamp
-            points.append(TrajectoryPoint(vertex, timestamp))
-        return Trajectory(trajectory_id, points)
+
+def _collapse(trajectory_id: int, fixes: list[RawFix], matched) -> Trajectory:
+    """The trajectory of the fixes' matched vertices: a run on one vertex
+    keeps its first fix, and a timestamp behind the previous one (clock
+    jitter) is clamped to it."""
+    vertices: list[int] = []
+    stamps: list[float] = []
+    for fix, vertex in zip(fixes, matched):
+        if vertices and vertices[-1] == vertex:
+            continue
+        vertices.append(vertex)
+        stamps.append(max(fix.timestamp, stamps[-1]) if stamps else fix.timestamp)
+    return Trajectory.from_arrays(trajectory_id, vertices, stamps)

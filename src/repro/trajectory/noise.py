@@ -60,10 +60,10 @@ def add_gps_noise(
     rng = random.Random(seed)
     fixes: list[RawFix] = []
     last = len(trajectory) - 1
-    for i, point in enumerate(trajectory):
+    for i, (vertex, timestamp) in enumerate(trajectory.samples()):
         if 0 < i < last and rng.random() < config.drop_probability:
             continue
-        x, y = graph.position(point.vertex)
+        x, y = graph.position(vertex)
         std = config.position_std
         if rng.random() < config.outlier_probability:
             std = config.outlier_std
@@ -71,7 +71,7 @@ def add_gps_noise(
             RawFix(
                 x + rng.gauss(0.0, std),
                 y + rng.gauss(0.0, std),
-                point.timestamp,
+                timestamp,
             )
         )
     return fixes

@@ -52,7 +52,7 @@ def trajectory_stats(trajectories: TrajectorySet) -> TrajectoryStats:
     for trajectory in trajectories:
         lengths.append(len(trajectory))
         durations.append(trajectory.duration)
-        vertices.update(trajectory.vertex_set)
+        vertices.update(trajectory.vertices())
         keyword_counts.append(len(trajectory.keywords))
         keyword_universe.update(trajectory.keywords)
     count = len(lengths)

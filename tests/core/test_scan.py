@@ -41,6 +41,7 @@ from repro.service.service import QueryService
 from repro.text.assignment import annotate_trajectories, assign_vertex_keywords
 from repro.text.vocabulary import Vocabulary
 from repro.trajectory.generator import generate_trips
+from repro.trajectory.io import load_jsonl, save_jsonl
 from repro.trajectory.model import Trajectory, TrajectoryPoint, TrajectorySet
 
 LAMBDAS = (0.0, 0.2, 0.5, 0.8, 1.0)
@@ -364,6 +365,10 @@ def test_array_snapshot_is_lazy_derived_on_mutation_and_never_served_stale():
     assert arrays._arrays is None  # nothing built until first use
     first = arrays.snapshot()
     assert first[2].dtype == np.int32
+    ids, starts, vertices, _ = first
+    for tid, start, end in zip(ids, starts, np.append(starts[1:], vertices.size)):
+        # each segment: the trajectory's distinct vertices, ascending
+        assert vertices[start:end].tolist() == sorted(database.get(int(tid)).vertex_set)
     assert arrays.snapshot() is first  # cached between queries
     victim = database.trajectories.ids()[0]
     removed = database.remove(victim)
@@ -666,8 +671,8 @@ def test_scan_path_never_materialises_the_csr_list_mirrors():
 
 def test_scan_path_never_builds_the_vertex_index_or_vertex_arrays():
     """The serving engine reads its own flat arrays: unbudgeted searches
-    and ``warm()`` leave the Python vertex index unbuilt and the
-    per-trajectory array cache empty, and shard snapshots hold no
+    and ``warm()`` leave the Python vertex index unbuilt and no trajectory
+    holding a distinct-vertex array, and shard snapshots hold no
     transpose (only the flat searcher walks one)."""
     database = build_world()
     scan = make_searcher(database, "scan")
@@ -675,7 +680,7 @@ def test_scan_path_never_builds_the_vertex_index_or_vertex_arrays():
     for query in seeded_queries(database, seed=4, count=12):
         scan.search(query)
     assert database._vertex_index is None
-    assert database._vertex_arrays == {}
+    assert all(t._distinct is None for t in database.trajectories)
     sharded = make_searcher(database, "sharded", shards=4)
     sharded.warm()
     sharded.search(UOTSQuery.create([3, 77, 140], ["park"], lam=0.5, k=5))
@@ -685,3 +690,21 @@ def test_scan_path_never_builds_the_vertex_index_or_vertex_arrays():
     budgeted = UOTSQuery.create([3, 77], ["park"], lam=0.5, k=3)
     scan.search(budgeted, SearchBudget(max_expanded_vertices=40))
     assert database._vertex_index is not None  # the held anytime searcher's
+
+
+def test_scan_path_never_builds_a_vertex_set(tmp_path):
+    """Loading, indexing, ``warm()`` and cold unbudgeted ``scan`` queries
+    read the trajectories' arrays only: no trajectory builds its
+    ``vertex_set`` frozenset (the collaborative path builds it on demand)."""
+    generated = build_world()
+    save_jsonl(generated.trajectories, tmp_path / "trips.jsonl")
+    database = TrajectoryDatabase(generated.graph, load_jsonl(tmp_path / "trips.jsonl"))
+    scan = make_searcher(database, "scan")
+    scan.warm()
+    for query in seeded_queries(database, seed=5, count=12):
+        scan.search(query)
+    assert all(t._vertex_set is None for t in database.trajectories)
+    make_searcher(database, "collaborative").search(
+        UOTSQuery.create([3, 77], ["park"], lam=0.5, k=3)
+    )
+    assert any(t._vertex_set is not None for t in database.trajectories)

@@ -134,10 +134,10 @@ class TestErrorAggregation:
         assert "second" in str(exc_info.value)
 
     def test_own_caches_scrubbed_before_listeners_fail(self, db):
-        db.vertex_array(0)  # warm the per-trajectory array cache
+        db.caches.distances.put((0, 7), 1.5)  # a cached distance row of trajectory 0
         db.add_mutation_listener(
             lambda e: (_ for _ in ()).throw(RuntimeError("boom"))
         )
         with pytest.raises(MutationDispatchError):
             db.remove(0)
-        assert 0 not in db._vertex_arrays
+        assert db.caches.distances.get((0, 7)) is None

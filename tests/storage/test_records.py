@@ -1,5 +1,7 @@
 """Unit and property tests for the binary trajectory record codec."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -40,6 +42,19 @@ class TestRoundtrip:
         assert first == a
         assert second == b
         assert end == len(blob)
+
+    def test_layout_is_the_packed_struct_format(self):
+        blob = encode_trajectory(_traj(keywords=("zoo",)))
+        assert blob == (
+            struct.pack("<IHH", 3, 2, 1)
+            + struct.pack("<Id", 1, 10.0)
+            + struct.pack("<Id", 2, 20.5)
+            + b"\x03zoo"
+        )
+
+    def test_vertex_beyond_u32_rejected(self):
+        with pytest.raises(DatasetError, match="too large"):
+            encode_trajectory(_traj(points=((2**32, 1.0),)))
 
 
 class TestMalformed:

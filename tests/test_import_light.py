@@ -28,6 +28,8 @@ assert not leaked, f"importing {module} pulled in scipy: {{leaked}}"
         "repro.core.scan",
         "repro.core.plan",
         "repro.core.registry",
+        "repro.trajectory.io",
+        "repro.index.database",
         "repro.service",
         "repro",
     ],
