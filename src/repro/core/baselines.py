@@ -68,13 +68,16 @@ def _baseline_plan(
     use_refinement: bool,
     estimated_cost: float,
     notes: tuple[str, ...],
+    candidate_count: int | None = None,
 ) -> QueryPlan:
-    """The shared (trivial) plan of the baselines: no scheduling, no ALT."""
+    """The shared (trivial) plan of the baselines: no scheduling, no ALT.
+    ``candidate_count`` defaults to the keyword index's count."""
     database = searcher._database
     query.validate_against(database.graph)
-    candidate_count = (
-        len(database.keyword_index.candidates(query.keywords)) if query.keywords else 0
-    )
+    if candidate_count is None:
+        candidate_count = (
+            len(database.keyword_index.candidates(query.keywords)) if query.keywords else 0
+        )
     return QueryPlan(
         algorithm=searcher.plan_name,
         query=query,

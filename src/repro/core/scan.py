@@ -12,9 +12,12 @@ array grain instead of per settled vertex:
   CSR (the transpose of :class:`ScanArrays`).  A location that reached no
   vertex of a trajectory contributes at most ``exp(-r / sigma)``, which
   gives every trajectory a lower and an upper bound in one ``|P|``-length
-  vector (SimT is exact from the inverted index).  The scan stops when the
-  top-k all have exact scores and each strictly beats every other
-  trajectory's upper bound — ties fall through;
+  vector.  SimT is exact from the snapshot's keyword postings: one
+  ``bincount`` over the query keywords' postings gives ``|q.T & tau.T|``
+  for every trajectory, and the measure's closed form
+  (:func:`repro.text.similarity.get_count_form`) does the rest.  The scan
+  stops when the top-k all have exact scores and each strictly beats every
+  other trajectory's upper bound — ties fall through;
 - **phase 2** — otherwise, full SSSP rows for the locations that left a
   gap, and exact scores for the *blocking set* only: the trajectories whose
   upper bound reaches the k-th lower bound.  Everything else is provably
@@ -23,8 +26,8 @@ array grain instead of per settled vertex:
 
 The top-k is ranked under the library-wide total order (score desc, id
 asc).  :func:`scan_topk` is the unbounded kernel — every trajectory scored
-from full distance rows — which the sharded searcher runs per shard over
-distance maps its parent computed once.
+from full distance rows and a dict of text scores — which the sharded
+searcher runs per shard over distance maps its parent computed once.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 import threading
 import time
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,13 +44,21 @@ from repro.core.instrument import annotate_search_span, execute_span
 from repro.core.plan import QueryPlan
 from repro.core.query import UOTSQuery
 from repro.core.results import ScoredTrajectory, SearchResult, SearchStats
-from repro.core.search import CollaborativeSearcher, exact_text_scores
+from repro.core.search import CollaborativeSearcher
 from repro.index.database import TrajectoryDatabase
 from repro.index.events import MutationEvent
 from repro.network.csr import CSRAdjacency, _scipy_kernels, sssp_arrays_batch
 from repro.resilience.budget import SearchBudget
+from repro.text.similarity import get_count_form
 
-__all__ = ["PHASE1_RADIUS_SIGMAS", "ScanArrays", "ScanSearcher", "bounded_topk", "scan_topk"]
+__all__ = [
+    "PHASE1_RADIUS_SIGMAS",
+    "ScanArrays",
+    "ScanSearcher",
+    "Snapshot",
+    "bounded_topk",
+    "scan_topk",
+]
 
 #: Phase 1's Dijkstra radius in units of sigma.  At paper scale one round
 #: at 2 sigma already answers 51 of 100 cold queries; 3/4/6/8/12 sigma
@@ -67,6 +78,21 @@ _EVALUATED_SHARE = 0.11
 _MAX_PENDING = 64
 
 
+class Snapshot(NamedTuple):
+    """One database state as flat arrays.  ``ids`` ascend;
+    ``vertices[starts[i]:starts[i + 1]]`` are the distinct vertices of
+    ``ids[i]``, ascending, and ``keywords[keyword_starts[i]:keyword_starts[i
+    + 1]]`` its keywords as ids into the owning :class:`ScanArrays`'
+    vocabulary (both ``int32``)."""
+
+    ids: np.ndarray
+    starts: np.ndarray
+    vertices: np.ndarray
+    sigma: float
+    keyword_starts: np.ndarray
+    keywords: np.ndarray
+
+
 class ScanArrays:
     """One database's trajectories as flat arrays, kept current under
     mutation.
@@ -75,17 +101,20 @@ class ScanArrays:
     every :class:`~repro.index.events.MutationEvent` and the next
     :meth:`snapshot` folds the queue into the previous arrays (upsert or
     delete by id, so replaying an event that a racing build already saw is
-    harmless).  A query keeps working on the tuple it captured.
-    :meth:`transposed` adds the vertex -> trajectory CSR the two-phase scan
-    walks; only a caller that asks for it holds one.
+    harmless).  A query keeps working on the :class:`Snapshot` it captured.
+    Keyword ids come from a vocabulary that only grows, so an id never
+    changes meaning under a captured snapshot.  :meth:`transposed` adds the
+    vertex -> trajectory and keyword -> trajectory postings the two-phase
+    scan reads; only a caller that asks for them holds them.
     """
 
     def __init__(self, database: TrajectoryDatabase):
         self._database = database
         self._lock = threading.Lock()
         self._pending: list[MutationEvent] = []
-        self._arrays: tuple | None = None
-        self._transposed: tuple | None = None  # (the arrays it belongs to, CSR)
+        self._arrays: Snapshot | None = None
+        self._vocabulary: dict[str, int] = {}  # written under the lock only
+        self._transposed: tuple | None = None  # (the snapshot they belong to, postings)
         database.add_mutation_listener(self._queue)
 
     def _queue(self, event: MutationEvent) -> None:
@@ -100,24 +129,25 @@ class ScanArrays:
                     return
             self.snapshot()
 
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """``(ids, starts, vertices, sigma)``: ids ascending, and
-        ``vertices[starts[i]:starts[i + 1]]`` (``int32``) the vertex set of
-        ``ids[i]``."""
+    def snapshot(self) -> Snapshot:
+        """The current :class:`Snapshot`."""
         if self._pending or self._arrays is None:
             with self._lock:
                 count = len(self._pending)
                 if self._arrays is None:
-                    self._arrays = _build(self._database)
+                    self._arrays = _build(self._database, self._vocabulary)
                 elif count:
-                    self._arrays = _fold(self._arrays, self._pending[:count])
+                    self._arrays = _fold(self._arrays, self._pending[:count], self._vocabulary)
                 del self._pending[:count]
         return self._arrays
 
-    def transposed(self) -> tuple[tuple, tuple[np.ndarray, np.ndarray]]:
-        """The current snapshot and its transpose ``(indptr, rows)``:
-        ``rows[indptr[v]:indptr[v + 1]]`` are the snapshot positions of the
-        trajectories covering vertex ``v``."""
+    def transposed(
+        self,
+    ) -> tuple[Snapshot, tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """The current snapshot and its two transposes, each ``(indptr,
+        rows)``: ``rows[indptr[v]:indptr[v + 1]]`` are the snapshot
+        positions of the trajectories covering vertex ``v`` in the first
+        and of those holding keyword id ``v`` in the second."""
         arrays = self.snapshot()
         held = self._transposed
         if held is None or held[0] is not arrays:
@@ -125,9 +155,20 @@ class ScanArrays:
                 held = self._transposed
                 if held is None or held[0] is not arrays:
                     num_vertices = self._database.graph.num_vertices
-                    held = (arrays, _transpose(arrays[1], arrays[2], num_vertices))
+                    held = (
+                        arrays,
+                        _transpose(arrays.starts, arrays.vertices, num_vertices),
+                        # Every id in ``arrays`` is below the vocabulary's
+                        # size: folds that grow it also hold the lock.
+                        _transpose(arrays.keyword_starts, arrays.keywords, len(self._vocabulary)),
+                    )
                     self._transposed = held
-        return arrays, held[1]
+        return held
+
+    def keyword_ids(self, keywords: Iterable[str]) -> list[int]:
+        """The vocabulary ids of ``keywords``; words no snapshot has held
+        are left out (they share nothing with any trajectory)."""
+        return [i for i in map(self._vocabulary.get, keywords) if i is not None]
 
 
 def _starts(lengths: np.ndarray) -> np.ndarray:
@@ -136,7 +177,16 @@ def _starts(lengths: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _build(database: TrajectoryDatabase) -> tuple:
+def _intern(vocabulary: dict[str, int], words: Iterable[str], count: int) -> np.ndarray:
+    """The ids of ``count`` words, giving an unseen word the next id."""
+    return np.fromiter(
+        (vocabulary.setdefault(word, len(vocabulary)) for word in words),
+        dtype=np.int32,
+        count=count,
+    )
+
+
+def _build(database: TrajectoryDatabase, vocabulary: dict[str, int]) -> Snapshot:
     """A snapshot read from the trajectories themselves (first use only).
     The id -> trajectory pairs are copied in one call, so a concurrent
     write is either in the copy or still queued for the next fold.  One
@@ -159,62 +209,127 @@ def _build(database: TrajectoryDatabase) -> tuple:
     keys = keys[distinct]
     lengths = np.bincount(keys // num_vertices, minlength=ids.size)
     keys %= num_vertices
-    return ids, _starts(lengths), keys.astype(np.int32), database.sigma
+    keyword_lengths = np.fromiter(
+        (len(trajectory.keywords) for _, trajectory in members), dtype=np.intp, count=ids.size
+    )
+    keywords = _intern(
+        vocabulary,
+        (word for _, trajectory in members for word in trajectory.keywords),
+        int(keyword_lengths.sum()),
+    )
+    return Snapshot(
+        ids, _starts(lengths), keys.astype(np.int32), database.sigma,
+        _starts(keyword_lengths), keywords,
+    )
 
 
-def _fold(arrays: tuple, events: Sequence[MutationEvent]) -> tuple:
+def _fold(
+    arrays: Snapshot, events: Sequence[MutationEvent], vocabulary: dict[str, int]
+) -> Snapshot:
     """``arrays`` with ``events`` applied: per id the last event wins, a
-    remove deletes the segment if present, an add replaces or inserts it."""
-    ids, starts, vertices, sigma = arrays
-    lengths = np.diff(starts, append=vertices.size)
+    remove deletes the trajectory's segments if present, an add replaces
+    or inserts them."""
+    ids = arrays.ids
     latest = {event.trajectory_id: event for event in events}
     touched = np.fromiter(latest, dtype=np.int64, count=len(latest))
     at = np.searchsorted(ids, touched)
     held = at[at < ids.size]
     held = held[ids[held] == touched[at < ids.size]]
-    if held.size:
-        keep = np.ones(ids.size, dtype=bool)
-        keep[held] = False
-        vertices = vertices[np.repeat(keep, lengths)]
-        ids, lengths = ids[keep], lengths[keep]
+    keep = np.ones(ids.size, dtype=bool)
+    keep[held] = False
+    ids = ids[keep]
     added = sorted(
         (event for event in latest.values() if event.kind == "add"),
         key=lambda event: event.trajectory_id,
     )
-    if added:
-        new_ids = np.array([event.trajectory_id for event in added], dtype=np.int64)
-        where = np.searchsorted(ids, new_ids)
-        cuts = np.append(_starts(lengths), vertices.size)[where]
+    new_ids = np.array([event.trajectory_id for event in added], dtype=np.int64)
+    where = np.searchsorted(ids, new_ids)
+    starts, vertices = _splice(
+        arrays.starts, arrays.vertices, keep, where,
+        [event.vertices.astype(np.int32) for event in added],
+    )
+    keyword_starts, keywords = _splice(
+        arrays.keyword_starts, arrays.keywords, keep, where,
+        [_intern(vocabulary, event.keywords, len(event.keywords)) for event in added],
+    )
+    return Snapshot(
+        np.insert(ids, where, new_ids), starts, vertices, arrays.sigma, keyword_starts, keywords
+    )
+
+
+def _splice(
+    starts: np.ndarray,
+    values: np.ndarray,
+    keep: np.ndarray,
+    where: np.ndarray,
+    inserted: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """One of a snapshot's segment arrays with the segments ``~keep``
+    deleted and ``inserted[j]`` placed before kept segment ``where[j]``."""
+    lengths = np.diff(starts, append=values.size)
+    if not keep.all():
+        values = values[np.repeat(keep, lengths)]
+        lengths = lengths[keep]
+    if inserted:
+        cuts = np.append(_starts(lengths), values.size)[where]
         pieces, previous = [], 0
-        for cut, event in zip(cuts.tolist(), added):
-            pieces += (vertices[previous:cut], event.vertices.astype(np.int32))
+        for cut, segment in zip(cuts.tolist(), inserted):
+            pieces += (values[previous:cut], segment)
             previous = cut
-        pieces.append(vertices[previous:])
-        vertices = np.concatenate(pieces)
-        ids = np.insert(ids, where, new_ids)
-        lengths = np.insert(lengths, where, [event.vertices.size for event in added])
-    return ids, _starts(lengths), vertices, sigma
+        pieces.append(values[previous:])
+        values = np.concatenate(pieces)
+        lengths = np.insert(lengths, where, [segment.size for segment in inserted])
+    return _starts(lengths), values
 
 
 def _transpose(
-    starts: np.ndarray, vertices: np.ndarray, num_vertices: int
+    starts: np.ndarray, values: np.ndarray, num_values: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The vertex -> trajectory-position CSR of a snapshot: SciPy's
-    ``tocsc`` (resolved lazily) when present, a stable argsort otherwise."""
+    """The value -> trajectory-position CSR of one of a snapshot's segment
+    arrays (values in ``range(num_values)``, distinct within a segment):
+    SciPy's ``tocsc`` (resolved lazily) when present, a stable argsort
+    otherwise."""
     n = starts.size
     csr_matrix = _scipy_kernels()[0]
     if csr_matrix is not None:
-        indptr = np.append(starts, vertices.size).astype(np.int32)
-        flat = np.ones(vertices.size, dtype=bool)
-        csc = csr_matrix((flat, vertices, indptr), shape=(n, num_vertices)).tocsc()
+        indptr = np.append(starts, values.size).astype(np.int32)
+        flat = np.ones(values.size, dtype=bool)
+        csc = csr_matrix((flat, values, indptr), shape=(n, num_values)).tocsc()
         return csc.indptr, csc.indices
-    owners = np.repeat(np.arange(n, dtype=np.int32), np.diff(starts, append=vertices.size))
-    indptr = np.zeros(num_vertices + 1, dtype=np.int32)
-    np.cumsum(np.bincount(vertices, minlength=num_vertices), out=indptr[1:])
-    return indptr, owners[np.argsort(vertices, kind="stable")]
+    owners = np.repeat(np.arange(n, dtype=np.int32), np.diff(starts, append=values.size))
+    indptr = np.zeros(num_values + 1, dtype=np.int32)
+    np.cumsum(np.bincount(values, minlength=num_values), out=indptr[1:])
+    return indptr, owners[np.argsort(values, kind="stable")]
 
 
 # ------------------------------------------------------------------ kernels
+def _shared_keywords(
+    arrays: Snapshot, postings: tuple[np.ndarray, np.ndarray], words: list[int]
+) -> np.ndarray:
+    """``|q.T & tau.T|`` for every trajectory of ``arrays``: one
+    ``bincount`` over the concatenated postings of the query's keyword ids
+    ``words``.  An id the vocabulary gained after ``arrays`` was captured
+    has no postings here."""
+    indptr, rows = postings
+    held = indptr.size - 1
+    # ``rows[:0]`` keeps the concatenation well defined for no words.
+    hits = np.concatenate([rows[:0]] + [rows[indptr[w]:indptr[w + 1]] for w in words if w < held])
+    return np.bincount(hits, minlength=arrays.ids.size)
+
+
+def _simt(
+    arrays: Snapshot,
+    postings: tuple[np.ndarray, np.ndarray],
+    words: list[int],
+    query: UOTSQuery,
+) -> np.ndarray:
+    """Exact SimT of every trajectory of ``arrays``, the query measure's
+    closed form over ``(|q.T & tau.T|, |q.T|, |tau.T|)``."""
+    shared = _shared_keywords(arrays, postings, words)
+    sizes = np.diff(arrays.keyword_starts, append=arrays.keywords.size)
+    return get_count_form(query.text_measure)(shared, len(query.keywords), sizes)
+
+
 def _text_vector(ids: np.ndarray, text_scores: dict[int, float]) -> np.ndarray:
     """Exact SimT aligned with ``ids``; ids the snapshot lacks are skipped."""
     n = ids.size
@@ -261,7 +376,7 @@ def _items(order, ids, scores, spatial, textual) -> list[ScoredTrajectory]:
 
 
 def scan_topk(
-    arrays: tuple[np.ndarray, np.ndarray, np.ndarray, float],
+    arrays: Snapshot,
     distance_maps: Sequence[np.ndarray],
     text_scores: dict[int, float],
     query: UOTSQuery,
@@ -273,7 +388,7 @@ def scan_topk(
     keyword-sharing trajectory; ids the snapshot lacks (added since) are
     skipped.
     """
-    ids, starts, vertices, sigma = arrays
+    ids, starts, vertices, sigma, *_ = arrays
     n = ids.size
     stats = SearchStats(
         visited_trajectories=n, similarity_evaluations=n, text_candidates=len(text_scores)
@@ -292,7 +407,7 @@ def scan_topk(
 
 
 def _phase1(
-    arrays: tuple,
+    arrays: Snapshot,
     transpose: tuple[np.ndarray, np.ndarray],
     csr: CSRAdjacency,
     textual: np.ndarray,
@@ -305,7 +420,7 @@ def _phase1(
     the round reached the trajectory and ``inf`` elsewhere; ``lower`` scores
     every unreached location at 0 and ``upper`` at ``exp(-radius / sigma)``;
     ``exact`` marks the trajectories whose bounds meet."""
-    ids, _, _, sigma = arrays
+    ids, sigma = arrays.ids, arrays.sigma
     sources = query.locations if query.lam != 0.0 else ()
     distances = np.full((len(sources), ids.size), np.inf)
     settled = pairs = 0
@@ -331,22 +446,22 @@ def _phase1(
 
 
 def bounded_topk(
-    arrays: tuple[np.ndarray, np.ndarray, np.ndarray, float],
+    arrays: Snapshot,
     transpose: tuple[np.ndarray, np.ndarray],
     csr: CSRAdjacency,
-    text_scores: dict[int, float],
+    textual: np.ndarray,
     query: UOTSQuery,
     radius: float,
 ) -> tuple[SearchResult, dict]:
-    """The exact top-k of a snapshot by the two-phase scan (module docs).
+    """The exact top-k of a snapshot by the two-phase scan (module docs),
+    given its vertex transpose and the exact SimT of each trajectory.
 
     Returns the result and what the execute span reports: the radius, the
     (vertex, trajectory) pairs phase 1 reached, the blocking-set size and
     the phase that answered.
     """
-    ids, starts, vertices, sigma = arrays
+    ids, starts, vertices, sigma, *_ = arrays
     n, k = ids.size, query.k
-    textual = _text_vector(ids, text_scores)
     distances, spatial, scores, upper, exact, settled, pairs = _phase1(
         arrays, transpose, csr, textual, query, radius
     )
@@ -391,7 +506,7 @@ def bounded_topk(
         expanded_vertices=settled,
         similarity_evaluations=evaluated,
         pruned_trajectories=n - evaluated,
-        text_candidates=len(text_scores),
+        text_candidates=int(np.count_nonzero(textual)),
     )
     trace = {
         "radius": radius,
@@ -420,8 +535,8 @@ class ScanSearcher:
         self._anytime = CollaborativeSearcher(database)
 
     def warm(self) -> None:
-        """Build the SciPy matrix, the snapshot and its transpose ahead of
-        a fork."""
+        """Build the SciPy matrix, the snapshot and its vertex and keyword
+        postings ahead of a fork."""
         self._database.graph.csr.matrix()
         self._arrays.transposed()
 
@@ -448,6 +563,11 @@ class ScanSearcher:
                 "scores for the blocking set",
                 "est. cost is the expected work of the two phases, not a ceiling",
             )
+        candidate_count = 0
+        if query.keywords:
+            arrays, _, postings = self._arrays.transposed()
+            words = self._arrays.keyword_ids(query.keywords)
+            candidate_count = int(np.count_nonzero(_shared_keywords(arrays, postings, words)))
         return _baseline_plan(
             self,
             query,
@@ -455,6 +575,7 @@ class ScanSearcher:
             use_refinement=False,
             estimated_cost=estimated_cost,
             notes=notes,
+            candidate_count=candidate_count,
         )
 
     def execute(
@@ -470,12 +591,15 @@ class ScanSearcher:
         query.validate_against(database.graph)
         with execute_span(self.plan_name) as span:
             started = time.perf_counter()
-            text_scores = {}
+            # Vertices and keywords come from one captured snapshot, so a
+            # write landing meanwhile is wholly in the answer or wholly not.
+            arrays, transpose, postings = self._arrays.transposed()
+            textual = np.zeros(arrays.ids.size)
             if query.keywords and query.lam != 1.0:
-                text_scores = exact_text_scores(database, query)
-            arrays, transpose = self._arrays.transposed()
+                words = self._arrays.keyword_ids(query.keywords)
+                textual = _simt(arrays, postings, words, query)
             result, trace = bounded_topk(
-                arrays, transpose, database.graph.csr, text_scores, query,
+                arrays, transpose, database.graph.csr, textual, query,
                 PHASE1_RADIUS_SIGMAS * database.sigma,
             )
             result.stats.estimated_cost = plan.estimated_cost

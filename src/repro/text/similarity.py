@@ -5,12 +5,20 @@ defaults to Jaccard (symmetric, in ``[0, 1]``, and exactly zero without any
 shared keyword — the property the pruning relies on) and also provides the
 usual alternatives: Dice, overlap, cosine, and an idf-weighted Jaccard that
 rewards matches on rare terms.
+
+The four set measures are each defined once, as a closed form in
+``(|a & b|, |a|, |b|)`` (:func:`get_count_form`).  The same formula scores
+two keyword sets here and every trajectory of a snapshot at once in the
+``scan`` engine, where the counts are NumPy arrays, so the two paths return
+the same floats.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Mapping
+
+import numpy as np
 
 from repro.errors import QueryError
 
@@ -21,42 +29,68 @@ __all__ = [
     "cosine",
     "weighted_jaccard",
     "get_measure",
+    "get_count_form",
     "text_upper_bound",
     "TextMeasure",
+    "CountForm",
 ]
 
 TextMeasure = Callable[[frozenset[str], frozenset[str]], float]
 
+#: ``(intersection, |a|, |b|) -> similarity``, on Python ints or on NumPy
+#: integer arrays (elementwise; ``|a|`` may stay a scalar).
+CountForm = Callable
+
+
+def _ratio(numerator, denominator):
+    """``numerator / denominator``, and 0 where the numerator is 0.  A
+    denominator below is 0 only when a set is empty, and then so is the
+    intersection: adding ``denominator == 0`` turns that 0 into 1 and
+    leaves every other denominator exactly as it is, on Python numbers
+    and NumPy arrays alike, without a branch on the type."""
+    return numerator / (denominator + (denominator == 0))
+
+
+def jaccard_count(intersection, a, b):
+    """``i / (|a| + |b| - i)``."""
+    return _ratio(intersection, a + b - intersection)
+
+
+def dice_count(intersection, a, b):
+    """``2i / (|a| + |b|)``."""
+    return _ratio(2.0 * intersection, a + b)
+
+
+def overlap_count(intersection, a, b):
+    """``i / min(|a|, |b|)``."""
+    smaller = np.minimum(a, b) if isinstance(intersection, np.ndarray) else min(a, b)
+    return _ratio(intersection, smaller)
+
+
+def cosine_count(intersection, a, b):
+    """``i / sqrt(|a| |b|)``."""
+    root = np.sqrt if isinstance(intersection, np.ndarray) else math.sqrt
+    return _ratio(intersection, root(a * b))
+
 
 def jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     """``|a & b| / |a | b|``; 0 when either set is empty."""
-    if not a or not b:
-        return 0.0
-    intersection = len(a & b)
-    if intersection == 0:
-        return 0.0
-    return intersection / (len(a) + len(b) - intersection)
+    return jaccard_count(len(a & b), len(a), len(b))
 
 
 def dice(a: frozenset[str], b: frozenset[str]) -> float:
     """``2|a & b| / (|a| + |b|)``; 0 when either set is empty."""
-    if not a or not b:
-        return 0.0
-    return 2.0 * len(a & b) / (len(a) + len(b))
+    return dice_count(len(a & b), len(a), len(b))
 
 
 def overlap(a: frozenset[str], b: frozenset[str]) -> float:
     """``|a & b| / min(|a|, |b|)``; 0 when either set is empty."""
-    if not a or not b:
-        return 0.0
-    return len(a & b) / min(len(a), len(b))
+    return overlap_count(len(a & b), len(a), len(b))
 
 
 def cosine(a: frozenset[str], b: frozenset[str]) -> float:
     """Set cosine ``|a & b| / sqrt(|a| |b|)``; 0 when either set is empty."""
-    if not a or not b:
-        return 0.0
-    return len(a & b) / math.sqrt(len(a) * len(b))
+    return cosine_count(len(a & b), len(a), len(b))
 
 
 def weighted_jaccard(
@@ -89,9 +123,12 @@ def text_upper_bound(
     """Upper bound on ``measure(keywords, T)`` over any ``T ⊆ vocabulary``.
 
     With ``c = |keywords ∩ vocabulary|`` and ``q = |keywords|``, any member
-    keyword set ``T`` has ``i = |keywords ∩ T| <= c``, which bounds each
-    set measure by its monotone closed form in ``i`` (``|T| >= i`` in every
-    denominator).  Unknown measures fall back to the trivial bound (1 when
+    keyword set ``T`` has ``i = |keywords ∩ T| <= c`` and ``|T| >= i``.
+    Every closed form falls as ``|T|`` grows (each rounded step is
+    monotone), so the measure is at most ``form(i, q, i)`` for some
+    ``i <= c``, and the largest of those bounds it in floating point too
+    (the algebraically equal ``sqrt(c / q)`` lands one ulp *below* some
+    cosines).  Unknown measures fall back to the trivial bound (1 when
     any overlap is possible) — admissible, never wrong, just unprunable.
 
     Two layers share this bound: the shard planner proves whole shards
@@ -105,16 +142,11 @@ def text_upper_bound(
     c = len(keywords & vocabulary)
     if c == 0:
         return 0.0
-    q = len(keywords)
-    if measure == "jaccard":
-        return c / q
-    if measure == "dice":
-        return 2.0 * c / (q + c)
-    if measure == "cosine":
-        return math.sqrt(c / q)
-    if measure == "overlap":
+    form = _COUNT_FORMS.get(measure)
+    if form is None:
         return 1.0
-    return 1.0
+    q = len(keywords)
+    return max(form(i, q, i) for i in range(1, c + 1))
 
 
 _MEASURES: dict[str, TextMeasure] = {
@@ -123,6 +155,19 @@ _MEASURES: dict[str, TextMeasure] = {
     "overlap": overlap,
     "cosine": cosine,
 }
+
+_COUNT_FORMS: dict[str, CountForm] = {
+    "jaccard": jaccard_count,
+    "dice": dice_count,
+    "overlap": overlap_count,
+    "cosine": cosine_count,
+}
+
+
+def get_count_form(name: str) -> CountForm:
+    """The closed form of a measure :func:`get_measure` accepts (every
+    query's ``text_measure`` has been validated by it)."""
+    return _COUNT_FORMS[name]
 
 
 def get_measure(name: str) -> TextMeasure:

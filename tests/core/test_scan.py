@@ -280,11 +280,12 @@ def test_phase1_bounds_bracket_every_exact_score(world, sigmas):
     bound (unreached locations at 0) and the upper bound (unreached at
     ``exp(-r/sigma)``) bracket the exact score, and meet where phase 1
     calls the trajectory exact."""
-    arrays, transpose = ScanArrays(world).transposed()
-    trajectories = [world.get(int(tid)) for tid in arrays[0]]
+    scan_arrays = ScanArrays(world)
+    arrays, transpose, postings = scan_arrays.transposed()
+    trajectories = [world.get(int(tid)) for tid in arrays.ids]
     for query in seeded_queries(world, seed=19, count=20):
-        text = exact_text_scores(world, query) if query.keywords else {}
-        textual = scan_module._text_vector(arrays[0], text)
+        words = scan_arrays.keyword_ids(query.keywords)
+        textual = scan_module._simt(arrays, postings, words, query)
         _, _, lower, upper, exact, _, _ = scan_module._phase1(
             arrays, transpose, world.graph.csr, textual, query, sigmas * world.sigma
         )
@@ -345,9 +346,91 @@ def test_kernel_skips_text_ids_missing_from_its_snapshot(world):
     assert beyond not in got.ids and between not in got.ids
 
 
+@pytest.mark.parametrize("measure", ("jaccard", "dice", "overlap", "cosine"))
+def test_snapshot_text_equals_exact_text_scores_bit_for_bit(measure):
+    """The postings kernel against the per-id set scoring of the keyword
+    index, scattered by id, through the writes that move the vocabulary: a
+    query word nothing holds, a trajectory with no keywords, an add that
+    brings a new word and the remove of that word's last holder."""
+    database = build_world(cache_size=0)
+    scan_arrays = ScanArrays(database)
+    words = keyword_pool(database)
+    source = database.get(database.trajectories.ids()[0])
+    bare, holder = max(database.trajectories.ids()) + 1, max(database.trajectories.ids()) + 2
+    probes = [
+        UOTSQuery.create([0], [words[0], "nowhere"], lam=0.5, k=3),
+        UOTSQuery.create([0], ["novel", words[1]], lam=0.5, k=3),
+        UOTSQuery.create([0], ["novel"], lam=0.5, k=3),
+    ]
+
+    def check():
+        for query in seeded_queries(database, seed=43, count=15) + probes:
+            query = UOTSQuery.create(
+                query.locations, query.keywords, lam=query.lam, k=query.k, text_measure=measure
+            )
+            arrays, _, postings = scan_arrays.transposed()
+            got = scan_module._simt(arrays, postings, scan_arrays.keyword_ids(query.keywords), query)
+            want = scan_module._text_vector(arrays.ids, exact_text_scores(database, query))
+            assert got.tobytes() == want.tobytes(), query
+
+    check()
+    database.add(source.with_id(bare).with_keywords(()))
+    check()
+    database.add(source.with_id(holder).with_keywords(["novel", words[2]]))
+    check()
+    assert "novel" in scan_arrays._vocabulary
+    database.remove(holder)
+    check()
+    assert database.keyword_index.postings("novel") == []
+
+
+def test_plan_candidate_count_is_the_keyword_index_count():
+    """``candidate_count`` read from the snapshot's postings equals the
+    keyword index's union count, on the seeded sweep and after writes."""
+    database = build_world()
+    scan = make_searcher(database, "scan")
+    queries = seeded_queries(database, seed=7, count=60)
+    queries.append(UOTSQuery.create([0], ["nowhere", keyword_pool(database)[0]]))
+    source = database.get(database.trajectories.ids()[0])
+    next_id = max(database.trajectories.ids()) + 1
+    for step, query in enumerate(queries):
+        if step % 20 == 19:
+            database.add(source.with_id(next_id).with_keywords(["park", f"new{step}"]))
+            database.remove(database.trajectories.ids()[step])
+            next_id += 1
+        want = len(database.keyword_index.candidates(query.keywords)) if query.keywords else 0
+        assert scan.plan(query).candidate_count == want, query
+
+
+def test_a_replace_write_during_execute_never_tears_the_answer(monkeypatch):
+    """A remove + re-add of one id, with other vertices and other keywords,
+    landing as ``execute`` reads the snapshot: the answer must be one
+    database version's (the post-write one here), never the new vertices
+    scored with the old keywords."""
+    database = build_world()
+    scan = make_searcher(database, "scan")
+    victim, location = database.trajectories.ids()[7], 5
+    assert "tearword" not in database.get(victim).keywords
+    query = UOTSQuery.create([location], ["tearword"], lam=0.5, k=3)
+    plan = scan.plan(query)
+    transposed, writes = ScanArrays.transposed, []
+
+    def write_then_read(self):
+        if not writes:
+            writes.append(database.remove(victim))
+            database.add(trajectory(victim, [location], ["tearword"]))
+        return transposed(self)
+
+    monkeypatch.setattr(ScanArrays, "transposed", write_then_read)
+    got = scan.execute(plan)
+    assert writes
+    assert_oracle_equal(database, query, got, oracle_of(database).search(query))
+    assert got.items[0].trajectory_id == victim and got.items[0].score == 1.0
+
+
 # ---------------------------------------------------------------- mutation
 def segments(arrays) -> dict[int, set[int]]:
-    ids, starts, vertices, _ = arrays
+    ids, starts, vertices, *_ = arrays
     ends = np.append(starts[1:], vertices.size)
     return {
         int(tid): set(vertices[start:end].tolist())
@@ -355,8 +438,23 @@ def segments(arrays) -> dict[int, set[int]]:
     }
 
 
+def keyword_segments(scan_arrays, arrays) -> dict[int, frozenset[str]]:
+    """Each trajectory's keywords in ``arrays``, read back through the
+    vocabulary of the :class:`ScanArrays` that built it."""
+    words = {i: word for word, i in scan_arrays._vocabulary.items()}
+    ends = np.append(arrays.keyword_starts[1:], arrays.keywords.size)
+    return {
+        int(tid): frozenset(words[i] for i in arrays.keywords[start:end].tolist())
+        for tid, start, end in zip(arrays.ids, arrays.keyword_starts, ends)
+    }
+
+
 def live_segments(database) -> dict[int, set[int]]:
     return {t.id: set(t.vertex_set) for t in database.trajectories}
+
+
+def live_keywords(database) -> dict[int, frozenset[str]]:
+    return {t.id: t.keywords for t in database.trajectories}
 
 
 def test_array_snapshot_is_lazy_derived_on_mutation_and_never_served_stale():
@@ -364,8 +462,9 @@ def test_array_snapshot_is_lazy_derived_on_mutation_and_never_served_stale():
     arrays = ScanArrays(database)
     assert arrays._arrays is None  # nothing built until first use
     first = arrays.snapshot()
-    assert first[2].dtype == np.int32
-    ids, starts, vertices, _ = first
+    assert first.vertices.dtype == first.keywords.dtype == np.int32
+    assert keyword_segments(arrays, first) == live_keywords(database)
+    ids, starts, vertices, *_ = first
     for tid, start, end in zip(ids, starts, np.append(starts[1:], vertices.size)):
         # each segment: the trajectory's distinct vertices, ascending
         assert vertices[start:end].tolist() == sorted(database.get(int(tid)).vertex_set)
@@ -408,10 +507,10 @@ def test_a_write_landing_during_a_fold_is_folded_next_time(monkeypatch):
     late = max(database.trajectories.ids()) + 1
     fold = scan_module._fold
 
-    def fold_while_a_write_lands(held, events):
+    def fold_while_a_write_lands(*args):
         if late not in database.trajectories:
             database.add(source.with_id(late))  # queued mid-fold
-        return fold(held, events)
+        return fold(*args)
 
     monkeypatch.setattr(scan_module, "_fold", fold_while_a_write_lands)
     database.remove(database.trajectories.ids()[1])
@@ -426,8 +525,8 @@ def test_concurrent_searches_and_writes_lose_no_event():
     snapshot and transpose must still describe the live set exactly."""
     database = build_world()
     scan = make_searcher(database, "scan")
-    queries = [  # lam = 1: no keyword index on the readers' path
-        UOTSQuery.create(q.locations, (), lam=1.0, k=q.k)
+    queries = [  # the readers' keywords go through the growing vocabulary
+        UOTSQuery.create(q.locations, q.keywords or ["park"], lam=0.5, k=q.k)
         for q in seeded_queries(database, seed=31, count=6)
     ]
     stop, errors = threading.Event(), []
@@ -462,8 +561,10 @@ def test_concurrent_searches_and_writes_lose_no_event():
         sys.setswitchinterval(interval)
     assert not any(reader.is_alive() for reader in readers)
     assert not errors, errors
-    (ids, *rest), (indptr, rows) = scan._arrays.transposed()
-    assert segments((ids, *rest)) == live_segments(database)
+    arrays, (indptr, rows), _ = scan._arrays.transposed()
+    ids = arrays.ids
+    assert segments(arrays) == live_segments(database)
+    assert keyword_segments(scan._arrays, arrays) == live_keywords(database)
     covering = {v: set() for v in range(database.graph.num_vertices)}
     for t in database.trajectories:
         for vertex in t.vertex_set:
@@ -491,27 +592,43 @@ def test_folded_snapshots_equal_a_fresh_build_after_any_write_sequence():
             elif roll < 0.7:
                 database.remove(rng.choice(ids))
             else:  # re-add an id in the middle of the range, other vertices
-                tid = rng.choice(ids)
+                tid = rng.choice(ids)  # and keywords, one of them new
                 database.remove(tid)
-                database.add(database.get(rng.choice(database.trajectories.ids())).with_id(tid))
+                other = database.get(rng.choice(database.trajectories.ids()))
+                keywords = sorted(other.keywords)[:2] + [f"new{next_id}"]
+                database.add(other.with_id(tid).with_keywords(keywords))
+                next_id += 1
         folded = arrays.snapshot()
-        assert folded[0].tolist() == sorted(database.trajectories.ids())
+        fresh_arrays = ScanArrays(database)
+        fresh = fresh_arrays.snapshot()
+        assert folded.ids.tolist() == fresh.ids.tolist() == sorted(database.trajectories.ids())
+        for name in ("starts", "vertices", "keyword_starts"):
+            assert np.array_equal(getattr(folded, name), getattr(fresh, name)), name
         assert segments(folded) == live_segments(database)
+        assert keyword_segments(arrays, folded) == keyword_segments(fresh_arrays, fresh)
+        assert keyword_segments(arrays, folded) == live_keywords(database)
 
 
 @pytest.mark.parametrize("tier", ("scipy", "argsort"))
 def test_transpose_lists_exactly_the_trajectories_on_each_vertex(monkeypatch, tier):
+    """Both postings: per vertex against the vertex index, per keyword
+    against the keyword index."""
     if tier == "argsort":
         monkeypatch.setattr(scan_module, "_scipy_kernels", lambda: (None, None))
     elif not scipy_available():
         pytest.skip("scipy absent")
     database = build_world()
     database.remove(database.trajectories.ids()[3])
-    (ids, *_), (indptr, rows) = ScanArrays(database).transposed()
+    scan_arrays = ScanArrays(database)
+    arrays, (indptr, rows), (keyword_indptr, keyword_rows) = scan_arrays.transposed()
     index = database.vertex_index
     for vertex in range(database.graph.num_vertices):
-        owners = ids[rows[indptr[vertex]:indptr[vertex + 1]]]
+        owners = arrays.ids[rows[indptr[vertex]:indptr[vertex + 1]]]
         assert sorted(owners.tolist()) == index.trajectories_at(vertex)
+    assert scan_arrays._vocabulary.keys() == set(keyword_pool(database))
+    for word, i in scan_arrays._vocabulary.items():
+        owners = arrays.ids[keyword_rows[keyword_indptr[i]:keyword_indptr[i + 1]]]
+        assert sorted(owners.tolist()) == database.keyword_index.postings(word)
 
 
 def test_add_remove_interleavings_stay_oracle_equal():
@@ -708,3 +825,21 @@ def test_scan_path_never_builds_a_vertex_set(tmp_path):
         UOTSQuery.create([3, 77], ["park"], lam=0.5, k=3)
     )
     assert any(t._vertex_set is not None for t in database.trajectories)
+
+
+def test_scan_path_never_fills_the_text_cache():
+    """``warm()`` and cold unbudgeted ``scan`` queries score text from the
+    snapshot's postings: the database's text-score cache stays empty (the
+    collaborative path still fills it)."""
+    database = build_world()
+    scan = make_searcher(database, "scan")
+    scan.warm()
+    queries = seeded_queries(database, seed=6, count=12)
+    assert any(q.keywords and q.lam != 1.0 for q in queries)
+    for query in queries:
+        scan.search(query)
+    assert len(database.caches.text) == 0
+    make_searcher(database, "collaborative").search(
+        UOTSQuery.create([3, 77], ["park"], lam=0.5, k=3)
+    )
+    assert len(database.caches.text) == 1
