@@ -27,7 +27,8 @@ import pytest
 from common import SMOKE, bundle_for, paper_profile
 from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
-from repro.parallel.executor import fork_available, parallel_search, parallel_self_join
+from repro.join.tsjoin import TwoPhaseJoin
+from repro.parallel.executor import fork_available, parallel_search
 from repro.service import QueryService
 
 WORKERS = [1, 2, 4]
@@ -147,17 +148,23 @@ def run_experiment() -> None:
         type(profile)(scale=profile.scale, trajectories=profile.trajectories // 8,
                       queries=profile.queries)
     )
-    reference_pairs = None
+    reference = None
     rows = []
     for workers in WORKERS:
-        elapsed, result = _median_seconds(
-            lambda: parallel_self_join(small.database, 1.9, workers=workers)
+        join = TwoPhaseJoin(small.database, workers=workers)
+        elapsed, result = _median_seconds(lambda: join.self_join(1.9))
+        # Pairs with their scores, and the work phase 1 did: a fan-out
+        # that ran a different configuration reads "NO" here.
+        observed = (
+            result.pairs, result.candidate_pairs, result.stats.expanded_vertices,
+            result.stats.visited_trajectories, result.stats.similarity_evaluations,
         )
-        if reference_pairs is None:
-            reference_pairs, base = result.pair_set(), elapsed
-        identical = "yes" if result.pair_set() == reference_pairs else "NO"
+        if reference is None:
+            reference, base = observed, elapsed
+        identical = "yes" if observed == reference else "NO"
         rows.append((workers, f"{elapsed:.2f}", f"{base / elapsed:.2f}", identical))
     print(format_table(["workers", "seconds", "speedup", "identical"], rows))
+    assert all(row[-1] == "yes" for row in rows), "join differs across workers"
 
 
 if __name__ == "__main__":

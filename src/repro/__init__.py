@@ -86,12 +86,7 @@ from repro.network import (
     shortest_path,
     shortest_path_length,
 )
-from repro.parallel import (
-    fork_available,
-    parallel_join,
-    parallel_search,
-    parallel_self_join,
-)
+from repro.parallel import fork_available, parallel_search
 from repro.resilience import (
     BudgetMeter,
     FaultInjector,
@@ -197,9 +192,7 @@ __all__ = [
     "get_registry",
     "grid_network",
     "make_searcher",
-    "parallel_join",
     "parallel_search",
-    "parallel_self_join",
     "random_geometric_network",
     "ring_radial_network",
     "shortest_path",

@@ -432,7 +432,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 app,
                 host=args.host,
                 port=args.port,
-                use_uvicorn=False if args.no_uvicorn else None,
                 ready_callback=on_ready,
                 shutdown_event=stop,
             )
@@ -693,11 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-pending", type=int, default=None, metavar="N",
         help="bound on bridged calls queued-or-running "
              "(default 4x --gateway-workers; past it /query answers 503)",
-    )
-    p.add_argument(
-        "--no-uvicorn", action="store_true",
-        help="force the built-in asyncio HTTP server even when uvicorn "
-             "is installed",
     )
     p.add_argument(
         "--no-alt", action="store_true",

@@ -13,8 +13,6 @@ retries are exhausted; detected page corruption always surfaces as
 
 from __future__ import annotations
 
-import warnings
-
 
 class ReproError(Exception):
     """Base class for every error raised by the library."""
@@ -53,11 +51,7 @@ class QueryError(ReproError):
 
 
 class TrajectoryIndexError(ReproError):
-    """Raised for index inconsistencies (duplicate ids, unknown trajectory).
-
-    Previously named ``IndexError_``; the old name is kept as a deprecated
-    alias (it shadowed the ``IndexError`` builtin awkwardly).
-    """
+    """Raised for index inconsistencies (duplicate ids, unknown trajectory)."""
 
 
 class DatasetError(ReproError):
@@ -143,15 +137,3 @@ class BudgetExceededError(ReproError):
     def __init__(self, reason: str):
         self.reason = reason
         super().__init__(f"search budget exceeded: {reason}")
-
-
-def __getattr__(name: str):
-    if name == "IndexError_":
-        warnings.warn(
-            "repro.errors.IndexError_ is deprecated; "
-            "use repro.errors.TrajectoryIndexError instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return TrajectoryIndexError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,15 +8,14 @@ Layered so the import cost matches what a caller actually uses:
   intact (see ``tests/test_import_light.py``);
 - :mod:`repro.gateway.schemas` / :mod:`repro.gateway.app` — need
   pydantic (the wire contract); gate on :func:`require_http_deps`;
-- :mod:`repro.gateway.server` — stdlib HTTP/1.1 server, uses uvicorn
-  opportunistically when installed.
+- :mod:`repro.gateway.server` — the stdlib HTTP/1.1 server.
 
 Typical embedding (what ``repro serve`` does)::
 
     service = QueryService(database, "collaborative", metrics=True, ...)
     gateway = AsyncQueryService(service, max_workers=8)
     app = create_app(gateway)          # needs pydantic
-    await serve(app, host, port)       # stdlib server (or uvicorn)
+    await serve(app, host, port)       # stdlib asyncio server
 """
 
 from __future__ import annotations

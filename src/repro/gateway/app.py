@@ -3,10 +3,9 @@
 A plain ASGI 3 callable (``async def app(scope, receive, send)``) rather
 than a FastAPI router: the serving container ships no web framework, and
 the route table below is six endpoints — a dispatch dict is smaller than
-the dependency.  The app runs unchanged under any ASGI server (uvicorn
-when installed, the stdlib server in :mod:`repro.gateway.server`
-otherwise) and under the in-process test client in
-:mod:`repro.gateway.testing`.
+the dependency.  The app runs unchanged under the stdlib server in
+:mod:`repro.gateway.server`, under the in-process test client in
+:mod:`repro.gateway.testing`, and under any other ASGI server.
 
 Routes and status mapping (DESIGN.md §14):
 
@@ -226,7 +225,7 @@ def create_app(gateway: AsyncQueryService, registry: MetricsRegistry | None = No
 
     async def app(scope, receive, send) -> None:
         if scope["type"] == "lifespan":
-            # Minimal lifespan protocol so uvicorn-style servers start
+            # Minimal lifespan protocol so general ASGI servers start
             # cleanly; shutdown drains the bridge.
             while True:
                 message = await receive()

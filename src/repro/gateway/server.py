@@ -1,20 +1,14 @@
 """A minimal asyncio HTTP/1.1 server for the gateway's ASGI app.
 
-The deployment story has two rungs:
+:class:`HTTPServer`, built on :func:`asyncio.start_server`, speaks enough
+HTTP/1.1 for the gateway's own contract — JSON request/response bodies
+with ``Content-Length``, keep-alive, graceful shutdown.  It is
+deliberately *not* a general web server: no chunked transfer-encoding
+(411 when asked), no TLS, no websockets, bounded header/body sizes.
 
-- **uvicorn installed** → :func:`serve` hands the app to uvicorn (the
-  production-grade server: chunked bodies, websockets, h11 edge cases);
-- **bare container** (this repo's baseline: no web framework, no server
-  package) → :class:`HTTPServer` below, built on
-  :func:`asyncio.start_server`, speaks enough HTTP/1.1 for the gateway's
-  own contract — JSON request/response bodies with ``Content-Length``,
-  keep-alive, graceful shutdown.  It is deliberately *not* a general web
-  server: no chunked transfer-encoding (411 when asked), no TLS, no
-  websockets, bounded header/body sizes.
-
-Everything here is stdlib + the app callable, so ``repro serve`` works in
-the hermetic test container; uvicorn is picked up opportunistically when
-present (``--no-uvicorn`` forces the stdlib path for parity testing).
+Everything here is stdlib + the app callable, so ``repro serve`` needs no
+server package.  The app is plain ASGI, so embedders that want another
+server can hand it one themselves.
 """
 
 from __future__ import annotations
@@ -230,41 +224,18 @@ class HTTPServer:
             await writer.drain()
 
 
-def _uvicorn_available() -> bool:
-    try:
-        import uvicorn  # noqa: F401
-    except ModuleNotFoundError:
-        return False
-    return True
-
-
 async def serve(
     app,
     host: str = "127.0.0.1",
     port: int = 8000,
-    use_uvicorn: bool | None = None,
     ready_callback=None,
     shutdown_event: asyncio.Event | None = None,
 ) -> None:
     """Serve ``app`` until ``shutdown_event`` is set (or forever).
 
-    ``use_uvicorn=None`` auto-detects; the stdlib server is always the
-    fallback.  ``ready_callback(host, port)`` fires once the socket is
-    bound — the CLI prints the listening line from it, tests learn the
-    ephemeral port.
+    ``ready_callback(host, port)`` fires once the socket is bound — the
+    CLI prints the listening line from it, tests learn the ephemeral port.
     """
-    if use_uvicorn is None:
-        use_uvicorn = _uvicorn_available()
-    if use_uvicorn:  # pragma: no cover - uvicorn absent in the test image
-        import uvicorn
-
-        config = uvicorn.Config(app, host=host, port=port, log_level="warning")
-        server = uvicorn.Server(config)
-        if ready_callback is not None:
-            ready_callback(host, port)
-        await server.serve()
-        return
-
     server = HTTPServer(app, host=host, port=port)
     await server.start()
     if ready_callback is not None:

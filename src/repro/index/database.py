@@ -236,16 +236,6 @@ class TrajectoryDatabase:
         if listener in self._mutation_listeners:
             self._mutation_listeners.remove(listener)
 
-    def add_invalidation_listener(self, listener: Callable[[int], None]) -> None:
-        """Legacy hook: register an id-only mutation callback.
-
-        Kept for callers that only need the mutated trajectory id and none
-        of the event's scope.  New code should use
-        :meth:`add_mutation_listener`, which also carries the mutation kind,
-        keyword set, and vertex array needed for scoped invalidation.
-        """
-        self._mutation_listeners.append(lambda event: listener(event.trajectory_id))
-
     def _event(self, kind: str, trajectory: Trajectory) -> MutationEvent:
         """Build the scoped event for a just-applied mutation (its vertex
         array is the trajectory's own distinct-vertex array)."""

@@ -9,7 +9,7 @@ spatio-temporal expansion search (:class:`DirectionalSearchEngine`) collects
 its candidate set ``C(t) = {t' : V(t, t') >= theta - 1}`` — sufficient
 because each directional ``V`` is at most 1, so a qualifying pair must reach
 ``theta - 1`` in *both* directions.  The per-trajectory searches are
-independent, which is what the parallel executor exploits.
+independent, so ``TwoPhaseJoin(workers=N)`` forks them over ``N`` processes.
 
 Phase 2 (merging): a pair qualifies iff each trajectory appears in the
 other's candidate set and the two exact directional values sum to at least
@@ -19,6 +19,7 @@ candidate, independent of how many workers ran phase 1.
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 from dataclasses import dataclass, field
 
@@ -27,6 +28,9 @@ from repro.errors import QueryError
 from repro.index.database import TrajectoryDatabase
 from repro.join.pairs import PairwiseScorer
 from repro.matching.engine import DirectionalSearchEngine
+from repro.obs import harvest
+from repro.obs.trace import current_tracer
+from repro.parallel.executor import fork_available
 
 __all__ = ["JoinResult", "TwoPhaseJoin", "TopKJoin", "BruteForceJoin"]
 
@@ -58,8 +62,66 @@ def _validate_theta(theta: float) -> None:
         raise QueryError(f"theta must be in (0, 2], got {theta}")
 
 
+@dataclass
+class _Phase1State:
+    """Everything a phase-1 task reads: per side, the trajectories searched
+    and the engine they search against.  Forked workers receive it through
+    ``Pool`` initargs, so it is inherited, never pickled."""
+
+    sides: dict[str, tuple[TrajectoryDatabase, DirectionalSearchEngine]]
+    lam: float
+    limit: float
+    exclude_self: bool
+    config: dict | None  # harvest config; None in process (the work is the parent's)
+
+    def search(self, task: tuple[str, int]):
+        """One trajectory's candidate set: ``(side, id, values, stats,
+        telemetry)``."""
+        side, trajectory_id = task
+        database, engine = self.sides[side]
+        points = database.get(trajectory_id).samples()
+        exclude_id = trajectory_id if self.exclude_self else None
+        if not self.config:
+            candidates = engine.threshold_search(
+                points, self.lam, self.limit, exclude_id=exclude_id
+            )
+            return side, trajectory_id, candidates.values, candidates.stats, None
+        with harvest.collecting(self.config) as collector:
+            # threshold_search is not span-instrumented; the task root gives
+            # the stitched join trace its per-trajectory timing.
+            with collector.tracer.span(
+                "join_task", trajectory_id=trajectory_id, side=side
+            ):
+                candidates = engine.threshold_search(
+                    points, self.lam, self.limit, exclude_id=exclude_id
+                )
+            collector.record_stats(candidates.stats, kind="join")
+        return (
+            side, trajectory_id, candidates.values, candidates.stats,
+            collector.telemetry(),
+        )
+
+
+#: A forked phase-1 worker's state, set once by its pool initializer.
+_FORKED: _Phase1State | None = None
+
+
+def _adopt(state: _Phase1State) -> None:
+    global _FORKED
+    _FORKED = state
+
+
+def _forked_search(task: tuple[str, int]):
+    return _FORKED.search(task)
+
+
 class TwoPhaseJoin:
-    """The two-phase divide-and-conquer threshold join."""
+    """The two-phase divide-and-conquer threshold join.
+
+    ``workers > 1`` runs phase 1 on a fork-context process pool (SciPy's
+    Dijkstra holds the GIL, so threads would not help); without ``fork``
+    it runs in process.  Results and work counters do not depend on it.
+    """
 
     def __init__(
         self,
@@ -68,6 +130,7 @@ class TwoPhaseJoin:
         lam: float = 0.5,
         sigma_t: float = 1800.0,
         batch_size: int = 16,
+        workers: int = 1,
     ):
         """``other`` enables the non-self join ``P x Q``; both databases must
         share the same spatial network."""
@@ -75,93 +138,96 @@ class TwoPhaseJoin:
             raise QueryError("both join sides must share the same spatial network")
         if not (0.0 <= lam <= 1.0):
             raise QueryError(f"lam must be in [0, 1], got {lam}")
+        if workers < 1:
+            raise QueryError(f"workers must be >= 1, got {workers}")
         self._database = database
         self._other = other
         self._lam = lam
         self._sigma_t = sigma_t
         self._batch_size = batch_size
+        self._workers = workers
 
-    # ------------------------------------------------------------- phase 1
-    def candidate_sets(
-        self,
-        source: TrajectoryDatabase,
-        target_engine: DirectionalSearchEngine,
-        theta: float,
-        stats: SearchStats,
-        exclude_self: bool,
-    ) -> dict[int, dict[int, float]]:
-        """One directional threshold search per trajectory of ``source``."""
-        limit = theta - 1.0
-        sets: dict[int, dict[int, float]] = {}
-        for trajectory in source.trajectories:
-            candidates = target_engine.threshold_search(
-                trajectory.samples(),
-                self._lam,
-                limit,
-                exclude_id=trajectory.id if exclude_self else None,
-            )
-            sets[trajectory.id] = candidates.values
-            stats.merge(candidates.stats)
-        return sets
+    def _engine(self, database: TrajectoryDatabase) -> DirectionalSearchEngine:
+        return DirectionalSearchEngine(
+            database, sigma_t=self._sigma_t, batch_size=self._batch_size
+        )
 
     # -------------------------------------------------------------- joins
     def self_join(self, theta: float) -> JoinResult:
         """All pairs within ``P`` with ``SimST >= theta``."""
         _validate_theta(theta)
-        started = time.perf_counter()
-        result = JoinResult()
-        engine = DirectionalSearchEngine(
-            self._database, sigma_t=self._sigma_t, batch_size=self._batch_size
-        )
-        sets = self.candidate_sets(
-            self._database, engine, theta, result.stats, exclude_self=True
-        )
-        for id1, candidates in sets.items():
-            for id2, v12 in candidates.items():
-                if id2 <= id1:
-                    continue  # each unordered pair once
-                v21 = sets.get(id2, {}).get(id1)
-                if v21 is None:
-                    continue
-                result.candidate_pairs += 1  # mutual candidates get scored
-                score = v12 + v21
-                if score >= theta - _EPS:
-                    result.pairs.append((id1, id2, score))
-        result.pairs.sort()
-        result.stats.elapsed_seconds = time.perf_counter() - started
-        return result
+        sides = {"p": (self._database, self._engine(self._database))}
+        return self._run(sides, theta, self_join=True)
 
     def join(self, theta: float) -> JoinResult:
         """All pairs across ``P x Q`` with ``SimST >= theta``."""
         _validate_theta(theta)
         if self._other is None:
             raise QueryError("non-self join requires an 'other' database")
+        # Side "p" trajectories search the Q engine and vice versa.
+        sides = {
+            "p": (self._database, self._engine(self._other)),
+            "q": (self._other, self._engine(self._database)),
+        }
+        return self._run(sides, theta, self_join=False)
+
+    def _run(self, sides: dict, theta: float, self_join: bool) -> JoinResult:
         started = time.perf_counter()
+        tasks = [
+            (side, trajectory_id)
+            for side, (database, __) in sides.items()
+            for trajectory_id in database.trajectories.ids()
+        ]
         result = JoinResult()
-        engine_q = DirectionalSearchEngine(
-            self._other, sigma_t=self._sigma_t, batch_size=self._batch_size
-        )
-        engine_p = DirectionalSearchEngine(
-            self._database, sigma_t=self._sigma_t, batch_size=self._batch_size
-        )
-        from_p = self.candidate_sets(
-            self._database, engine_q, theta, result.stats, exclude_self=False
-        )
-        from_q = self.candidate_sets(
-            self._other, engine_p, theta, result.stats, exclude_self=False
-        )
-        for id1, candidates in from_p.items():
-            for id2, v12 in candidates.items():
-                v21 = from_q.get(id2, {}).get(id1)
-                if v21 is None:
-                    continue
-                result.candidate_pairs += 1  # mutual candidates get scored
-                score = v12 + v21
-                if score >= theta - _EPS:
-                    result.pairs.append((id1, id2, score))
-        result.pairs.sort()
+        found: dict[str, dict[int, dict[int, float]]] = {side: {} for side in sides}
+        tracer = current_tracer()
+        with tracer.span("parallel_join", workers=self._workers, tasks=len(tasks)) as span:
+            rows = self._phase1(sides, tasks, theta - 1.0, self_join)
+            for side, trajectory_id, values, stats, telemetry in rows:
+                found[side][trajectory_id] = values
+                result.stats.merge(stats)
+                harvest.merge_telemetry(telemetry)
+                harvest.graft_telemetry(tracer, span, telemetry)
+        _merge(result, found["p"], found["p" if self_join else "q"], theta, self_join)
         result.stats.elapsed_seconds = time.perf_counter() - started
         return result
+
+    # ------------------------------------------------------------- phase 1
+    def _phase1(self, sides: dict, tasks: list, limit: float, self_join: bool) -> list:
+        """One directional threshold search per task, in process or forked."""
+        forked = self._workers > 1 and fork_available()
+        config = harvest.harvest_config() if forked else None
+        state = _Phase1State(sides, self._lam, limit, self_join, config)
+        if not forked:
+            return [state.search(task) for task in tasks]
+        context = multiprocessing.get_context("fork")
+        with context.Pool(self._workers, initializer=_adopt, initargs=(state,)) as pool:
+            chunk = max(1, len(tasks) // (self._workers * 8))
+            return pool.map(_forked_search, tasks, chunksize=chunk)
+
+
+# ----------------------------------------------------------------- phase 2
+def _merge(
+    result: JoinResult,
+    forward: dict[int, dict[int, float]],
+    backward: dict[int, dict[int, float]],
+    theta: float,
+    self_join: bool,
+) -> None:
+    """Score every mutual candidate pair into ``result``: a dictionary
+    intersection, the same work whoever ran phase 1."""
+    for id1, candidates in forward.items():
+        for id2, v12 in candidates.items():
+            if self_join and id2 <= id1:
+                continue  # each unordered pair once
+            v21 = backward.get(id2, {}).get(id1)
+            if v21 is None:
+                continue
+            result.candidate_pairs += 1  # mutual candidates get scored
+            score = v12 + v21
+            if score >= theta - _EPS:
+                result.pairs.append((id1, id2, score))
+    result.pairs.sort()
 
 
 class TopKJoin:

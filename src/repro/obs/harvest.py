@@ -1,7 +1,7 @@
 """Cross-process telemetry harvest: worker spans and counters come home.
 
-The fork executor (:mod:`repro.parallel.executor`) runs batch queries and
-join tasks in forked worker processes whose memory — including any spans
+The search worker pool (:mod:`repro.parallel.pool`) and the join's
+phase 1 (``TwoPhaseJoin(workers=N)``) run tasks in forked worker processes whose memory — including any spans
 or metric increments they record — is copy-on-write private and dies with
 the worker.  Before this module, the parent's trace showed a forked
 ``query`` as an opaque box and the process registry never saw worker-side
@@ -9,8 +9,9 @@ work.
 
 The harvest protocol closes that gap in three steps:
 
-1. **Capture (worker side).**  At fork time the parent stages a harvest
-   config (:func:`harvest_config`) in the worker handoff payload.  Each
+1. **Capture (worker side).**  The parent sends a harvest config
+   (:func:`harvest_config`) with each pooled query, or hands it to the
+   join's pool as an initializer argument.  Each
    worker task runs inside :func:`collecting`, which activates a fresh
    bounded :class:`~repro.obs.trace.Tracer` (same per-trace caps as the
    parent's) and, when metric harvesting is on, a fresh
@@ -165,9 +166,9 @@ class HarvestCollector:
 def collecting(config: dict):
     """Run a worker task under its own harvest collector.
 
-    ``config`` is the dict :func:`harvest_config` staged through the fork
-    handoff.  The collector's tracer is activated as the ambient tracer
-    for the dynamic extent, so the existing instrumentation (``query`` /
+    ``config`` is the dict :func:`harvest_config` built in the parent.
+    The collector's tracer is activated as the ambient tracer for the
+    dynamic extent, so the existing instrumentation (``query`` /
     ``plan`` / ``execute`` spans, stage timers) records into it unchanged.
     """
     collector = HarvestCollector(

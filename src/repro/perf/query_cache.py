@@ -90,17 +90,6 @@ class QueryCaches:
             keywords = event.keywords
             self.text.invalidate_where(lambda key: bool(key[0] & keywords))
 
-    def invalidate_trajectory(self, trajectory_id: int) -> None:
-        """Legacy conservative invalidation by id alone.
-
-        Without the mutation's keyword scope the text cache cannot tell
-        which tables are affected, so it clears wholesale.  The database
-        now dispatches typed events through :meth:`on_event`; this remains
-        for callers holding only an id.
-        """
-        self.distances.invalidate_where(lambda key: key[0] == trajectory_id)
-        self.text.clear()
-
     def clear(self) -> None:
         """Drop all cached entries from both caches."""
         self.distances.clear()

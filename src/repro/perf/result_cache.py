@@ -419,18 +419,6 @@ class ResultCache:
         """LRU capacity eviction hook: keep the reverse index consistent."""
         self._unlink(key, entry)
 
-    def on_mutation(self, trajectory_id: int) -> None:
-        """Legacy id-only mutation hook: clears everything.
-
-        Without the mutation's kind and scope neither the reverse index
-        (needs to know it was a removal) nor the add bound (needs keywords
-        and vertices) applies; wholesale clearing is the only correct
-        response to a bare id.  The database now dispatches typed events —
-        prefer wiring :meth:`on_event` through
-        ``database.add_mutation_listener``.
-        """
-        self.clear()
-
     def clear(self) -> None:
         """Drop all cached results (counters are kept — they are history)."""
         with self._lock:

@@ -87,13 +87,6 @@ class TestDispatch:
             db.add(_traj(0, [7]))  # duplicate id: rolled back
         assert events == []
 
-    def test_legacy_listener_receives_the_id(self, db):
-        seen = []
-        db.add_invalidation_listener(seen.append)
-        db.add(_traj(2, [5], ["museum"]))
-        db.remove(2)
-        assert seen == [2, 2]
-
 
 class TestErrorAggregation:
     """Satellite 1: a raising listener must not abort mid-dispatch."""

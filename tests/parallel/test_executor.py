@@ -11,7 +11,7 @@ from repro.core.query import UOTSQuery
 from repro.errors import QueryError
 from repro.index.database import TrajectoryDatabase
 from repro.join.tsjoin import TwoPhaseJoin
-from repro.parallel.executor import fork_available, parallel_search, parallel_self_join
+from repro.parallel.executor import fork_available, parallel_search
 from repro.trajectory.generator import generate_trips
 
 
@@ -62,22 +62,22 @@ class TestParallelSelfJoin:
 
     def test_sequential_matches_twophase(self, small_db):
         expected = TwoPhaseJoin(small_db).self_join(1.5)
-        got = parallel_self_join(small_db, 1.5, workers=1)
+        got = TwoPhaseJoin(small_db, workers=1).self_join(1.5)
         assert got.pair_set() == expected.pair_set()
 
     @pytest.mark.skipif(not fork_available(), reason="fork not available")
     def test_workers_return_identical_pairs(self, small_db):
-        sequential = parallel_self_join(small_db, 1.4, workers=1)
-        parallel = parallel_self_join(small_db, 1.4, workers=3)
+        sequential = TwoPhaseJoin(small_db, workers=1).self_join(1.4)
+        parallel = TwoPhaseJoin(small_db, workers=3).self_join(1.4)
         assert parallel.pair_set() == sequential.pair_set()
 
     def test_invalid_theta_rejected(self, small_db):
         with pytest.raises(QueryError):
-            parallel_self_join(small_db, 0.0, workers=2)
+            TwoPhaseJoin(small_db, workers=2).self_join(0.0)
 
     def test_invalid_workers_rejected(self, small_db):
         with pytest.raises(QueryError):
-            parallel_self_join(small_db, 1.5, workers=-1)
+            TwoPhaseJoin(small_db, workers=-1)
 
 
 class TestParallelNonSelfJoin:
@@ -94,25 +94,19 @@ class TestParallelNonSelfJoin:
         return p_db, q_db
 
     def test_sequential_matches_twophase(self, sides):
-        from repro.parallel.executor import parallel_join
-
         p_db, q_db = sides
         expected = TwoPhaseJoin(p_db, q_db).join(1.4)
-        got = parallel_join(p_db, q_db, 1.4, workers=1)
+        got = TwoPhaseJoin(p_db, q_db, workers=1).join(1.4)
         assert got.pair_set() == expected.pair_set()
 
     @pytest.mark.skipif(not fork_available(), reason="fork not available")
     def test_workers_return_identical_pairs(self, sides):
-        from repro.parallel.executor import parallel_join
-
         p_db, q_db = sides
-        sequential = parallel_join(p_db, q_db, 1.4, workers=1)
-        fanned = parallel_join(p_db, q_db, 1.4, workers=3)
+        sequential = TwoPhaseJoin(p_db, q_db, workers=1).join(1.4)
+        fanned = TwoPhaseJoin(p_db, q_db, workers=3).join(1.4)
         assert fanned.pair_set() == sequential.pair_set()
 
     def test_invalid_workers_rejected(self, sides):
-        from repro.parallel.executor import parallel_join
-
         p_db, q_db = sides
         with pytest.raises(QueryError):
-            parallel_join(p_db, q_db, 1.4, workers=0)
+            TwoPhaseJoin(p_db, q_db, workers=0)

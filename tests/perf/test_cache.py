@@ -151,16 +151,6 @@ class TestQueryCaches:
         assert caches.distances.capacity == 1000
         assert caches.text.capacity == max(8, 1000 // 128)
 
-    def test_invalidate_trajectory_drops_its_distances(self):
-        caches = QueryCaches(capacity=64)
-        caches.distances.put((7, 10), 1.0)
-        caches.distances.put((8, 10), 2.0)
-        caches.text.put((frozenset({"a"}), "jaccard"), {7: 0.5})
-        caches.invalidate_trajectory(7)
-        assert (7, 10) not in caches.distances
-        assert (8, 10) in caches.distances
-        assert len(caches.text) == 0  # text tables cover all ids: cleared
-
     def test_stats_by_name(self):
         caches = QueryCaches()
         stats = caches.stats()

@@ -157,13 +157,16 @@ class TestContainer:
         assert cache.get("k").stats.elapsed_seconds == 0.0
 
     def test_mutation_hook_and_clear_drop_entries_keep_history(self):
-        cache = ResultCache(4)
+        cache = ResultCache(4, scoped=False)
         cache.put("k", _result())
         cache.get("k")
-        cache.on_mutation(trajectory_id=123)
+        cache.on_event(_event(trajectory_id=123))
         assert len(cache) == 0
         assert cache.stats.hits == 1  # counters describe history
         assert cache.get("k") is None
+        cache.put("k", _result())
+        cache.clear()
+        assert len(cache) == 0 and cache.stats.hits == 1
 
 
 def _event(kind="add", trajectory_id=99, keywords=(), vertices=(1, 2)):

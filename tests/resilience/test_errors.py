@@ -1,4 +1,4 @@
-"""The error hierarchy's resilience additions and the deprecation shim."""
+"""The error hierarchy's resilience additions."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.errors import (
     CorruptPageError,
     ReproError,
     StorageError,
-    TrajectoryIndexError,
 )
 
 
@@ -41,13 +40,6 @@ class TestHierarchy:
 
 
 class TestDeprecatedAlias:
-    def test_index_error_alias_warns(self):
-        import repro.errors as errors_module
-
-        with pytest.warns(DeprecationWarning, match="TrajectoryIndexError"):
-            alias = errors_module.IndexError_
-        assert alias is TrajectoryIndexError
-
     def test_unknown_attribute_still_raises(self):
         import repro.errors as errors_module
 

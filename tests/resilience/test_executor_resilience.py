@@ -1,4 +1,4 @@
-"""Executor hardening: failure isolation, crash recovery, clean handoff.
+"""Executor hardening: failure isolation and crash recovery.
 
 The worker-crash tests install a searcher that calls ``os._exit`` only
 inside forked children (``multiprocessing.parent_process()`` is set there),
@@ -14,7 +14,6 @@ import pytest
 from repro.core.engine import ALGORITHMS
 from repro.core.query import UOTSQuery
 from repro.core.search import CollaborativeSearcher
-from repro.parallel import executor
 from repro.parallel.executor import fork_available, parallel_search
 from repro.resilience.budget import SearchBudget
 
@@ -110,32 +109,3 @@ class TestWorkerCrashRecovery:
             assert got.ids == want.ids
             assert got.scores == pytest.approx(want.scores)
 
-
-class TestWorkerHandoff:
-    def test_reentrant_handoff_rejected(self):
-        with executor._worker_handoff({"x": 1}):
-            with pytest.raises(RuntimeError, match="re-entrant"):
-                with executor._worker_handoff({"y": 2}):
-                    pass
-        assert not executor._WORKER
-
-    def test_handoff_cleared_on_exception(self):
-        with pytest.raises(ValueError):
-            with executor._worker_handoff({"x": 1}):
-                raise ValueError("boom")
-        assert not executor._WORKER
-
-    def test_worker_init_moves_payload(self):
-        executor._WORKER.update({"searcher": "s"})
-        try:
-            executor._worker_init()
-            assert executor._WORKER_STATE == {"searcher": "s"}
-            assert not executor._WORKER
-        finally:
-            executor._WORKER.clear()
-            executor._WORKER_STATE.clear()
-
-    @pytest.mark.skipif(not fork_available(), reason="fork not available")
-    def test_parent_global_clean_after_batches(self, database):
-        parallel_search(database, _queries(3), workers=2)
-        assert not executor._WORKER

@@ -1,11 +1,12 @@
-"""Concurrent pooled batches on one service (regression).
+"""Concurrent fork fan-outs in one process (regression).
 
 A second ``execute_many(workers=2)`` arriving while one is in flight — two
-``POST /query/batch`` bodies with ``"workers": 2`` — used to find the
-one-at-a-time fork handoff taken: first it raised, then it took a
-sequential detour.  Batches now ride a worker pool (the service's, or one
-opened per call), which holds no process-wide handoff: every concurrent
-batch is answered by workers.
+``POST /query/batch`` bodies with ``"workers": 2`` — used to find a
+one-at-a-time, process-wide fork handoff taken: first it raised, then it
+took a sequential detour.  Batches ride a worker pool (the service's, or
+one opened per call) and a join's phase 1 hands its state to its own pool
+as initializer arguments, so nothing is shared: every concurrent fan-out
+is answered by its own workers.
 """
 
 import threading
@@ -14,10 +15,11 @@ import pytest
 
 from repro.core.query import UOTSQuery
 from repro.core.registry import make_searcher
-from repro.parallel import executor
+from repro.index.database import TrajectoryDatabase
+from repro.join.tsjoin import TwoPhaseJoin
 from repro.parallel.executor import fork_available
 from repro.service import QueryService
-from repro.service.admission import AdmissionController
+from repro.trajectory.generator import generate_trips
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="fork start method not available"
@@ -45,20 +47,43 @@ def references(database):
     return [oracle.search(query) for query in QUERIES]
 
 
-def test_batch_forks_while_a_join_holds_the_handoff(database, references):
-    admission = AdmissionController(max_inflight=2)
-    service = QueryService(
-        database, "collaborative", admission=admission, result_cache=16
-    )
-    service.submit(QUERIES[0])  # one hit for the batch to serve up front
-    with executor._worker_handoff({}):  # "a join fan-out is mid-fork"
-        results = service.execute_many(QUERIES, workers=2)
-    _assert_oracle_equal(results, references)
-    assert results[0].stats.cache == "result"  # the hit stayed a hit
-    assert [r.stats.executor for r in results[1:]] == ["fork"] * 3
-    assert admission.inflight == 0
-    assert service.stats.rejected_queries == 0
-    assert service.stats.queries_served == 1 + len(QUERIES)
+def test_joins_and_a_batch_fork_at_once_from_three_threads(grid10, database, references):
+    """Each fork fan-out hands its own state to its own workers: two
+    concurrent joins and a pooled batch cannot see each other's payload."""
+    join_db = TrajectoryDatabase(grid10, generate_trips(grid10, 40, seed=33))
+    expected = TwoPhaseJoin(join_db).self_join(1.4)
+    service = QueryService(database, "collaborative")
+    barrier = threading.Barrier(3)
+    outcomes: dict[str, object] = {}
+    failures: list[BaseException] = []
+
+    def run(name, work) -> None:
+        try:
+            barrier.wait(timeout=30)
+            outcomes[name] = work()
+        except BaseException as exc:  # noqa: BLE001 - reported by the assert below
+            failures.append(exc)
+
+    join = TwoPhaseJoin(join_db, workers=2).self_join
+    threads = [
+        threading.Thread(target=run, args=("join-a", lambda: join(1.4))),
+        threading.Thread(target=run, args=("join-b", lambda: join(1.4))),
+        threading.Thread(
+            target=run,
+            args=("batch", lambda: service.execute_many(QUERIES, workers=2)),
+        ),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    for name in ("join-a", "join-b"):
+        assert outcomes[name].pairs == expected.pairs
+        assert outcomes[name].candidate_pairs == expected.candidate_pairs
+    _assert_oracle_equal(outcomes["batch"], references)
+    assert {r.stats.executor for r in outcomes["batch"]} == {"fork"}
 
 
 def test_three_threads_batching_at_once_all_match_brute_force(database, references):
@@ -85,4 +110,3 @@ def test_three_threads_batching_at_once_all_match_brute_force(database, referenc
         _assert_oracle_equal(outcomes[number], references)
         # No sequential detour: every batch was answered by workers.
         assert {r.stats.executor for r in outcomes[number]} == {"fork"}
-    assert not executor._WORKER  # the join handoff was never involved

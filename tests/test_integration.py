@@ -66,9 +66,9 @@ class TestJoinPipeline:
 
     def test_parallel_join_agrees(self, city):
         database, __ = city
-        sequential = repro.parallel_self_join(database, 1.9, workers=1)
+        sequential = repro.TwoPhaseJoin(database).self_join(1.9)
         if repro.fork_available():
-            fanned = repro.parallel_self_join(database, 1.9, workers=2)
+            fanned = repro.TwoPhaseJoin(database, workers=2).self_join(1.9)
             assert fanned.pair_set() == sequential.pair_set()
 
 
