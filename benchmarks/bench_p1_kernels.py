@@ -15,6 +15,7 @@ Script mode writes machine-readable results to
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import sys
@@ -39,6 +40,16 @@ SEARCH_SPEEDUP_MIN = 1.5
 
 
 # --------------------------------------------------------- legacy baseline
+@functools.lru_cache(maxsize=None)
+def legacy_adjacency(graph):
+    """The pre-CSR per-vertex ``(neighbor, weight)`` lists, in edge order."""
+    adjacency = [[] for _ in range(graph.num_vertices)]
+    for u, v, w in graph.edges():
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
+    return adjacency
+
+
 class LegacyIncrementalExpansion:
     """The pre-CSR expansion: dict distances over list-of-tuples adjacency.
 
@@ -50,7 +61,7 @@ class LegacyIncrementalExpansion:
 
     def __init__(self, graph, source):
         graph._check_vertex(source)
-        self._adjacency = graph.adjacency
+        self._adjacency = legacy_adjacency(graph)
         self._heap = [(0.0, source)]
         self._dist = {source: 0.0}
         self._settled: dict[int, float] = {}
@@ -96,7 +107,7 @@ def legacy_single_source_distances(graph, source, cutoff=None):
     dist = {source: 0.0}
     settled: dict[int, float] = {}
     heap = [(0.0, source)]
-    adjacency = graph.adjacency
+    adjacency = legacy_adjacency(graph)
     while heap:
         d, u = heapq.heappop(heap)
         if u in settled:
@@ -123,7 +134,7 @@ def legacy_trajectory_to_locations_distances(graph, vertex_set, locations):
     heapq.heapify(heap)
     settled: dict[int, float] = {}
     found: dict[int, float] = {}
-    adjacency = graph.adjacency
+    adjacency = legacy_adjacency(graph)
     while heap and remaining:
         d, u = heapq.heappop(heap)
         if u in settled:

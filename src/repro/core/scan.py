@@ -15,14 +15,14 @@ array grain instead of per settled vertex:
   vector.  SimT is exact from the snapshot's keyword postings: one
   ``bincount`` over the query keywords' postings gives ``|q.T & tau.T|``
   for every trajectory, and the measure's closed form
-  (:func:`repro.text.similarity.get_count_form`) does the rest.  The scan
-  stops when the top-k all have exact scores and each strictly beats every
-  other trajectory's upper bound — ties fall through;
+  (:func:`repro.text.similarity.get_count_form`) does the rest.  The
+  *candidates* are the trajectories whose upper bound reaches the k-th
+  lower bound; everything else is strictly below the k-th score.  The scan
+  stops when the *blocking set* — the candidates without an exact score —
+  is empty: the top-k of the candidates is then the answer;
 - **phase 2** — otherwise, full SSSP rows for the locations that left a
-  gap, and exact scores for the *blocking set* only: the trajectories whose
-  upper bound reaches the k-th lower bound.  Everything else is provably
-  below the k-th score, so the top-k of the blocking set plus the
-  already-exact candidates is the answer.
+  gap, and exact scores for the blocking set only, after which every
+  candidate is exact and their top-k is the answer.
 
 The top-k is ranked under the library-wide total order (score desc, id
 asc).  :func:`scan_topk` is the unbounded kernel — every trajectory scored
@@ -61,9 +61,9 @@ __all__ = [
 ]
 
 #: Phase 1's Dijkstra radius in units of sigma.  At paper scale one round
-#: at 2 sigma already answers 51 of 100 cold queries; 3/4/6/8/12 sigma
-#: answer 53/57/62/65/74 while the bounded rows alone climb from 0.6 to
-#: 10.7 ms, so a larger radius buys little (DESIGN §7).
+#: at 2 sigma already answers 64 of 100 cold queries; 3/4/6/8/12 sigma
+#: answer 66/72/77/80/91 while the bounded rows alone climb from 1.2 to
+#: 18.6 ms, so a larger radius buys little (DESIGN §7).
 PHASE1_RADIUS_SIGMAS = 2.0
 
 #: The plan's expected work per spatial query, in the units the stats
@@ -465,39 +465,28 @@ def bounded_topk(
     distances, spatial, scores, upper, exact, settled, pairs = _phase1(
         arrays, transpose, csr, textual, query, radius
     )
-    floor = -np.inf
-    phase, order, blocking = 1, None, np.empty(0, dtype=np.intp)
-    if n > k:
-        floor = np.partition(scores, n - k)[n - k]  # the k-th lower bound
-        top = np.flatnonzero(scores >= floor)
-        if top.size == k and exact[top].all():
-            rest = upper.copy()
-            rest[top] = -np.inf
-            if rest.max() < floor:
-                order = _ranked(top, scores, ids, k)
-    elif exact.all():
-        order = _ranked(np.arange(n), scores, ids, k)
-    if order is None:
-        # Phase 2: only trajectories whose upper bound reaches the k-th
-        # lower bound can be in the top-k; score the inexact ones exactly.
-        phase = 2
-        candidates = np.flatnonzero(upper >= floor)
-        blocking = candidates[~exact[candidates]]
-        if blocking.size:
-            gaps = np.flatnonzero(np.isinf(distances[:, blocking]).any(axis=1))
-            lengths = np.diff(starts, append=vertices.size)[blocking]
-            offsets = np.cumsum(lengths) - lengths
-            members = vertices[
-                np.repeat(starts[blocking] - offsets, lengths) + np.arange(lengths.sum())
-            ].astype(np.intp)  # the faster gather index (see scan_topk)
-            full = sssp_arrays_batch(csr, [query.locations[i] for i in gaps])
-            for i, row in zip(gaps, full):
-                distances[i, blocking] = np.minimum.reduceat(row[members], offsets)
-                settled += int(np.count_nonzero(np.isfinite(row)))
-            spatial[blocking], scores[blocking] = _combine(
-                distances[:, blocking], textual[blocking], query, sigma
-            )
-        order = _ranked(candidates, scores, ids, k)
+    # Only trajectories whose upper bound reaches the k-th lower bound can
+    # be in the top-k; the inexact ones among them are the blocking set.
+    floor = np.partition(scores, n - k)[n - k] if n > k else -np.inf
+    candidates = np.flatnonzero(upper >= floor)
+    blocking = candidates[~exact[candidates]]
+    phase = 2 if blocking.size else 1
+    if blocking.size:
+        # Phase 2: score the blocking set exactly from full SSSP rows.
+        gaps = np.flatnonzero(np.isinf(distances[:, blocking]).any(axis=1))
+        lengths = np.diff(starts, append=vertices.size)[blocking]
+        offsets = np.cumsum(lengths) - lengths
+        members = vertices[
+            np.repeat(starts[blocking] - offsets, lengths) + np.arange(lengths.sum())
+        ].astype(np.intp)  # the faster gather index (see scan_topk)
+        full = sssp_arrays_batch(csr, [query.locations[i] for i in gaps])
+        for i, row in zip(gaps, full):
+            distances[i, blocking] = np.minimum.reduceat(row[members], offsets)
+            settled += int(np.count_nonzero(np.isfinite(row)))
+        spatial[blocking], scores[blocking] = _combine(
+            distances[:, blocking], textual[blocking], query, sigma
+        )
+    order = _ranked(candidates, scores, ids, k)
     evaluated = int(np.count_nonzero(exact)) + blocking.size
     touched = np.isfinite(distances).any(axis=0) | (textual > 0.0)
     touched[blocking] = True

@@ -33,7 +33,6 @@ def distance_transform(database: TrajectoryDatabase, trajectory: Trajectory) -> 
     distance zero; the settled distance of any vertex ``v`` is then
     ``min over trajectory vertices p of sd(v, p) = d(v, trajectory)``.
     """
-    graph = database.graph
     dist: dict[int, float] = {}
     heap: list[tuple[float, int]] = []
     for vertex in trajectory.vertex_set:
@@ -41,14 +40,16 @@ def distance_transform(database: TrajectoryDatabase, trajectory: Trajectory) -> 
         heap.append((0.0, vertex))
     heapq.heapify(heap)
     settled: dict[int, float] = {}
-    adjacency = graph.adjacency
+    csr = database.graph.csr
+    indptr, indices, weights = csr.indptr_list, csr.indices_list, csr.weights_list
     while heap:
         d, u = heapq.heappop(heap)
         if u in settled:
             continue
         settled[u] = d
-        for v, w in adjacency[u]:
-            nd = d + w
+        for k in range(indptr[u], indptr[u + 1]):
+            v = indices[k]
+            nd = d + weights[k]
             if v not in settled and nd < dist.get(v, _INF):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))

@@ -37,7 +37,8 @@ def bidirectional_path(
     if source == target:
         return [source], 0.0
 
-    adjacency = graph.adjacency
+    csr = graph.csr
+    indptr, indices, weights = csr.indptr_list, csr.indices_list, csr.weights_list
     # Index 0 = forward search, index 1 = backward search.
     dists: list[dict[int, float]] = [{source: 0.0}, {target: 0.0}]
     parents: list[dict[int, int]] = [{}, {}]
@@ -57,8 +58,9 @@ def bidirectional_path(
         if radii[0] + radii[1] >= best:
             break
         other = 1 - side
-        for v, w in adjacency[u]:
-            nd = d + w
+        for k in range(indptr[u], indptr[u + 1]):
+            v = indices[k]
+            nd = d + weights[k]
             if v not in settled[side] and nd < dists[side].get(v, _INF):
                 dists[side][v] = nd
                 parents[side][v] = u

@@ -1,12 +1,11 @@
 """Flat CSR adjacency and array-backed shortest-path kernels.
 
-The per-vertex list-of-tuples adjacency is convenient but slow on the hot
-path: every Dijkstra relaxation chases a list of small tuples and every
-``dist`` lookup hashes into a dict.  This module provides the compact
-alternative: one ``indptr``/``indices``/``weights`` triple (the classic
-compressed-sparse-row layout) built once per graph, plus the shortest-path
-kernels rewritten against it with flat ``dist`` arrays and a ``settled``
-byte mask instead of dicts and sets.
+A network's only adjacency structure is one ``indptr``/``indices``/
+``weights`` triple (the classic compressed-sparse-row layout) built once
+per graph from its edge columns.  This module holds it, plus the
+shortest-path kernels written against it with flat ``dist`` arrays and a
+``settled`` byte mask instead of dicts and sets, and the connected
+components.
 
 Two execution tiers share the layout:
 
@@ -32,12 +31,14 @@ callers convert to the historical dict form where needed.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "CSRAdjacency",
+    "component_labels",
     "scipy_available",
     "sssp_array",
     "sssp_arrays_batch",
@@ -116,28 +117,18 @@ class CSRAdjacency:
         return self._mirrors()[2]
 
     @classmethod
-    def from_edges(
-        cls, num_vertices: int, edges: Sequence[tuple[int, int, float]]
+    def from_arrays(
+        cls, num_vertices: int, us: np.ndarray, vs: np.ndarray, ws: np.ndarray
     ) -> "CSRAdjacency":
-        """Build from undirected ``(u, v, w)`` triples (each edge once)."""
-        m = len(edges)
-        if m:
-            arr = np.asarray(edges, dtype=np.float64)
-            us = arr[:, 0].astype(np.int64)
-            vs = arr[:, 1].astype(np.int64)
-            ws = arr[:, 2]
-            heads = np.concatenate([us, vs])
-            tails = np.concatenate([vs, us])
-            both_w = np.concatenate([ws, ws])
-        else:
-            heads = np.empty(0, dtype=np.int64)
-            tails = np.empty(0, dtype=np.int64)
-            both_w = np.empty(0, dtype=np.float64)
+        """Build from undirected edge columns (each edge once): a vertex's
+        row lists the edges where it is ``u``, then those where it is ``v``,
+        each in edge order."""
+        heads = np.concatenate([us, vs]).astype(np.int64, copy=False)
         order = np.argsort(heads, kind="stable")
-        counts = np.bincount(heads, minlength=num_vertices)
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, tails[order], both_w[order])
+        np.cumsum(np.bincount(heads, minlength=num_vertices), out=indptr[1:])
+        tails = np.concatenate([vs, us]).astype(np.int64, copy=False)
+        return cls(indptr, tails[order], np.concatenate([ws, ws])[order])
 
     def matrix(self):
         """The SciPy CSR matrix (cached; ``None`` when SciPy is absent)."""
@@ -159,6 +150,33 @@ class CSRAdjacency:
 
 
 # ------------------------------------------------------------------ kernels
+def component_labels(csr: CSRAdjacency) -> np.ndarray:
+    """The connected-component label of every vertex: SciPy's
+    ``connected_components`` when available, else a BFS over the list
+    mirrors.  Vertices share a label exactly when they are connected."""
+    if scipy_available():
+        from scipy.sparse.csgraph import connected_components
+
+        return connected_components(csr.matrix(), directed=False)[1]
+    labels = [-1] * csr.num_vertices
+    indptr, indices = csr.indptr_list, csr.indices_list
+    label = 0
+    for start in range(csr.num_vertices):
+        if labels[start] >= 0:
+            continue
+        labels[start] = label
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for k in range(indptr[u], indptr[u + 1]):
+                v = indices[k]
+                if labels[v] < 0:
+                    labels[v] = label
+                    queue.append(v)
+        label += 1
+    return np.array(labels, dtype=np.int64)
+
+
 def _sssp_python(
     csr: CSRAdjacency,
     sources: Iterable[int],

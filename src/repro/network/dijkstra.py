@@ -181,7 +181,8 @@ def dict_reference_sssp(
         heap.append((0.0, s))
     heapq.heapify(heap)
     settled: dict[int, float] = {}
-    adjacency = graph.adjacency
+    csr = graph.csr
+    indptr, indices, weights = csr.indptr_list, csr.indices_list, csr.weights_list
     while heap:
         d, u = heapq.heappop(heap)
         if u in settled:
@@ -191,8 +192,9 @@ def dict_reference_sssp(
         settled[u] = d
         if u == target:
             break
-        for v, w in adjacency[u]:
-            nd = d + w
+        for k in range(indptr[u], indptr[u + 1]):
+            v = indices[k]
+            nd = d + weights[k]
             if v not in settled and nd < dist.get(v, _INF):
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from repro.errors import GraphError
 from repro.network.graph import SpatialNetwork
@@ -32,15 +35,42 @@ def save_json(graph: SpatialNetwork, path: str | Path) -> None:
 
 
 def load_json(path: str | Path) -> SpatialNetwork:
-    """Read a network previously written by :func:`save_json`."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "repro-network":
+    """Read a network previously written by :func:`save_json`.
+
+    A file that is not such a network, or holds a malformed coordinate or
+    edge, raises :class:`GraphError` naming ``path``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise GraphError(f"{path}: malformed network file: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != "repro-network":
         raise GraphError(f"{path} is not a repro network file")
-    return SpatialNetwork(
-        payload["xs"],
-        payload["ys"],
-        [(int(u), int(v), float(w)) for u, v, w in payload["edges"]],
-    )
+    try:
+        xs = _numbers(payload["xs"], "xs")
+        ys = _numbers(payload["ys"], "ys")
+        edges = _numbers(payload["edges"], "edges", width=3)
+        return SpatialNetwork.from_arrays(xs, ys, edges[:, 0], edges[:, 1], edges[:, 2])
+    except KeyError as exc:
+        raise GraphError(f"{path}: malformed network: no {exc} key") from exc
+    except GraphError as exc:
+        raise GraphError(f"{path}: malformed network: {exc}") from exc
+
+
+def _numbers(values, name: str, width: int | None = None) -> np.ndarray:
+    """``values`` as a numeric array: a list of numbers, or of ``width``-long
+    lists of numbers."""
+    try:
+        array = np.array(values)
+        shape = (len(values),) if width is None else (len(values), width)
+        if array.size == 0:
+            array = array.reshape(shape)
+    except (TypeError, ValueError):  # not a list, or ragged rows
+        array = shape = None
+    if array is None or array.dtype.kind not in "iuf" or array.shape != shape:
+        rows = "numbers" if width is None else "[u, v, weight] triples"
+        raise GraphError(f"{name!r} must be a list of {rows}")
+    return array
 
 
 def save_edge_list(graph: SpatialNetwork, prefix: str | Path) -> tuple[Path, Path]:
@@ -65,7 +95,12 @@ def save_edge_list(graph: SpatialNetwork, prefix: str | Path) -> tuple[Path, Pat
 
 
 def load_edge_list(prefix: str | Path) -> SpatialNetwork:
-    """Read a network from ``<prefix>.co`` + ``<prefix>.gr``."""
+    """Read a network from ``<prefix>.co`` + ``<prefix>.gr``.
+
+    A ``v`` line that is not a 1-based integral id and two numbers, or an
+    ``a`` line that is not two such ids and a number, raises
+    :class:`GraphError` as ``path:line: malformed record``.
+    """
     prefix = Path(prefix)
     co_path = prefix.with_suffix(".co")
     gr_path = prefix.with_suffix(".gr")
@@ -74,29 +109,49 @@ def load_edge_list(prefix: str | Path) -> SpatialNetwork:
 
     xs: list[float] = []
     ys: list[float] = []
-    with co_path.open() as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts or parts[0] != "v":
-                continue
-            index = int(parts[1]) - 1
-            while len(xs) <= index:
-                xs.append(0.0)
-                ys.append(0.0)
-            xs[index] = float(parts[2])
-            ys[index] = float(parts[3])
+    for index, x, y in _records(co_path, "v", (_vertex_id, float, float)):
+        while len(xs) <= index:
+            xs.append(0.0)
+            ys.append(0.0)
+        xs[index] = x
+        ys[index] = y
 
-    edges: list[tuple[int, int, float]] = []
+    us: list[int] = []
+    vs: list[int] = []
+    ws: list[float] = []
     seen: set[tuple[int, int]] = set()
-    with gr_path.open() as fh:
-        for line in fh:
+    for u, v, w in _records(gr_path, "a", (_vertex_id, _vertex_id, float)):
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            continue  # directed files list both arcs; keep one
+        seen.add(key)
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    try:
+        return SpatialNetwork.from_arrays(xs, ys, us, vs, ws)
+    except GraphError as exc:
+        raise GraphError(f"{gr_path}: {exc}") from exc
+
+
+def _vertex_id(text: str) -> int:
+    """A 1-based integral vertex id as a 0-based one."""
+    vertex = int(text) - 1
+    if vertex < 0:
+        raise ValueError(f"vertex ids are 1-based, got {text}")
+    return vertex
+
+
+def _records(path: Path, tag: str, kinds: tuple) -> Iterator[list]:
+    """Every ``tag`` line of ``path``, its fields parsed by ``kinds``."""
+    with path.open() as fh:
+        for line_no, line in enumerate(fh, start=1):
             parts = line.split()
-            if not parts or parts[0] != "a":
+            if not parts or parts[0] != tag:
                 continue
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                continue  # directed files list both arcs; keep one
-            seen.add(key)
-            edges.append((u, v, float(parts[3])))
-    return SpatialNetwork(xs, ys, edges)
+            try:
+                if len(parts) != len(kinds) + 1:
+                    raise ValueError(f"expected {len(kinds)} fields, got {len(parts) - 1}")
+                yield [kind(text) for kind, text in zip(kinds, parts[1:])]
+            except ValueError as exc:
+                raise GraphError(f"{path}:{line_no}: malformed record: {exc}") from exc

@@ -66,6 +66,10 @@ class _PathOracle:
 
     def __init__(self, graph: SpatialNetwork):
         self._graph = graph
+        # Private list copies of the CSR: the generated graph keeps no
+        # interpreted-kernel mirrors once generation is done.
+        csr = graph.csr
+        self._arcs = (csr.indptr.tolist(), csr.indices.tolist(), csr.weights.tolist())
         self._trees: dict[int, tuple[list[float], list[int]]] = {}
 
     def tree(self, origin: int) -> tuple[list[float], list[int]]:
@@ -79,14 +83,15 @@ class _PathOracle:
         dist[origin] = 0.0
         heap = [(0.0, origin)]
         settled = [False] * n
-        adjacency = self._graph.adjacency
+        indptr, indices, weights = self._arcs
         while heap:
             d, u = heapq.heappop(heap)
             if settled[u]:
                 continue
             settled[u] = True
-            for v, w in adjacency[u]:
-                nd = d + w
+            for k in range(indptr[u], indptr[u + 1]):
+                v = indices[k]
+                nd = d + weights[k]
                 if not settled[v] and nd < dist[v]:
                     dist[v] = nd
                     parent[v] = u

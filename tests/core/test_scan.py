@@ -32,8 +32,9 @@ from repro.core.similarity import ExactScorer
 from repro.errors import BudgetExceededError, QueryError
 from repro.index.database import TrajectoryDatabase
 from repro.index.events import MutationEvent
-from repro.network.csr import scipy_available
+from repro.network.csr import CSRAdjacency, scipy_available
 from repro.network.generators import grid_network
+from repro.network.io import load_json, save_json
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, activated
 from repro.resilience.budget import SearchBudget
@@ -222,16 +223,6 @@ def traced_search(searcher, query):
     return result, tracer.last_trace().attributes
 
 
-def boundary_tie(database, query) -> bool:
-    """Whether the oracle's k-th and (k+1)-th scores tie: phase 1 must then
-    fall through, whatever the radius."""
-    deeper = UOTSQuery.create(
-        query.locations, query.keywords, lam=query.lam, k=query.k + 1
-    )
-    scores = oracle_of(database).search(deeper).scores
-    return len(scores) > query.k and scores[query.k - 1] - scores[query.k] <= TOLERANCE
-
-
 def forcing_cases(database) -> list[UOTSQuery]:
     """Seeded queries over every lambda, plus k > |P|."""
     queries = seeded_queries(database, seed=17, count=30)
@@ -245,9 +236,10 @@ def forcing_cases(database) -> list[UOTSQuery]:
 @pytest.mark.parametrize("sigmas", (0.0, math.inf), ids=("radius-0", "radius-inf"))
 def test_forced_phases_stay_oracle_equal_under_interleaved_writes(monkeypatch, sigmas):
     """Radius 0 leaves every spatial query to phase 2; an infinite radius
-    lets phase 1 answer everything but a tie at the k-th score.  Clones
-    make duplicate-score ties; the writes between queries exercise the
-    folded snapshot and its rebuilt transpose."""
+    makes every score exact, so the blocking set is empty and phase 1
+    answers every query, ties at the k-th score included.  Clones make
+    duplicate-score ties; the writes between queries exercise the folded
+    snapshot and its rebuilt transpose."""
     monkeypatch.setattr(scan_module, "PHASE1_RADIUS_SIGMAS", sigmas)
     database = build_world()
     scan, oracle = make_searcher(database, "scan"), oracle_of(database)
@@ -269,9 +261,10 @@ def test_forced_phases_stay_oracle_equal_under_interleaved_writes(monkeypatch, s
         phases[span["phase"]] += 1
         if sigmas == 0.0 and query.lam != 0.0:
             assert span["phase"] == 2, query
-        if sigmas == math.inf and not boundary_tie(database, query):
+        if sigmas == math.inf:
             assert span["phase"] == 1 and span["blocking"] == 0, query
-    assert phases[1] and phases[2]  # both phases ran under either radius
+    if sigmas == 0.0:
+        assert phases[1] and phases[2]  # text-only queries stop in phase 1
 
 
 @pytest.mark.parametrize("sigmas", (0.0, 0.5, 2.0, math.inf))
@@ -825,6 +818,34 @@ def test_scan_path_never_builds_a_vertex_set(tmp_path):
         UOTSQuery.create([3, 77], ["park"], lam=0.5, k=3)
     )
     assert any(t._vertex_set is not None for t in database.trajectories)
+
+
+def test_serving_holds_no_per_vertex_graph_objects(tmp_path):
+    """Load, index, ``scan`` warm-up and queries, ``collaborative`` queries
+    (which build the landmark table) and a shard build leave the network
+    array-native: every graph attribute is a NumPy array or the CSR, never
+    a list, dict or tuple with an entry per vertex or edge."""
+    generated = build_world()
+    save_json(generated.graph, tmp_path / "network.json")
+    save_jsonl(generated.trajectories, tmp_path / "trips.jsonl")
+    graph = load_json(tmp_path / "network.json")
+    database = TrajectoryDatabase(graph, load_jsonl(tmp_path / "trips.jsonl"))
+    scan = make_searcher(database, "scan")
+    scan.warm()
+    for query in seeded_queries(database, seed=7, count=12):
+        scan.search(query)
+    collaborative = make_searcher(database, "collaborative")
+    for query in seeded_queries(database, seed=8, count=4):
+        collaborative.search(query)
+    assert database.landmark_index is not None
+    sharded = make_searcher(database, "sharded", shards=4)
+    sharded.warm()
+    sharded.search(UOTSQuery.create([3, 77, 140], ["park"], lam=0.5, k=5))
+    for slot in type(graph).__slots__:
+        value = getattr(graph, slot)
+        assert isinstance(value, (np.ndarray, CSRAdjacency)), (slot, type(value))
+    for array in (graph.csr.indptr, graph.csr.indices, graph.csr.weights):
+        assert isinstance(array, np.ndarray)
 
 
 def test_scan_path_never_fills_the_text_cache():

@@ -11,6 +11,7 @@ early-exit target variants.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,7 @@ class TestDisconnected:
         assert dist[0] == 0.0
 
     def test_csr_from_no_edges(self):
-        csr = CSRAdjacency.from_edges(3, [])
+        empty = np.empty(0, dtype=np.int64)
+        csr = CSRAdjacency.from_arrays(3, empty, empty, np.empty(0))
         assert csr.num_vertices == 3
         assert list(csr.indptr) == [0, 0, 0, 0]

@@ -1,9 +1,14 @@
 """Unit tests for the spatial network model."""
 
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphError, VertexNotFoundError
+from repro.network.generators import grid_network
 from repro.network.graph import SpatialNetwork
 
 
@@ -21,6 +26,8 @@ class TestConstruction:
         assert g.num_vertices == 3
         assert g.num_edges == 3
         assert len(g) == 3
+        # Coordinates, three edge columns and the CSR triple, all 8-byte.
+        assert g.nbytes == 8 * (2 * 3 + 3 * 3 + (3 + 1) + 2 * 2 * 3)
 
     def test_total_weight(self):
         assert _triangle().total_weight == pytest.approx(4.5)
@@ -150,3 +157,162 @@ class TestConnectivity:
         g = _triangle()
         sub, __ = g.subgraph([0, 1])
         assert sub.num_edges == 1
+
+
+# ------------------------------------------------------- array-native model
+def _sequential_validate(n, edges):
+    """The edge-by-edge validation loop the vectorised checks replace,
+    kept as their executable specification."""
+    seen = set()
+    for u, v, w in edges:
+        if not (0 <= u < n):
+            raise VertexNotFoundError(u, n)
+        if not (0 <= v < n):
+            raise VertexNotFoundError(v, n)
+        if u == v:
+            raise GraphError(f"self-loop on vertex {u} is not allowed")
+        if w <= 0 or not np.isfinite(w):
+            raise GraphError(f"edge ({u}, {v}) has non-positive weight {w}")
+        if (min(u, v), max(u, v)) in seen:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        seen.add((min(u, v), max(u, v)))
+
+
+_BAD_EDGES = {
+    "u-negative": (-1, 2, 1.0),
+    "u-past-end": (4, 2, 1.0),
+    "v-negative": (2, -3, 1.0),
+    "v-past-end": (2, 9, 1.0),
+    "self-loop": (3, 3, 1.0),
+    "weight-zero": (2, 3, 0.0),
+    "weight-negative": (2, 3, -2.5),
+    "weight-nan": (2, 3, float("nan")),
+    "weight-inf": (2, 3, float("inf")),
+    "duplicate": (0, 1, 7.0),
+    "duplicate-reversed": (1, 0, 7.0),
+}
+_GOOD_EDGES = [(0, 1, 1.0), (1, 2, 2.0)]
+
+
+def _raised(build):
+    with pytest.raises(GraphError) as info:
+        build()
+    return type(info.value), str(info.value)
+
+
+def _built_both_ways(edges):
+    """The exception of the triples constructor and of :meth:`from_arrays`."""
+    us, vs, ws = (np.array(column) for column in zip(*edges))
+    coordinates = [0.0] * 4
+    return (
+        _raised(lambda: SpatialNetwork(coordinates, coordinates, edges)),
+        _raised(lambda: SpatialNetwork.from_arrays(coordinates, coordinates, us, vs, ws)),
+    )
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_EDGES))
+def test_validation_matches_the_sequential_loop(bad):
+    edges = _GOOD_EDGES + [_BAD_EDGES[bad], (2, 3, 1.0)]
+    expected = _raised(lambda: _sequential_validate(4, edges))
+    assert _built_both_ways(edges) == (expected, expected)
+
+
+@pytest.mark.parametrize("first", sorted(_BAD_EDGES))
+@pytest.mark.parametrize("second", ["u-past-end", "self-loop", "weight-nan", "duplicate"])
+def test_earliest_bad_edge_is_reported(first, second):
+    edges = _GOOD_EDGES + [_BAD_EDGES[first], _BAD_EDGES[second]]
+    expected = _raised(lambda: _sequential_validate(4, edges))
+    assert _built_both_ways(edges) == (expected, expected)
+
+
+def test_non_integral_vertex_id_rejected():
+    with pytest.raises(GraphError, match="non-integral vertex id"):
+        SpatialNetwork([0.0] * 3, [0.0] * 3, [(0, 1, 1.0), (1, 1.5, 1.0)])
+
+
+def test_csr_rows_match_an_adjacency_built_from_edges():
+    g = grid_network(6, 5, seed=8)
+    rows = [[] for _ in range(g.num_vertices)]
+    for u, v, w in g.edges():
+        rows[u].append((v, w))
+        rows[v].append((u, w))
+    csr = g.csr
+    for u in g.vertices():
+        arcs = slice(csr.indptr[u], csr.indptr[u + 1])
+        row = list(zip(csr.indices[arcs].tolist(), csr.weights[arcs].tolist()))
+        assert sorted(row) == sorted(rows[u])
+        assert sorted(g.neighbors(u)) == sorted(rows[u])
+        assert g.degree(u) == len(rows[u])
+        for v, w in rows[u]:
+            assert g.has_edge(u, v) and g.edge_weight(v, u) == w
+
+
+def test_total_weight_adds_left_to_right():
+    # Each 1.0 vanishes when added to 1e16 alone; a pairwise or unrolled
+    # sum adds some of them together first and reads higher.
+    weights = [1e16] + [1.0] * 15
+    total = 0.0
+    for w in weights:
+        total += w
+    edges = [(i, i + 1, w) for i, w in enumerate(weights)]
+    graph = SpatialNetwork([0.0] * 17, [0.0] * 17, edges)
+    assert graph.total_weight == total != float(np.sum(weights))
+
+
+_VIEWS_PROBE = """\
+import json, sys
+
+class _Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r} (blocked)")
+        return None
+
+if sys.argv[1] == "blocked":
+    sys.meta_path.insert(0, _Blocker())
+from repro.network.csr import scipy_available
+from repro.network.graph import SpatialNetwork
+
+g = SpatialNetwork(
+    [0, 1, 2, 5, 6, 9], [0, 0, 0, 0, 0, 0],
+    [(4, 3, 1.0), (0, 1, 2.0), (2, 1, 0.5)],
+)
+sub, remap = g.subgraph([1, 2, 4, 3])
+print(json.dumps({
+    "scipy": scipy_available(),
+    "components": g.connected_components(),
+    "connected": g.is_connected(),
+    "edges": list(g.edges()),
+    "neighbors": [sorted(g.neighbors(v)) for v in g.vertices()],
+    "degrees": [g.degree(v) for v in g.vertices()],
+    "has_edge": [g.has_edge(1, 2), g.has_edge(2, 1), g.has_edge(0, 2), g.has_edge(0, 9)],
+    "weight": g.edge_weight(1, 2),
+    "total": g.total_weight,
+    "sub": [list(sub.edges()), sorted(remap.items()), sub.connected_components()],
+}))
+"""
+
+
+def test_views_agree_on_two_components_without_scipy():
+    """Every view reads the arrays the same way with and without SciPy
+    (the BFS fallback stands in for ``csgraph.connected_components``)."""
+    views = {}
+    for mode in ("blocked", "free"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _VIEWS_PROBE, mode], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        views[mode] = json.loads(proc.stdout)
+    blocked = views["blocked"]
+    assert blocked.pop("scipy") is False
+    views["free"].pop("scipy")
+    assert blocked == views["free"]
+    assert blocked["components"] == [[0, 1, 2], [3, 4], [5]]
+    assert not blocked["connected"]
+    assert blocked["edges"] == [[4, 3, 1.0], [0, 1, 2.0], [2, 1, 0.5]]
+    assert blocked["neighbors"][1] == [[0, 2.0], [2, 0.5]]
+    assert blocked["degrees"] == [1, 2, 1, 1, 1, 0]
+    assert blocked["has_edge"] == [True, True, False, False]
+    assert blocked["weight"] == 0.5 and blocked["total"] == 3.5
+    assert blocked["sub"] == [[[3, 2, 1.0], [1, 0, 0.5]], [[1, 0], [2, 1], [3, 2], [4, 3]],
+                              [[0, 1], [2, 3]]]

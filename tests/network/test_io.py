@@ -1,5 +1,7 @@
 """Unit tests for network persistence."""
 
+import json
+
 import pytest
 
 from repro.errors import GraphError
@@ -22,6 +24,48 @@ class TestJsonRoundtrip:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(GraphError, match="not a repro network"):
             load_json(path)
+
+
+_NETWORK = {"format": "repro-network", "version": 1, "xs": [0, 1, 2], "ys": [0, 0, 0]}
+
+
+class TestJsonMalformed:
+    """Every malformed document is a :class:`GraphError` naming the file."""
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (dict(_NETWORK, edges=[[0, 1]]), "must be a list of \\[u, v, weight\\] triples"),
+            (dict(_NETWORK, edges=[[0, 1, "heavy"]]), "must be a list of"),
+            (dict(_NETWORK, edges=[[0, 1, 1.0], [1, 2]]), "must be a list of"),
+            (_NETWORK, "no 'edges' key"),
+            (dict(_NETWORK, xs="abc", edges=[]), "'xs' must be a list of numbers"),
+            ([1, 2], "is not a repro network file"),
+            (dict(_NETWORK, edges=[[0, 1.7, 1.0]]), "non-integral vertex id"),
+            (dict(_NETWORK, edges=[[0, 5, 1.0]]), "vertex 5 does not exist"),
+        ],
+        ids=["two-elements", "string-weight", "ragged", "no-edges", "string-xs",
+             "top-level-list", "fractional-id", "out-of-range"],
+    )
+    def test_malformed_document(self, tmp_path, payload, message):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(GraphError, match=message) as info:
+            load_json(path)
+        assert str(info.value).startswith(str(path))
+
+    def test_not_json(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text("{not json")
+        with pytest.raises(GraphError, match="malformed network file"):
+            load_json(path)
+
+    def test_integral_float_ids_and_no_edges_load(self, tmp_path):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(dict(_NETWORK, edges=[[0.0, 1, 2], [2, 1.0, 0.5]])))
+        assert list(load_json(path).edges()) == [(0, 1, 2.0), (2, 1, 0.5)]
+        path.write_text(json.dumps(dict(_NETWORK, edges=[])))
+        assert load_json(path).num_edges == 0
 
 
 class TestEdgeListRoundtrip:
@@ -54,3 +98,28 @@ class TestEdgeListRoundtrip:
         loaded = load_edge_list(tmp_path / "c")
         assert loaded.num_vertices == 2
         assert loaded.num_edges == 1
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("a 1 x 3", "invalid literal"),
+            ("a 1 2", "expected 3 fields, got 2"),
+            ("a 1 2 3 4", "expected 3 fields, got 4"),
+            ("a 1 2.5 3", "invalid literal"),
+            ("a 0 1 3", "1-based"),
+            ("a 1 2 heavy", "could not convert"),
+        ],
+        ids=["non-numeric-id", "short", "long", "fractional-id", "zero-id", "bad-weight"],
+    )
+    def test_malformed_arc_line(self, tmp_path, line, message):
+        (tmp_path / "m.co").write_text("v 1 0 0\nv 2 1 0\n")
+        (tmp_path / "m.gr").write_text(f"c comment\n{line}\n")
+        with pytest.raises(GraphError, match=message) as info:
+            load_edge_list(tmp_path / "m")
+        assert str(info.value).startswith(f"{tmp_path / 'm.gr'}:2: malformed record")
+
+    def test_malformed_vertex_line(self, tmp_path):
+        (tmp_path / "m.co").write_text("v 1 0 0\nv 2 east 0\n")
+        (tmp_path / "m.gr").write_text("a 1 2 3\n")
+        with pytest.raises(GraphError, match="m.co:2: malformed record"):
+            load_edge_list(tmp_path / "m")

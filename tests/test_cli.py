@@ -1,5 +1,9 @@
 """End-to-end tests for the command-line interface."""
 
+import shutil
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -74,6 +78,30 @@ class TestQuery:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "network",
+        [
+            '{"format": "repro-network", "xs": [0, 1], "ys": [0, 0], "edges": [[0, 1]]}',
+            '{"format": "repro-network", "xs": [0, 1], "ys": [0, 0]}',
+            "[1, 2]",
+            "{not json",
+        ],
+        ids=["short-edge", "no-edges", "top-level-list", "not-json"],
+    )
+    def test_malformed_network_is_one_error_line(self, dataset_dir, tmp_path, network):
+        """A broken ``network.json`` is a library error, not a traceback."""
+        (tmp_path / "network.json").write_text(network)
+        shutil.copy(dataset_dir / "trajectories.jsonl", tmp_path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "query", "--data", str(tmp_path),
+             "--locations", "0"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "network.json" in lines[0]
 
     def test_tuning_flags(self, dataset_dir, capsys):
         code = main(
