@@ -48,6 +48,7 @@ from repro.core.search import CollaborativeSearcher
 from repro.index.database import TrajectoryDatabase
 from repro.index.events import MutationEvent
 from repro.network.csr import CSRAdjacency, _scipy_kernels, sssp_arrays_batch
+from repro.network.stats import PHASE1_RADIUS_SIGMAS
 from repro.resilience.budget import SearchBudget
 from repro.text.similarity import get_count_form
 
@@ -59,12 +60,6 @@ __all__ = [
     "bounded_topk",
     "scan_topk",
 ]
-
-#: Phase 1's Dijkstra radius in units of sigma.  At paper scale one round
-#: at 2 sigma already answers 64 of 100 cold queries; 3/4/6/8/12 sigma
-#: answer 66/72/77/80/91 while the bounded rows alone climb from 1.2 to
-#: 18.6 ms, so a larger radius buys little (DESIGN §7).
-PHASE1_RADIUS_SIGMAS = 2.0
 
 #: The plan's expected work per spatial query, in the units the stats
 #: report (DESIGN §7): vertex settles per query location as a share of

@@ -14,8 +14,8 @@ invalidate only the entries a mutation can actually affect:
   stored);
 - the service-level **result cache** invalidates removals through a
   reverse index (``trajectory_id -> fingerprints that ranked it``) and
-  bounds additions with the landmark distance-LB + keyword-overlap
-  text-UB construction shared with :mod:`repro.shard.summary`;
+  bounds additions with one Dijkstra from the new trajectory's vertices,
+  bounded at the scan's phase-1 radius, plus its exact text similarity;
 - the **shard mirror** routes the event to the owning shard without
   re-deriving the mutation kind from database membership.
 
@@ -49,9 +49,9 @@ class MutationEvent:
         the mutation.
     vertices:
         The trajectory's distinct covered vertices as an ``intp`` array —
-        the spatial reach of the mutation (feeds the landmark
-        lower-bound machinery that proves cached top-k entries
-        unaffected by an ``add``).
+        the spatial reach of the mutation (the sources of the bounded
+        Dijkstra that proves cached top-k entries unaffected by an
+        ``add``).
     """
 
     kind: Literal["add", "remove"]

@@ -27,19 +27,22 @@ Correctness invariants (the semantics oracle in
     names the doomed entries directly — zero-filled padding items count
     as ranked, keeping underfull-database results covered;
   * an **add** can only displace a cached top-k whose kth score the new
-    trajectory could reach.  Its best possible score against a cached
-    query is bounded by the landmark distance lower bound per query
-    location (``(lam/|O|) * exp(-lb/sigma)`` summed over sources) plus
-    the keyword-overlap text upper bound
-    (:func:`repro.text.similarity.text_upper_bound` with the new
-    trajectory's keywords as the vocabulary).  An entry whose cached kth
-    score *strictly* exceeds that bound provably survives — strict,
-    because score ties are broken by lower id and the newcomer could win
-    one.  The conservative path still drops the entry whenever the
-    proof is unavailable: no stored query metadata, an underfull or
-    zero-padded top-k (``kth_score == 0``), or no landmark table to
-    bound the spatial term below the trivial ``lam`` cap when that cap
-    alone cannot clear the kth score.
+    trajectory could reach.  One Dijkstra per add, bounded at the scan's
+    phase-1 radius ``r = PHASE1_RADIUS_SIGMAS * sigma`` and run from the
+    newcomer's vertices before the lock is taken, gives ``d_o`` for every
+    location any entry asks about: exact within ``r`` and ``inf`` beyond.
+    The newcomer's score against a cached query is then at most
+    ``(lam/|O|) * sum_o exp(-min(d_o, r)/sigma) + (1-lam) * SimT`` — the
+    paper's bound-and-stop cap on unreached locations (PAPER.md §2.1),
+    with SimT exact from the event's keywords through the measure's
+    closed form (:func:`repro.text.similarity.get_count_form`).  The
+    bound is the exact score up to ``lam * exp(-r/sigma)``.  An entry
+    survives only if its kth score exceeds the bound by more than the
+    library's tie tolerance: at an equal score the lower id wins, and the
+    newcomer might have one.  The conservative path still drops the entry
+    whenever the proof is unavailable: no stored query metadata, or an
+    underfull or zero-padded top-k (``kth_score == 0``).  Without a
+    database the spatial term falls back to the trivial ``lam`` cap.
 
   Constructing with ``scoped=False`` restores wholesale clear-on-anything
   (the A/B baseline the ingest benchmark measures against).
@@ -71,13 +74,15 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from typing import TYPE_CHECKING, Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable, NamedTuple
 
 import numpy as np
 
-from repro.core.results import SearchResult, SearchStats
+from repro.core.results import _EPS, SearchResult, SearchStats
+from repro.network.csr import sssp_array
+from repro.network.stats import PHASE1_RADIUS_SIGMAS
 from repro.perf.cache import CacheStats, LRUCache
-from repro.text.similarity import text_upper_bound
+from repro.text.similarity import get_count_form
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.core.query import UOTSQuery
@@ -318,12 +323,16 @@ class ResultCache:
     ) -> tuple[int, int]:
         """Invalidate for one typed mutation event; ``(dropped, retained)``.
 
-        ``database`` supplies the landmark table and ``sigma`` that
-        tighten the add-survival spatial bound; without it the spatial
-        term falls back to the trivial ``lam`` cap (still correct, far
-        less selective).  In wholesale mode (``scoped=False``) every
-        event clears the cache.
+        ``database`` supplies the graph and ``sigma`` for the add-survival
+        proof's one bounded Dijkstra, which runs before the lock is taken so
+        concurrent hits never wait on it; without a database the spatial
+        term falls back to the trivial ``lam`` cap (still correct, far less
+        selective).  In wholesale mode (``scoped=False``) every event
+        clears the cache.
         """
+        reach = None
+        if self._scoped and event.kind == "add" and database is not None:
+            reach = _Reach.of(event, database)
         with self._lock:
             self.invalidation_events += 1
             size_before = len(self._entries)
@@ -333,7 +342,7 @@ class ResultCache:
             elif event.kind == "remove":
                 dropped = self._on_remove(event.trajectory_id)
             else:
-                dropped = self._on_add(event, database)
+                dropped = self._on_add(event, reach)
             retained = len(self._entries)
             self.invalidation_entries_dropped += dropped
             self.invalidation_entries_retained += retained
@@ -352,56 +361,16 @@ class ResultCache:
                 self._unlink(key, entry, skip=trajectory_id)
         return dropped
 
-    def _on_add(
-        self, event: MutationEvent, database: TrajectoryDatabase | None
-    ) -> int:
-        """Drop entries the new trajectory could displace; keep the proven.
-
-        Survival proof per entry: the newcomer's best possible score
-        against the cached query is at most ``spatial_ub + (1-lam) *
-        text_upper_bound``; a cached kth score strictly above that cannot
-        be displaced (strict — at equal score the lower id wins, and the
-        newcomer might have one).
-        """
-        landmarks = sigma = None
-        if database is not None:
-            landmarks = database.landmark_index
-            sigma = database.sigma
+    def _on_add(self, event: MutationEvent, reach: _Reach | None) -> int:
+        """Drop entries the new trajectory could displace; keep the proven."""
         dropped = 0
         for key, entry in self._entries.items():
-            if self._survives_add(entry, event, landmarks, sigma):
+            if _survives_add(entry, event, reach):
                 continue
             self._entries.pop(key)
             self._unlink(key, entry)
             dropped += 1
         return dropped
-
-    @staticmethod
-    def _survives_add(
-        entry: _CachedEntry,
-        event: MutationEvent,
-        landmarks,
-        sigma: float | None,
-    ) -> bool:
-        if entry.locations is None:
-            return False  # no proof material stored
-        if len(entry.items) < entry.k or entry.kth_score <= 0.0:
-            return False  # underfull or zero-padded: anything can enter
-        lam = entry.lam
-        spatial_ub = 0.0
-        if lam > 0.0:
-            spatial_ub = lam  # trivial cap: exp(-d/sigma) <= 1 per source
-            if landmarks is not None and sigma is not None and event.vertices.size:
-                bounds = landmarks.lower_bounds_to_set(
-                    entry.locations, event.vertices
-                )
-                spatial_ub = float(
-                    np.exp(-bounds / sigma).sum() * (lam / entry.locations.size)
-                )
-        text_ub = (1.0 - lam) * text_upper_bound(
-            entry.keywords, entry.text_measure, event.keywords
-        )
-        return entry.kth_score > spatial_ub + text_ub
 
     def _unlink(self, key: Hashable, entry: _CachedEntry, skip: int = -1) -> None:
         """Remove ``key`` from every reverse-index posting of ``entry``."""
@@ -436,3 +405,45 @@ class ResultCache:
             f"ResultCache(size={len(self._entries)}/{self.capacity}, "
             f"scoped={self._scoped}, stats={self.stats!r})"
         )
+
+
+class _Reach(NamedTuple):
+    """The newcomer's distances from one bounded Dijkstra: ``row[v]`` is
+    exact when at most ``radius`` and ``inf`` beyond."""
+
+    row: np.ndarray
+    radius: float
+    sigma: float
+
+    @classmethod
+    def of(cls, event: MutationEvent, database: TrajectoryDatabase) -> _Reach | None:
+        if not event.vertices.size:
+            return None
+        sigma = database.sigma
+        radius = PHASE1_RADIUS_SIGMAS * sigma
+        row = sssp_array(database.graph.csr, event.vertices, cutoff=radius)
+        return cls(row, radius, sigma)
+
+
+def _survives_add(
+    entry: _CachedEntry, event: MutationEvent, reach: _Reach | None
+) -> bool:
+    """Whether the newcomer provably stays out of ``entry``'s top-k: its
+    score bound (exact up to ``lam * exp(-r/sigma)``) sits below the kth
+    score by more than the tie tolerance."""
+    if entry.locations is None:
+        return False  # no proof material stored
+    if len(entry.items) < entry.k or entry.kth_score <= 0.0:
+        return False  # underfull or zero-padded: anything can enter
+    lam = entry.lam
+    spatial_ub = lam  # trivial cap: exp(-d/sigma) <= 1 per location
+    if reach is not None and lam > 0.0:
+        distances = np.minimum(reach.row[entry.locations], reach.radius)
+        spatial_ub = float(np.exp(-distances / reach.sigma).sum()) * (
+            lam / entry.locations.size
+        )
+    form = get_count_form(entry.text_measure)
+    text = form(
+        len(entry.keywords & event.keywords), len(entry.keywords), len(event.keywords)
+    )
+    return entry.kth_score > spatial_ub + (1.0 - lam) * text + _EPS

@@ -457,8 +457,8 @@ class QueryService:
     def _on_mutation(self, event) -> None:
         """Database mutation listener: scoped result-cache invalidation.
 
-        Routes the typed event into the result cache with the database's
-        landmark/sigma support (the add-survival bound), folds the scope
+        Routes the typed event into the result cache with the database
+        (its graph and sigma feed the add-survival bound), folds the scope
         into the service stats, and — when tracing — records an
         ``invalidation`` span carrying kind / trajectory id / dropped /
         retained so ingest churn is visible next to the queries it

@@ -131,11 +131,10 @@ def text_upper_bound(
     cosines).  Unknown measures fall back to the trivial bound (1 when
     any overlap is possible) — admissible, never wrong, just unprunable.
 
-    Two layers share this bound: the shard planner proves whole shards
-    unable to beat the running kth score (``vocabulary`` = the shard's
-    union vocabulary, see :mod:`repro.shard.summary`), and the result
-    cache proves cached top-k entries unaffected by a freshly added
-    trajectory (``vocabulary`` = the new trajectory's keyword set).
+    Only the shard planner uses it: it proves whole shards unable to beat
+    the running kth score (``vocabulary`` = the shard's union vocabulary,
+    see :mod:`repro.shard.summary`).  The result cache knows a new
+    trajectory's exact keywords and scores them with the closed form.
     """
     if not keywords:
         return 0.0

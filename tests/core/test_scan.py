@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 import repro.core.scan as scan_module
+import repro.index.database as database_module
 from repro.core.query import UOTSQuery
 from repro.core.registry import ALGORITHMS, SERVING_ALGORITHM, make_searcher
 from repro.core.scan import ScanArrays, ScanSearcher, scan_topk
@@ -37,6 +38,7 @@ from repro.network.generators import grid_network
 from repro.network.io import load_json, save_json
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, activated
+from repro.perf import ResultCache
 from repro.resilience.budget import SearchBudget
 from repro.service.service import QueryService
 from repro.text.assignment import annotate_trajectories, assign_vertex_keywords
@@ -818,6 +820,31 @@ def test_scan_path_never_builds_a_vertex_set(tmp_path):
         UOTSQuery.create([3, 77], ["park"], lam=0.5, k=3)
     )
     assert any(t._vertex_set is not None for t in database.trajectories)
+
+
+def test_scan_service_writes_never_build_the_landmark_table():
+    """A cached ``scan`` service proves adds with one bounded Dijkstra from
+    the newcomer, not with ALT bounds: answering queries and then applying
+    adds and removes leaves the database's landmark table unbuilt, while
+    the proof still keeps entries the adds cannot reach."""
+    database = build_world()
+    cache = ResultCache(64)
+    service = QueryService(database, "scan", result_cache=cache)
+    queries = seeded_queries(database, seed=9, count=12)
+    rng = random.Random(9)
+    next_id = max(database.trajectories.ids()) + 1
+    for step in range(6):
+        for query in queries:
+            service.search(query)
+        if step % 2:
+            database.remove(rng.choice(database.trajectories.ids()))
+        else:
+            donor = database.get(rng.choice(database.trajectories.ids()))
+            database.add(donor.with_id(next_id))
+            next_id += 1
+    assert cache.invalidation_events == 6
+    assert cache.invalidation_entries_retained > 0
+    assert database._landmark_index is database_module._UNSET
 
 
 def test_serving_holds_no_per_vertex_graph_objects(tmp_path):

@@ -10,7 +10,9 @@ invariants — not just "no exception":
 - the LRU cache never exceeds capacity and its stats counters add up;
 - the result cache's reverse index and entry map agree in both
   directions (every posting points at a live entry ranking that
-  trajectory; every cached item is posted).
+  trajectory; every cached item is posted);
+- the add-survival proof's bounded Dijkstra runs with the cache lock
+  released, so concurrent hits never wait on it.
 """
 
 from __future__ import annotations
@@ -21,10 +23,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+import repro.perf.result_cache as result_cache_module
+from repro.core.query import UOTSQuery
 from repro.core.results import ScoredTrajectory, SearchResult
+from repro.index.database import TrajectoryDatabase
 from repro.index.events import MutationEvent
+from repro.network.generators import grid_network
 from repro.perf.cache import LRUCache
 from repro.perf.result_cache import ResultCache
+from repro.trajectory.generator import generate_trips
 
 
 def _check_result_cache_consistency(cache: ResultCache) -> None:
@@ -99,10 +106,23 @@ def test_lru_cache_mixed_hammer_keeps_invariants():
         assert value == key * 2, "torn write: value does not match its key"
 
 
-def test_result_cache_seeded_multithread_property():
+def test_result_cache_seeded_multithread_property(monkeypatch):
     """The acceptance hammer: seeded mixed put/get/invalidate workload,
-    then an exact reverse-index-vs-entries consistency check."""
+    then an exact reverse-index-vs-entries consistency check.  Adds carry
+    a database, so the add-survival proof (one bounded Dijkstra, then a
+    per-entry bound) runs beside the concurrent gets and puts; every
+    Dijkstra must run with the cache lock released."""
+    graph = grid_network(6, 6, seed=3)
+    database = TrajectoryDatabase(graph, generate_trips(graph, 20, seed=4))
     cache = ResultCache(capacity=32)
+    lock_held: list[bool] = []
+    sssp_array = result_cache_module.sssp_array
+
+    def watched_sssp(*args, **kwargs):
+        lock_held.append(cache._lock._is_owned())
+        return sssp_array(*args, **kwargs)
+
+    monkeypatch.setattr(result_cache_module, "sssp_array", watched_sssp)
     threads, ops = 8, 500
     errors: list[BaseException] = []
     barrier = threading.Barrier(threads)
@@ -113,12 +133,17 @@ def test_result_cache_seeded_multithread_property():
             barrier.wait()
             for i in range(ops):
                 op = rng.random()
-                key = f"q{rng.randrange(64)}"
+                number = rng.randrange(64)
+                key = f"q{number}"
                 if op < 0.45:
                     cache.get(key)
                 elif op < 0.85:
                     ids = rng.sample(range(40), k=rng.randrange(1, 6))
-                    cache.put(key, _result(ids))
+                    query = UOTSQuery.create(
+                        [number % 36, (number + 17) % 36], ["new"],
+                        lam=(number % 5) / 4, k=len(ids),
+                    )
+                    cache.put(key, _result(ids), query=query)
                 elif op < 0.95:
                     event = MutationEvent(
                         kind="remove",
@@ -126,15 +151,15 @@ def test_result_cache_seeded_multithread_property():
                         keywords=frozenset(),
                         vertices=np.array([], dtype=np.intp),
                     )
-                    cache.on_event(event)
+                    cache.on_event(event, database)
                 else:
                     event = MutationEvent(
                         kind="add",
                         trajectory_id=100 + i,
                         keywords=frozenset({"new"}),
-                        vertices=np.array([1, 2], dtype=np.intp),
+                        vertices=np.array(rng.sample(range(36), 2), dtype=np.intp),
                     )
-                    cache.on_event(event)
+                    cache.on_event(event, database)
         except BaseException as exc:  # noqa: BLE001
             errors.append(exc)
 
@@ -142,6 +167,8 @@ def test_result_cache_seeded_multithread_property():
         list(pool.map(work, range(threads)))
     assert not errors, f"result cache op raised under concurrency: {errors[:3]}"
     _check_result_cache_consistency(cache)
+    assert lock_held and not any(lock_held), "the Dijkstra ran under the cache lock"
+    assert cache.invalidation_entries_retained > 0  # the proof kept entries
 
 
 def test_result_cache_concurrent_eviction_churn_stays_consistent():

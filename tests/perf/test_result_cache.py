@@ -179,9 +179,11 @@ def _event(kind="add", trajectory_id=99, keywords=(), vertices=(1, 2)):
 
 
 class TestScopedEvents:
-    """Container-level scoped invalidation (no database: trivial spatial
-    bound ``lam``).  The landmark-tightened path and byte-equality against
-    fresh searches live in ``tests/service/test_scoped_invalidation.py``."""
+    """Container-level scoped invalidation (no database: the spatial term
+    takes the trivial ``lam`` cap, the text term is exact).  The bounded
+    Dijkstra from the newcomer and byte-equality against fresh searches
+    live in ``tests/perf/test_add_survival.py`` and
+    ``tests/service/test_scoped_invalidation.py``."""
 
     def _put(self, cache, key, ids, scores=None, **query_kwargs):
         query_kwargs.setdefault("k", len(ids))

@@ -6,7 +6,9 @@ service returns — hit or miss — is byte-equal to a fresh search over the
 current database (the seeded property sweep).  The targeted tests pin the
 two scoping rules individually: removals drop exactly the entries that
 ranked the removed trajectory, and adds retain entries whose cached kth
-score provably exceeds the newcomer's score upper bound.
+score exceeds, by more than the 1e-9 tie tolerance, the newcomer's score
+bound from one Dijkstra bounded at the scan's phase-1 radius plus its
+exact text similarity.
 """
 
 import random
@@ -190,7 +192,7 @@ class TestRemovalScoping:
 
 class TestAddScoping:
     def _spatial_free_query(self, bundle, k=3):
-        """A pure-text query (lam=0): the add bound reduces to the text UB."""
+        """A pure-text query (lam=0): the add bound is the exact SimT."""
         keyword = _popular_keyword(bundle.database, min_postings=k)
         graph = bundle.database.graph
         return UOTSQuery(
@@ -224,7 +226,7 @@ class TestAddScoping:
         oracle = _oracle(bundle)
         query = self._spatial_free_query(bundle)
         service.search(query)
-        # The newcomer carries exactly the query keyword: its text UB is
+        # The newcomer carries exactly the query keyword: its SimT is
         # 1.0 >= any cached kth score, so the entry must drop.
         bundle.database.add(self._fresh_trajectory(bundle, sorted(query.keywords)))
         fresh = service.search(query)
