@@ -29,7 +29,7 @@ with or without the gateway; the committed ``inprocess`` arm shows it).
 Cache hit counts are reported per arm so the mix is visible.
 - ``http_flood`` — R2's hog-tenant flood re-staged through HTTP: 2
   interactive clients + 6 hog clients against an
-  :class:`OverloadController` with a plan-calibrated cost ceiling;
+  :class:`AdmissionController` with a plan-calibrated cost ceiling;
   interactive requests must keep succeeding (200), hog requests come
   back 429 at the admission desk.  This arm runs *without* a result
   cache on purpose — cache hits are served on the event loop before
@@ -58,7 +58,7 @@ import pytest
 from common import SMOKE, Profile, bundle_for, paper_profile
 from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
-from repro.service import AdmissionPolicy, OverloadController, QueryService
+from repro.service import AdmissionController, AdmissionPolicy, QueryService
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -298,7 +298,7 @@ def run_flood_arm(bundle, interactive, hog, per_client: int) -> dict:
     plan_service = QueryService(bundle.database, "collaborative")
     policy = calibrate_policy(plan_service, interactive, hog)
     service = QueryService(
-        bundle.database, "collaborative", admission=OverloadController(policy)
+        bundle.database, "collaborative", admission=AdmissionController(policy)
     )
     harness = GatewayHarness(service)
     inter_lanes = [[] for _ in range(FLOOD_INTERACTIVE_CLIENTS)]

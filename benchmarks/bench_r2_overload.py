@@ -6,10 +6,10 @@ ISSUE 6 admission policy — per-tenant fair-share quotas, priority
 classes, and the cost ceiling over ``QueryPlan.estimated_cost`` — keeps
 the interactive tenant's goodput intact: success rate >= 95% (expected:
 100%) with p95 latency within 2x of the unloaded baseline.  The *same*
-mixed stream pushed through the legacy global in-flight cap (the naive
-``AdmissionController``) lets the hog monopolize the slots, dropping
-interactive queries roughly in proportion to its share of the offered
-load.
+mixed stream pushed through a plain global in-flight cap (a policy of
+``max_inflight`` alone, every priority class shed only at the cap) lets
+the hog monopolize the slots, dropping interactive queries roughly in
+proportion to its share of the offered load.
 
 Three conditions over one shared bundle, all using the same interactive
 client (2 threads, think time between queries):
@@ -18,7 +18,7 @@ client (2 threads, think time between queries):
   latency baseline.
 - ``naive``      — interactive + hog flood through a plain global cap
   (first come, first served): the failure mode.
-- ``policy``     — the same flood through an :class:`OverloadController`
+- ``policy``     — the same flood through an :class:`AdmissionController`
   whose cost ceiling is calibrated *from the measured plans* to sit
   between the interactive and hog cost bands, with weighted fair-share
   quotas and priority classes backing it up.
@@ -49,9 +49,9 @@ from common import SMOKE, Profile, bundle_for, paper_profile
 from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.service import (
+    PRIORITY_CLASSES,
     AdmissionController,
     AdmissionPolicy,
-    OverloadController,
     QueryService,
 )
 
@@ -238,6 +238,17 @@ def run_condition(bundle, interactive, hog, admission) -> dict:
     }
 
 
+def naive_controller() -> AdmissionController:
+    """The naive arm: a plain first-come-first-served cap of ``CAPACITY``
+    (every priority class is shed by the cap alone, never earlier)."""
+    return AdmissionController(
+        AdmissionPolicy(
+            max_inflight=CAPACITY,
+            priority_thresholds=dict.fromkeys(PRIORITY_CLASSES, 1.0),
+        )
+    )
+
+
 def run_suite(profile: Profile) -> dict:
     bundle = bundle_for(profile, "brn")
     interactive, hog = make_workloads(bundle, profile)
@@ -250,11 +261,9 @@ def run_suite(profile: Profile) -> dict:
 
     policy = calibrate_policy(warm, interactive, hog)
     unloaded = run_condition(bundle, interactive, [], None)
-    naive = run_condition(
-        bundle, interactive, hog, AdmissionController(max_inflight=CAPACITY)
-    )
+    naive = run_condition(bundle, interactive, hog, naive_controller())
     policied = run_condition(
-        bundle, interactive, hog, OverloadController(policy)
+        bundle, interactive, hog, AdmissionController(policy)
     )
 
     baseline_p95 = unloaded["interactive"]["p95_ms"]
@@ -381,9 +390,9 @@ def test_r2_overloaded_stream(benchmark, mode):
 
     def run():
         admission = (
-            AdmissionController(max_inflight=CAPACITY)
+            naive_controller()
             if mode == "naive"
-            else OverloadController(calibrate_policy(service, interactive, hog))
+            else AdmissionController(calibrate_policy(service, interactive, hog))
         )
         return run_condition(bundle, interactive, hog, admission)
 

@@ -98,7 +98,6 @@ from repro.service import (
     AdmissionController,
     AdmissionPolicy,
     CircuitBreaker,
-    OverloadController,
     QueryService,
     ServiceStats,
 )
@@ -147,7 +146,6 @@ __all__ = [
     "InvertedKeywordIndex",
     "JoinResult",
     "MetricsRegistry",
-    "OverloadController",
     "PTMMatcher",
     "PTMQuery",
     "QueryError",

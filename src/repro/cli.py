@@ -32,7 +32,7 @@ from repro.obs.slowlog import SlowQueryJournal
 from repro.obs.trace import format_trace
 from repro.resilience.budget import SearchBudget
 from repro.index.database import TrajectoryDatabase
-from repro.service.admission import AdmissionController, OverloadController
+from repro.service.admission import AdmissionController
 from repro.service.policy import PRIORITY_CLASSES, AdmissionPolicy
 from repro.service.service import QueryService
 from repro.join.tsjoin import TwoPhaseJoin
@@ -86,24 +86,16 @@ def _parse_query(args: argparse.Namespace) -> UOTSQuery:
     )
 
 
-def _make_admission(args: argparse.Namespace) -> AdmissionController | None:
-    """An overload controller from the CLI policy flags, or ``None``.
-
-    ``None`` (no policy flag set) keeps the service's default unbounded
-    controller — the CLI's historical behaviour, byte for byte.
-    """
-    if (
-        args.max_inflight is None
-        and args.max_cost is None
-        and args.degrade_headroom is None
-    ):
-        return None
-    policy = AdmissionPolicy(
-        max_inflight=args.max_inflight,
-        max_cost=args.max_cost,
-        degrade_headroom=args.degrade_headroom,
+def _make_admission(args: argparse.Namespace) -> AdmissionController:
+    """The admission controller the CLI policy flags describe (none set:
+    the default unbounded controller)."""
+    return AdmissionController(
+        AdmissionPolicy(
+            max_inflight=args.max_inflight,
+            max_cost=args.max_cost,
+            degrade_headroom=args.degrade_headroom,
+        )
     )
-    return OverloadController(policy)
 
 
 def _uses_admission(args: argparse.Namespace) -> bool:

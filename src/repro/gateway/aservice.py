@@ -4,19 +4,21 @@
 :class:`~repro.service.service.QueryService`.  The split follows the
 cost structure of one served query:
 
-- the **cheap, shared-state half** — result-cache probe, admission
-  decision (including the cost-policy plan) — runs directly on the event
-  loop via the service's ``_cache_key`` / ``_serve_hit`` /
-  ``_admit_decision`` / ``_reject`` seams.  These touch the service's
-  shared structures (result cache, admission counters, stats), all of
-  which are internally locked, and complete in microseconds, so they
-  never block the loop noticeably and rejected/cached queries never wait
-  behind a busy worker thread;
-- the **expensive, CPU-bound half** — the actual search — is bridged
-  onto a bounded :class:`~concurrent.futures.ThreadPoolExecutor` through
-  ``_execute_admitted``, which owns the admission slot it was handed and
-  releases it on every path.  The bridge threads bound the requests in
-  flight and overlap their I/O; they do **not** make searches parallel —
+- the **cheap, shared-state half** — the service's ``_probe`` (result
+  cache) and ``_admit`` (admission decision, including the cost-policy
+  plan) stages — runs directly on the event loop.  These touch the
+  service's shared structures (result cache, admission counters, stats),
+  all of which are internally locked, and complete in microseconds, so
+  they never block the loop noticeably and rejected/cached queries never
+  wait behind a busy worker thread;
+- the **expensive, CPU-bound half** — the service's ``_execute_admitted``
+  stage — is bridged onto a bounded
+  :class:`~concurrent.futures.ThreadPoolExecutor`; it owns the admission
+  slot it was handed and releases it on every path, and it charges the
+  time the query queued for a bridge thread to the deadline and to the
+  recorded latency (both run from the probe's clock).  The bridge
+  threads bound the requests in flight and overlap their I/O; they do
+  **not** make searches parallel —
   SciPy's Dijkstra holds the GIL (two threads of full SSSPs measure 0.98x
   one).  Search parallelism is carried by processes: when the service
   holds a :class:`~repro.parallel.pool.SearchWorkerPool`, the bridge
@@ -50,7 +52,6 @@ no HTTP — so ``repro.gateway`` stays import-light (the HTTP layer in
 from __future__ import annotations
 
 import asyncio
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
@@ -170,35 +171,27 @@ class AsyncQueryService:
         """Answer one query; the async sibling of :meth:`QueryService.submit`.
 
         Semantics are identical (cache hits before admission, rejections
-        as error-marked results, library errors contained) — the only
-        differences are *where* the halves run (see the module docstring)
-        and that a saturated bridge raises
-        :class:`~repro.errors.GatewaySaturatedError` before any service
-        state is touched.
+        as error-marked results, library errors contained); only *where*
+        the stages run differs (see the module docstring).  The order is
+        probe → saturation check → admit: a cached answer is served even
+        while the bridge is saturated, and a saturated bridge raises
+        :class:`~repro.errors.GatewaySaturatedError` after the probe (a
+        miss is counted in the cache stats) but before admission.
         """
         if self._closed:
             raise GatewayError("gateway is closed")
         service = self._service
-        started = time.perf_counter()
-        key = service._cache_key(query, budget)
-        if key is not None:
-            hit = service._result_cache.get(key)
-            if hit is not None:
-                return service._serve_hit(query, hit, started, tenant, priority)
+        started, key, hit = service._probe(query, budget, tenant, priority)
+        if hit is not None:
+            return hit
         if self.saturated:
             raise GatewaySaturatedError(self._pending, self._max_pending)
-        decision = service._admit_decision(query, tenant, priority)
-        if not decision.admitted:
-            return service._reject(decision, started, query, tenant, priority)
+        decision, rejected = service._admit(query, started, tenant, priority)
+        if rejected is not None:
+            return rejected
         return await self._bridge(
-            service._execute_admitted,
-            query,
-            budget,
-            decision,
-            key,
-            GATEWAY_EXECUTOR_LABEL,
-            tenant,
-            priority,
+            service._execute_admitted, query, budget, decision, key, started,
+            GATEWAY_EXECUTOR_LABEL, tenant, priority,
         )
 
     async def submit_many(

@@ -155,9 +155,8 @@ def bind_service_stats(
         p95.set(snapshot["p95_ms"] / 1000.0, **labels)
         hit_rate.set(snapshot["distance_cache_hit_rate"], cache="distance", **labels)
         hit_rate.set(snapshot["text_cache_hit_rate"], cache="text", **labels)
-        # Overload-policy series materialise only once a policy decision
-        # happened: an un-policied service exports exactly the pre-overload
-        # instrument set (get-or-create makes the repeats cheap).
+        # Invalidation and admission series materialise only once such an
+        # event happened (get-or-create makes the repeats cheap).
         if "invalidation_events" in snapshot:
             invalidation_events = registry.counter(
                 "repro_invalidation_events_total",

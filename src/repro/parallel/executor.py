@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from typing import Sequence
+from dataclasses import replace
+from typing import Callable, Sequence
 
 from repro.core.query import UOTSQuery
 from repro.core.results import SearchResult
@@ -58,6 +59,36 @@ def _safe_search(searcher, query: UOTSQuery, budget: SearchBudget | None) -> Sea
         result = _error_result(exc)
         result.stats.elapsed_seconds = time.perf_counter() - started
         return result
+
+
+def _charged_search(
+    run: Callable[[UOTSQuery, SearchBudget | None], SearchResult],
+    query: UOTSQuery,
+    budget: SearchBudget | None,
+    entered: float,
+) -> SearchResult:
+    """``run(query, budget)`` with the time since ``entered`` (a
+    ``perf_counter`` reading) charged to the deadline of ``budget``
+    (default: the query's own).
+
+    Every search path answers through here — a pool worker, the calling
+    thread, a gateway bridge thread — so a deadline always counts the time
+    the query queued before its search began, and a degraded answer says
+    how much of the deadline the queue took.
+    """
+    if budget is None:
+        budget = query.budget
+    deadline = budget.deadline_seconds if budget is not None else None
+    wait = time.perf_counter() - entered
+    if deadline is not None:
+        budget = replace(budget, deadline_seconds=max(0.0, deadline - wait))
+    result = run(query, budget)
+    if deadline is not None and not result.exact and result.error is None:
+        result.degradation_reason = (
+            f"{result.degradation_reason}; {wait * 1000:.1f} ms of the "
+            f"{deadline * 1000:.1f} ms deadline spent waiting for a worker"
+        )
+    return result
 
 
 def parallel_search(

@@ -43,7 +43,6 @@ import signal
 import threading
 import time
 import weakref
-from dataclasses import replace
 from typing import Callable, Sequence
 
 from repro.core.query import UOTSQuery
@@ -53,7 +52,12 @@ from repro.index.database import TrajectoryDatabase
 from repro.obs import harvest
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.trace import Span, Tracer, activated, current_tracer
-from repro.parallel.executor import _error_result, _safe_search, fork_available
+from repro.parallel.executor import (
+    _charged_search,
+    _error_result,
+    _safe_search,
+    fork_available,
+)
 from repro.resilience.budget import SearchBudget
 
 __all__ = ["SearchWorkerPool", "serving_workers", "usable_cpus"]
@@ -289,35 +293,30 @@ class SearchWorkerPool:
         """
         if entered is None:
             entered = time.perf_counter()
-        if budget is None:
-            budget = query.budget
-        deadline = budget.deadline_seconds if budget is not None else None
+        effective = budget if budget is not None else query.budget
         remaining = None
-        if deadline is not None:
-            remaining = max(0.0, deadline - (time.perf_counter() - entered))
+        if effective is not None and effective.deadline_seconds is not None:
+            waited = time.perf_counter() - entered
+            remaining = max(0.0, effective.deadline_seconds - waited)
         # A deadline already spent never occupies a worker.
         worker = self._acquire(remaining) if remaining != 0.0 else None
-        wait = time.perf_counter() - entered
         if self._wait_seconds is not None:
-            self._wait_seconds.observe(wait)
-        if deadline is not None:
-            budget = replace(budget, deadline_seconds=max(0.0, deadline - wait))
-        result = None
-        if worker is not None:
-            result = self._on_worker(worker, query, budget, span)
-        if result is None:
-            # No live worker, the deadline ran out in the queue, or the
-            # worker died mid-query: answer in process.
-            result = _safe_search(self._searcher, query, budget)
+            self._wait_seconds.observe(time.perf_counter() - entered)
+
+        def answer(query: UOTSQuery, budget: SearchBudget | None) -> SearchResult:
+            result = None
             if worker is not None:
-                result.stats.executor = "sequential-fallback"
-                result.stats.retries = 1
-        if deadline is not None and not result.exact and result.error is None:
-            result.degradation_reason = (
-                f"{result.degradation_reason}; {wait * 1000:.1f} ms of the "
-                f"{deadline * 1000:.1f} ms deadline spent waiting for a worker"
-            )
-        return result
+                result = self._on_worker(worker, query, budget, span)
+            if result is None:
+                # No live worker, the deadline ran out in the queue, or the
+                # worker died mid-query: answer in process.
+                result = _safe_search(self._searcher, query, budget)
+                if worker is not None:
+                    result.stats.executor = "sequential-fallback"
+                    result.stats.retries = 1
+            return result
+
+        return _charged_search(answer, query, effective, entered)
 
     def _acquire(self, timeout: float | None) -> _Worker | None:
         """An idle worker, waiting up to ``timeout`` for one; ``None`` when

@@ -1,6 +1,6 @@
 """The serving layer: query front-end, admission control, service stats."""
 
-from repro.service.admission import AdmissionController, OverloadController
+from repro.service.admission import AdmissionController
 from repro.service.breaker import BREAKER_STATE_CODES, CircuitBreaker
 from repro.service.policy import (
     DEFAULT_PRIORITY_THRESHOLDS,
@@ -21,7 +21,6 @@ __all__ = [
     "DEFAULT_PRIORITY_THRESHOLDS",
     "DEFAULT_TENANT",
     "LatencyReservoir",
-    "OverloadController",
     "PRIORITY_CLASSES",
     "QueryService",
     "ServiceStats",

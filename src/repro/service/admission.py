@@ -1,28 +1,20 @@
 """Admission control: the overload-protection seam of the serving layer.
 
 A production front-end protects itself by *rejecting* excess load instead
-of queueing it without bound.  Two controllers implement that here:
+of queueing it without bound.  :class:`AdmissionController` is that gate,
+configured by one :class:`~repro.service.policy.AdmissionPolicy`: a global
+in-flight cap, per-tenant quotas and weighted fair shares, priority
+classes shed lowest first under pressure, a load-dependent cost ceiling
+over planned ``estimated_cost`` (with optional graceful degradation
+instead of hard shedding), and a failure-rate :class:`~repro.service.
+breaker.CircuitBreaker` that sheds everything while the substrate is
+failing.  The default policy turns every feature off: an unbounded gate
+that only validates the priority class.
 
-- :class:`AdmissionController` — the simple honest form: a non-blocking
-  global in-flight cap.  ``submit`` asks :meth:`~AdmissionController.
-  admit`; a shed decision means the query is turned away immediately
-  (recorded as rejected, never executed) rather than piling onto a queue
-  whose latency the caller can no longer reason about.  The default
-  controller is unbounded, which keeps single-tenant and test usage
-  friction-free.
-- :class:`OverloadController` — the policy-driven form for multi-tenant
-  traffic, configured by an :class:`~repro.service.policy.AdmissionPolicy`:
-  per-tenant quotas and weighted fair shares, priority classes shed lowest
-  first under pressure, a load-dependent cost ceiling over planned
-  ``estimated_cost`` (with optional graceful degradation instead of hard
-  shedding), and a failure-rate :class:`~repro.service.breaker.
-  CircuitBreaker` that sheds everything while the substrate is failing.
-
-Both speak the same protocol: ``admit(...) -> AdmissionDecision``,
-``release(decision)`` from the matching ``finally`` block, and
-``record_outcome(result)`` after execution (a no-op on the base
-controller; the breaker's diet on the policy one).  Slot accounting is an
-explicit lock-guarded counter, so an unmatched ``release`` raises a clear
+The protocol: ``admit(...) -> AdmissionDecision``, ``release(decision)``
+from the matching ``finally`` block, and ``record_outcome(result)`` after
+execution (the breaker's diet).  Slot accounting is an explicit
+lock-guarded counter, so an unmatched ``release`` raises a clear
 invariant error instead of a bare ``ValueError`` out of a
 ``BoundedSemaphore`` — a double-release in some failure path is a serving
 bug worth a loud, named crash.
@@ -31,10 +23,7 @@ bug worth a loud, named crash.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable
 
-from repro.errors import QueryError
 from repro.resilience.budget import SearchBudget
 from repro.service.breaker import CircuitBreaker
 from repro.service.policy import (
@@ -43,17 +32,7 @@ from repro.service.policy import (
     AdmissionPolicy,
 )
 
-__all__ = ["AdmissionController", "OverloadController"]
-
-#: The decision every un-policied admission returns (``reason`` empty: the
-#: legacy cap predates reason labels, and an empty reason is what keeps
-#: default-configuration stats/trace output byte-identical).
-_ADMIT = AdmissionDecision(admitted=True, action="admit")
-_SHED_CAP = AdmissionDecision(
-    admitted=False,
-    action="shed",
-    detail="service at its in-flight query cap",
-)
+__all__ = ["AdmissionController"]
 
 #: Exception type names (the prefix of ``SearchResult.error``) that count
 #: as *infrastructure* failures and feed the circuit breaker.  User-level
@@ -80,20 +59,48 @@ def _infrastructure_failure(error: str | None) -> bool:
 
 
 class AdmissionController:
-    """A non-blocking in-flight query cap (unbounded when ``None``).
+    """Policy-driven admission: cap, quotas, priorities, cost, breaker.
 
-    In-flight accounting is an explicit counter under a lock (not a
-    semaphore) so the current load is observable (:attr:`inflight`,
-    :attr:`utilization`) and an unmatched :meth:`release` fails with a
-    clear invariant error.
+    One :class:`~repro.service.policy.AdmissionPolicy` (default: every
+    feature off) drives every decision; the controller adds the mutable
+    half — global and per-tenant in-flight counters, and the circuit
+    breaker.  Decision order (first refusal wins; the full table lives in
+    DESIGN.md §10):
+
+    0. unknown priority class -> :class:`~repro.errors.QueryError`
+       (a caller error, not a shed);
+    1. breaker open -> shed ``breaker_open``;
+    2. global cap full -> shed ``inflight_cap``;
+    3. class threshold exceeded -> shed ``priority_shed``;
+    4. tenant quota full -> shed ``tenant_quota``;
+    5. cost over the load-dependent ceiling -> degrade (within
+       ``degrade_headroom``) or shed ``cost_shed``;
+    6. breaker half-open and probe budget spent -> shed ``breaker_probing``.
+
+    Anonymous queries account against the ``default`` tenant lane.  The
+    in-flight counts are observable (:attr:`inflight`,
+    :meth:`tenant_inflight`, :attr:`utilization`).
     """
 
-    def __init__(self, max_inflight: int | None = None):
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        self.max_inflight = max_inflight
+    def __init__(
+        self,
+        policy: AdmissionPolicy | None = None,
+        breaker: CircuitBreaker | None = None,
+    ):
+        if policy is None:
+            policy = AdmissionPolicy()
+        self.policy = policy
+        self.max_inflight = policy.max_inflight
+        if breaker is None and policy.breaker_failures is not None:
+            breaker = CircuitBreaker(
+                failure_threshold=policy.breaker_failures,
+                cooldown_seconds=policy.breaker_cooldown_seconds,
+                half_open_probes=policy.breaker_probes,
+            )
+        self._breaker = breaker
         self._lock = threading.Lock()
         self._inflight = 0
+        self._tenant_inflight: dict[str, int] = {}
 
     # ------------------------------------------------------------- accounting
     @property
@@ -113,138 +120,35 @@ class AdmissionController:
             return 0.0
         return self._inflight / self.max_inflight
 
-    # -------------------------------------------------------------- admission
-    def try_acquire(self) -> bool:
-        """Claim an in-flight slot without blocking; ``False`` = reject."""
-        with self._lock:
-            if self.max_inflight is not None and self._inflight >= self.max_inflight:
-                return False
-            self._inflight += 1
-            return True
-
-    def admit(
-        self,
-        tenant: str | None = None,
-        priority: str | None = None,
-        cost: float | None = None,
-    ) -> AdmissionDecision:
-        """Decide one query's admission (the policy-aware seam).
-
-        The base controller ignores ``tenant``/``priority``/``cost`` and
-        reduces to :meth:`try_acquire`; :class:`OverloadController`
-        overrides this with the full policy evaluation.
-        """
-        if self.try_acquire():
-            return _ADMIT
-        return _SHED_CAP
-
-    def release(self, decision: AdmissionDecision | None = None) -> None:
-        """Return a slot claimed by a successful admission.
-
-        Raises a clear invariant error on an unmatched release — a
-        double-release in a ``finally`` block is a serving-layer bug, not
-        a condition to limp past (or to surface as a bare semaphore
-        ``ValueError``).
-        """
-        with self._lock:
-            if self._inflight <= 0:
-                raise RuntimeError(
-                    "AdmissionController.release() without a matching "
-                    "acquire: in-flight count is already 0 (double release "
-                    "in a failure path?)"
-                )
-            self._inflight -= 1
-
-    # ---------------------------------------------------------------- outcome
-    def record_outcome(self, result) -> None:
-        """Feed an executed query's outcome back (no-op without a breaker)."""
-
-    # ------------------------------------------------------------- properties
-    @property
-    def needs_plan(self) -> bool:
-        """Whether :meth:`admit` wants the query planned first (for cost)."""
-        return False
-
-    @property
-    def prefer_sequential(self) -> bool:
-        """Whether batch execution should avoid the forked fan-out."""
-        return False
-
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        """The circuit breaker, when one is configured."""
-        return None
-
-    def __repr__(self) -> str:
-        cap = "unbounded" if self.max_inflight is None else self.max_inflight
-        return f"{type(self).__name__}(max_inflight={cap}, inflight={self.inflight})"
-
-
-class OverloadController(AdmissionController):
-    """Policy-driven admission: quotas, priorities, cost shedding, breaker.
-
-    One :class:`~repro.service.policy.AdmissionPolicy` drives every
-    decision; the controller adds the mutable half — global and per-tenant
-    in-flight counters, and the circuit breaker.  Decision order (first
-    refusal wins; the full table lives in DESIGN.md §10):
-
-    1. breaker open -> shed ``breaker_open``;
-    2. global cap full -> shed ``inflight_cap``;
-    3. class threshold exceeded -> shed ``priority_shed``;
-    4. tenant quota full -> shed ``tenant_quota``;
-    5. cost over the load-dependent ceiling -> degrade (within
-       ``degrade_headroom``) or shed ``cost_shed``;
-    6. breaker half-open and probe budget spent -> shed ``breaker_probing``.
-
-    Anonymous queries account against the ``default`` tenant lane.
-    """
-
-    def __init__(
-        self,
-        policy: AdmissionPolicy,
-        breaker: CircuitBreaker | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        super().__init__(policy.max_inflight)
-        self.policy = policy
-        if breaker is None and policy.breaker_failures is not None:
-            breaker = CircuitBreaker(
-                failure_threshold=policy.breaker_failures,
-                cooldown_seconds=policy.breaker_cooldown_seconds,
-                half_open_probes=policy.breaker_probes,
-                clock=clock,
-            )
-        self._breaker = breaker
-        self._tenant_inflight: dict[str, int] = {}
-
-    # ------------------------------------------------------------- properties
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        return self._breaker
-
-    @property
-    def needs_plan(self) -> bool:
-        return self.policy.uses_cost
-
-    @property
-    def prefer_sequential(self) -> bool:
-        """While the breaker is anything but closed the executor stays
-        sequential: an open breaker sheds anyway, and half-open probes must
-        not fan out over a pool that may be the thing that is broken."""
-        return self._breaker is not None and self._breaker.state != CircuitBreaker.CLOSED
-
     def tenant_inflight(self, tenant: str | None = None) -> int:
         """Queries a tenant currently has in flight."""
         with self._lock:
             return self._tenant_inflight.get(tenant or DEFAULT_TENANT, 0)
 
+    # ------------------------------------------------------------- properties
+    @property
+    def breaker(self) -> CircuitBreaker | None:
+        """The circuit breaker, when one is configured."""
+        return self._breaker
+
+    @property
+    def needs_plan(self) -> bool:
+        """Whether :meth:`admit` wants the query planned first (for cost)."""
+        return self.policy.uses_cost
+
+    @property
+    def prefer_sequential(self) -> bool:
+        """Whether batch execution should avoid the forked fan-out.
+
+        While the breaker is anything but closed the executor stays
+        sequential: an open breaker sheds anyway, and half-open probes must
+        not fan out over a pool that may be the thing that is broken."""
+        return self._breaker is not None and self._breaker.state != CircuitBreaker.CLOSED
+
     # -------------------------------------------------------------- admission
+    @staticmethod
     def _shed(
-        self,
-        reason: str,
-        detail: str,
-        tenant: str,
-        priority: str | None,
+        reason: str, detail: str, tenant: str, priority: str | None
     ) -> AdmissionDecision:
         return AdmissionDecision(
             admitted=False,
@@ -261,6 +165,7 @@ class OverloadController(AdmissionController):
         priority: str | None = None,
         cost: float | None = None,
     ) -> AdmissionDecision:
+        """Decide one query's admission (see the class docstring's order)."""
         policy = self.policy
         lane = tenant if tenant is not None else DEFAULT_TENANT
         # Resolve the class threshold outside the lock: an unknown priority
@@ -272,24 +177,16 @@ class OverloadController(AdmissionController):
             self._breaker.preflight() if self._breaker is not None else None
         )
         if breaker_state == CircuitBreaker.OPEN:
-            return self._shed(
-                "breaker_open",
-                "circuit breaker open after repeated infrastructure failures",
-                lane,
-                priority,
-            )
+            detail = "circuit breaker open after repeated infrastructure failures"
+            return self._shed("breaker_open", detail, lane, priority)
         with self._lock:
             utilization = self._utilization_locked()
             if (
                 self.max_inflight is not None
                 and self._inflight >= self.max_inflight
             ):
-                return self._shed(
-                    "inflight_cap",
-                    "service at its in-flight query cap",
-                    lane,
-                    priority,
-                )
+                detail = "service at its in-flight query cap"
+                return self._shed("inflight_cap", detail, lane, priority)
             if (
                 threshold is not None
                 and threshold < 1.0
@@ -307,12 +204,8 @@ class OverloadController(AdmissionController):
             quota = policy.quota_for(lane)
             held = self._tenant_inflight.get(lane, 0)
             if quota is not None and held >= quota:
-                return self._shed(
-                    "tenant_quota",
-                    f"tenant {lane!r} at its in-flight quota ({quota})",
-                    lane,
-                    priority,
-                )
+                detail = f"tenant {lane!r} at its in-flight quota ({quota})"
+                return self._shed("tenant_quota", detail, lane, priority)
             action, budget, reason, detail = "admit", None, "", ""
             ceiling = (
                 policy.effective_max_cost(utilization)
@@ -346,12 +239,8 @@ class OverloadController(AdmissionController):
                 breaker_state == CircuitBreaker.HALF_OPEN
                 and not self._breaker.try_probe()
             ):
-                return self._shed(
-                    "breaker_probing",
-                    "circuit breaker half-open; probe budget in use",
-                    lane,
-                    priority,
-                )
+                detail = "circuit breaker half-open; probe budget in use"
+                return self._shed("breaker_probing", detail, lane, priority)
             self._inflight += 1
             self._tenant_inflight[lane] = held + 1
             return AdmissionDecision(
@@ -364,30 +253,26 @@ class OverloadController(AdmissionController):
                 priority=priority,
             )
 
-    def try_acquire(self) -> bool:
-        """The slot-only protocol, kept for compatibility with callers of
-        the base controller (accounts against the ``default`` tenant)."""
-        return self.admit().admitted
-
     def release(self, decision: AdmissionDecision | None = None) -> None:
+        """Return the slot an admitted ``decision`` claimed (``None``: one
+        claimed on the ``default`` lane).
+
+        Raises a clear invariant error on an unmatched release — a
+        double-release in a ``finally`` block is a serving-layer bug, not
+        a condition to limp past.
+        """
         lane = (
             decision.tenant
             if decision is not None and decision.tenant is not None
             else DEFAULT_TENANT
         )
         with self._lock:
-            if self._inflight <= 0:
-                raise RuntimeError(
-                    "OverloadController.release() without a matching admit: "
-                    "in-flight count is already 0 (double release in a "
-                    "failure path?)"
-                )
             held = self._tenant_inflight.get(lane, 0)
-            if held <= 0:
+            if self._inflight <= 0 or held <= 0:
                 raise RuntimeError(
-                    f"OverloadController.release() for tenant {lane!r} "
-                    f"without a matching admit (double release in a "
-                    f"failure path?)"
+                    f"AdmissionController.release() for tenant {lane!r} "
+                    f"without a matching admit: in-flight count is "
+                    f"{self._inflight} (double release in a failure path?)"
                 )
             self._inflight -= 1
             if held == 1:
@@ -408,8 +293,9 @@ class OverloadController(AdmissionController):
             self._breaker.record_failure()
 
     def __repr__(self) -> str:
+        cap = "unbounded" if self.max_inflight is None else self.max_inflight
         state = self._breaker.state if self._breaker is not None else "none"
         return (
-            f"OverloadController(max_inflight={self.max_inflight}, "
+            f"AdmissionController(max_inflight={cap}, "
             f"inflight={self.inflight}, breaker={state})"
         )

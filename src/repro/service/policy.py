@@ -2,7 +2,7 @@
 
 An :class:`AdmissionPolicy` is the declarative half of the serving layer's
 overload protection — a frozen configuration record consumed by
-:class:`~repro.service.admission.OverloadController`.  It answers four
+:class:`~repro.service.admission.AdmissionController`.  It answers four
 questions a saturated multi-tenant service must settle *before* running a
 query:
 
@@ -29,9 +29,9 @@ query:
   the caller gets an anytime (``exact=False``) answer with a usable
   ``confirmed_prefix()`` instead of an error.
 
-Every field defaults to "off"; the zero-argument ``AdmissionPolicy()``
-admits exactly like the plain unbounded
-:class:`~repro.service.admission.AdmissionController`.
+Every field defaults to "off": the zero-argument ``AdmissionPolicy()`` is
+an unbounded gate, and ``QueryService(admission=n)`` is shorthand for
+``AdmissionPolicy(max_inflight=n)``.
 
 This module stays import-light (stdlib + the budget dataclass only) — it
 sits on the serving layer's cold path.
@@ -76,10 +76,11 @@ class AdmissionDecision:
     ``action`` is one of ``"admit"`` (run as asked), ``"degrade"`` (run
     under the attached tightened ``budget``, answer flagged inexact), or
     ``"shed"`` (refused; ``admitted`` is ``False``).  ``reason`` is a
-    stable slug (``inflight_cap`` / ``tenant_quota`` / ``priority_shed`` /
-    ``cost_shed`` / ``breaker_open`` / ``breaker_probing``, or ``""`` for
-    the legacy un-policied cap) used as the metrics/trace label; ``detail``
-    is the human sentence carried into the result.  An admitted decision
+    stable slug used as the metrics/trace label: every shed carries one
+    (``inflight_cap`` / ``tenant_quota`` / ``priority_shed`` /
+    ``cost_shed`` / ``breaker_open`` / ``breaker_probing``), a degrade
+    carries ``cost_degrade``, a plain admit ``""``.  ``detail`` is the
+    human sentence carried into the result.  An admitted decision
     must be handed back to :meth:`~repro.service.admission.
     AdmissionController.release` — it carries the tenant lane whose
     in-flight count the admission incremented.

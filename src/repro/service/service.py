@@ -9,13 +9,11 @@ instance serves arbitrarily many queries, sequentially or concurrently)
 and layers on what a front-end needs and individual searchers should not
 carry:
 
-- **admission control** — a bounded in-flight cap that *rejects* excess
-  load (:mod:`repro.service.admission`); with an
-  :class:`~repro.service.admission.OverloadController` the gate grows
-  into full overload protection — per-tenant quotas, priority classes,
-  cost-based shedding over planned ``estimated_cost``, graceful
-  degradation under a policy-tightened budget, and a circuit breaker
-  (all off by default; an un-policied service behaves exactly as before);
+- **admission control** — one :class:`~repro.service.admission.
+  AdmissionController` that *rejects* excess load: an in-flight cap,
+  per-tenant quotas, priority classes, cost-based shedding over planned
+  ``estimated_cost``, graceful degradation under a policy-tightened
+  budget, and a circuit breaker (all off by default);
 - **failure isolation** — a query that raises a library error comes back
   as an error-marked result, never as an exception that takes the batch
   down;
@@ -31,15 +29,19 @@ carry:
   and any database mutation clears it through the database's invalidation
   hook.
 
-There is one pipeline — probe → admit → execute → record — and one place
-a search leaves the process: given a ``pool=``
+There is one pipeline of three stages — ``_probe`` (result cache),
+``_admit`` (or record the rejection), ``_execute_admitted`` (search,
+record, release) — and every caller composes it: :meth:`~QueryService.
+submit` and ``execute_many`` run all three, :meth:`~QueryService.search`
+runs probe → execute in process, and the asyncio gateway runs probe →
+admit on its event loop and bridges the execute stage to a thread.  The
+search leaves the process in one place: given a ``pool=``
 (:class:`~repro.parallel.pool.SearchWorkerPool`), ``_execute_admitted``
-dispatches the search to a pre-forked worker and everything else stays
-here in the parent; without one (the default) the search runs on the
-calling thread.  ``execute_many(workers=N)`` is N threads calling that
-same pipeline over the service's pool — or over a pool opened for the
-duration of the call when the service has none — so batch and single
-queries share admission, caching, recording and crash containment.
+dispatches it to a pre-forked worker and everything else stays here in
+the parent; without one (the default) it runs on the calling thread.
+``execute_many(workers=N)`` is N threads calling the pipeline over the
+service's pool — or over a pool opened for the duration of the call when
+the service has none.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
+from functools import partial
 from typing import Hashable, Sequence
 
 from repro.core.plan import QueryPlan, Searcher
@@ -73,12 +76,12 @@ from repro.obs.metrics import (
 )
 from repro.obs.slowlog import SlowLogEntry, SlowQueryJournal
 from repro.obs.trace import Tracer, activated
-from repro.parallel.executor import _safe_search, fork_available
+from repro.parallel.executor import _charged_search, _safe_search, fork_available
 from repro.parallel.pool import SearchWorkerPool
 from repro.perf.result_cache import ResultCache, query_fingerprint
 from repro.resilience.budget import SearchBudget
 from repro.service.admission import AdmissionController
-from repro.service.policy import AdmissionDecision
+from repro.service.policy import AdmissionDecision, AdmissionPolicy
 from repro.service.stats import ServiceStats
 
 __all__ = ["QueryService"]
@@ -95,9 +98,9 @@ class QueryService:
         Registry name of the search algorithm (see
         :mod:`repro.core.registry`).
     admission:
-        ``None`` (unbounded), an in-flight cap as an ``int``, or a
-        pre-built :class:`AdmissionController` — in particular an
-        :class:`~repro.service.admission.OverloadController` carrying an
+        ``None`` (unbounded), an in-flight cap ``n`` as an ``int``
+        (shorthand for ``AdmissionPolicy(max_inflight=n)``), or a
+        pre-built :class:`AdmissionController` carrying an
         :class:`~repro.service.policy.AdmissionPolicy` for multi-tenant
         quota / priority / cost / breaker protection.
     trace:
@@ -160,11 +163,10 @@ class QueryService:
         self._database = database
         self._algorithm = algorithm
         self._searcher = make_searcher(database, algorithm, **searcher_kwargs)
-        self._admission = (
-            admission
-            if isinstance(admission, AdmissionController)
-            else AdmissionController(admission)
-        )
+        if not isinstance(admission, AdmissionController):
+            # An int is shorthand for AdmissionPolicy(max_inflight=n).
+            admission = AdmissionController(AdmissionPolicy(max_inflight=admission))
+        self._admission = admission
         self._stats = ServiceStats()
         # The fingerprint pins the *resolved* serving configuration, so
         # services sharing one result cache can never alias across tunings
@@ -475,186 +477,64 @@ class QueryService:
         ):
             pass  # no body: the span records the invalidation scope
 
-    def _cache_key(
-        self, query: UOTSQuery, budget: SearchBudget | None
-    ) -> Hashable | None:
-        """The query's result-cache key, or ``None`` when the cache must
-        be bypassed (cache disabled, or the query runs under a budget that
-        can trip — degraded answers are execution policy, never cacheable
-        and never served from cache)."""
-        if self._result_cache is None:
-            return None
-        effective = budget if budget is not None else query.budget
-        if effective is not None and not effective.unlimited:
-            return None
-        return query_fingerprint(query, self._algorithm, self._tuning_key)
+    @staticmethod
+    def _label_span_attrs(tenant: str | None, priority: str | None) -> dict:
+        """Tenant/priority span attributes (empty for unlabelled traffic,
+        keeping default-configuration traces byte-identical)."""
+        labels = (("tenant", tenant), ("priority", priority))
+        return {name: value for name, value in labels if value is not None}
 
-    def _serve_hit(
+    # ------------------------------------------------------------- pipeline
+    def _probe(
         self,
         query: UOTSQuery,
-        hit: SearchResult,
-        started: float,
+        budget: SearchBudget | None,
         tenant: str | None = None,
         priority: str | None = None,
-    ) -> SearchResult:
-        """Record and return a result-cache hit (an O(1) served query)."""
+    ) -> tuple[float, Hashable | None, SearchResult | None]:
+        """Stage 1: start the query's clock and probe the result cache.
+
+        Returns ``(started, key, hit)``.  ``started`` is the one
+        ``perf_counter`` reading both the recorded latency and the deadline
+        charge run from.  ``key`` is the result-cache key, ``None`` when
+        the cache is bypassed: cache disabled, or a budget that can trip
+        (degraded answers are execution policy, never cacheable and never
+        served from cache).  ``hit`` is the recorded cached answer, or
+        ``None`` on a miss.  Hits are served before admission: they do no
+        search work, so they never compete for an in-flight slot.
+        """
+        started = time.perf_counter()
+        effective = budget if budget is not None else query.budget
+        can_trip = effective is not None and not effective.unlimited
+        if self._result_cache is None or can_trip:
+            return started, None, None
+        key = query_fingerprint(query, self._algorithm, self._tuning_key)
+        hit = self._result_cache.get(key)
+        if hit is None:
+            return started, key, None
         with self._traced(
             "query", algorithm=self._algorithm, k=query.k, result_cache="hit",
             **self._label_span_attrs(tenant, priority),
         ):
             pass  # no execution: the span marks the served hit
-        elapsed = time.perf_counter() - started
-        hit.stats.elapsed_seconds = elapsed
-        self._record(hit, elapsed, query=query, tenant=tenant, priority=priority)
-        return hit
+        hit.stats.elapsed_seconds = time.perf_counter() - started
+        self._record(hit, hit.stats.elapsed_seconds, query, tenant, priority)
+        return started, key, hit
 
-    def _query_span_attrs(self, key: Hashable | None) -> dict:
-        """Extra ``query`` span attributes for an executed (miss) query."""
-        return {"result_cache": "miss"} if key is not None else {}
-
-    @staticmethod
-    def _label_span_attrs(tenant: str | None, priority: str | None) -> dict:
-        """Tenant/priority span attributes (empty for unlabelled traffic,
-        keeping default-configuration traces byte-identical)."""
-        attrs = {}
-        if tenant is not None:
-            attrs["tenant"] = tenant
-        if priority is not None:
-            attrs["priority"] = priority
-        return attrs
-
-    @staticmethod
-    def _rejected(
-        started: float, decision: AdmissionDecision | None = None
-    ) -> SearchResult:
-        """An admission-rejected result, wall time stamped like every other
-        outcome — dashboards must not see zero-latency rejections.
-
-        A policy shed (non-empty ``decision.reason``) carries the reason
-        slug and the human detail; the legacy un-policied cap keeps its
-        historical strings exactly.
-        """
-        if decision is None or not decision.reason:
-            reason = "rejected by admission control"
-            error = "AdmissionError: service at its in-flight query cap"
-        else:
-            reason = f"shed by admission policy ({decision.reason})"
-            error = f"AdmissionError: {decision.detail}"
-        result = SearchResult(
-            items=[], exact=False, degradation_reason=reason, error=error
-        )
-        result.stats.elapsed_seconds = time.perf_counter() - started
-        return result
-
-    # ------------------------------------------------------------ execution
-    def search(
+    def _admit(
         self,
         query: UOTSQuery,
-        budget: SearchBudget | None = None,
+        started: float,
         tenant: str | None = None,
         priority: str | None = None,
-    ) -> SearchResult:
-        """Answer one query, letting library errors propagate.
-
-        The exception-transparent sibling of :meth:`submit`, for embedded
-        callers (the :class:`~repro.core.engine.TripRecommender` facade)
-        where a strict budget or an invalid query should raise rather than
-        come back as an error-marked result.  Successful answers are still
-        recorded in the service stats.  ``tenant``/``priority`` label the
-        stats lanes and trace span; this path does not pass the admission
-        gate (it never rejects), so no quota or shed policy applies.
-        """
-        started = time.perf_counter()
-        key = self._cache_key(query, budget)
-        if key is not None:
-            hit = self._result_cache.get(key)
-            if hit is not None:
-                return self._serve_hit(query, hit, started, tenant, priority)
-        with self._traced(
-            "query", algorithm=self._algorithm, k=query.k,
-            **self._query_span_attrs(key),
-            **self._label_span_attrs(tenant, priority),
-        ):
-            result = self._searcher.search(query, budget=budget)
-        self._admission.record_outcome(result)
-        if key is not None:
-            self._result_cache.put(key, result, query=query)
-        self._record(
-            result,
-            time.perf_counter() - started,
-            query=query,
-            tenant=tenant,
-            priority=priority,
-        )
-        return result
-
-    def submit(
-        self,
-        query: UOTSQuery,
-        budget: SearchBudget | None = None,
-        tenant: str | None = None,
-        priority: str | None = None,
-    ) -> SearchResult:
-        """Answer one query through admission control and stats recording.
-
-        Library errors come back as error-marked results (the executor's
-        isolation contract); a query turned away by admission control
-        returns an error-marked result with ``degradation_reason``
-        ``"rejected by admission control"`` (or the policy shed reason)
-        and is counted as rejected, not served.  A result-cache hit is
-        answered *before* the admission gate — it does no search work, so
-        it never competes for (or is turned away from) an in-flight slot.
-
-        ``tenant`` and ``priority`` identify the caller to the admission
-        policy (quotas, class-based shedding) and label the stats lanes
-        and trace span.  An unknown ``priority`` raises
-        :class:`~repro.errors.QueryError` — like invalid ``workers``, it
-        is an argument error, not a query outcome.  Under a cost policy
-        the query is planned first; a borderline-expensive admission may
-        come back *degraded*: the service attaches the policy's tightened
-        budget (a caller-supplied ``budget`` always wins) and the answer
-        is anytime (``exact=False`` with a usable ``confirmed_prefix()``),
-        counted under ``policy_degraded_results``.
-        """
-        return self._submit(query, budget, None, tenant, priority)
-
-    def _submit(
-        self,
-        query: UOTSQuery,
-        budget: SearchBudget | None,
-        executor_label: str | None,
-        tenant: str | None = None,
-        priority: str | None = None,
-        pool: SearchWorkerPool | None = None,
-    ) -> SearchResult:
-        started = time.perf_counter()
-        key = self._cache_key(query, budget)
-        if key is not None:
-            hit = self._result_cache.get(key)
-            if hit is not None:
-                return self._serve_hit(query, hit, started, tenant, priority)
-        decision = self._admit_decision(query, tenant, priority)
-        if not decision.admitted:
-            return self._reject(decision, started, query, tenant, priority)
-        return self._execute_admitted(
-            query, budget, decision, key, executor_label, tenant, priority, pool
-        )
-
-    def _admit_decision(
-        self,
-        query: UOTSQuery,
-        tenant: str | None = None,
-        priority: str | None = None,
-    ) -> AdmissionDecision:
-        """One query's admission decision, planned first when the policy
+    ) -> tuple[AdmissionDecision, SearchResult | None]:
+        """Stage 2: the admission decision, planned first when the policy
         wants a cost opinion.
 
-        A seam of :meth:`_submit`, split out so the asynchronous gateway
-        (:class:`repro.gateway.AsyncQueryService`) can run the cheap
-        admission step on the event loop and bridge only the admitted
-        execution onto its thread pool.  An admitted decision MUST be
-        followed by exactly one :meth:`_execute_admitted` (which releases
-        the slot) or one ``admission.release(decision)`` — never both.
+        Returns ``(decision, rejected)``.  A refusal is recorded here and
+        ``rejected`` is its error-marked result, wall time stamped like
+        every other outcome.  An admitted decision MUST be followed by
+        exactly one :meth:`_execute_admitted`, which releases its slot.
         """
         cost = None
         if self._admission.needs_plan:
@@ -664,75 +544,73 @@ class QueryService:
                 # An unplannable query is an invalid one; admission has no
                 # cost opinion and _safe_search produces the error result.
                 cost = None
-        return self._admission.admit(tenant=tenant, priority=priority, cost=cost)
-
-    def _reject(
-        self,
-        decision: AdmissionDecision,
-        started: float,
-        query: UOTSQuery,
-        tenant: str | None = None,
-        priority: str | None = None,
-    ) -> SearchResult:
-        """Record and build the result of a refused admission decision."""
-        self._stats.record_rejection(
-            reason=decision.reason or None, tenant=tenant, priority=priority
+        decision = self._admission.admit(tenant=tenant, priority=priority, cost=cost)
+        if decision.admitted:
+            return decision, None
+        self._stats.record_rejection(decision.reason, tenant, priority)
+        with self._traced(
+            "query", algorithm=self._algorithm, k=query.k,
+            admission="shed", shed_reason=decision.reason,
+            **self._label_span_attrs(tenant, priority),
+        ):
+            pass  # never executed; the span records the shed
+        rejected = SearchResult(
+            items=[],
+            exact=False,
+            degradation_reason=f"shed by admission policy ({decision.reason})",
+            error=f"AdmissionError: {decision.detail}",
         )
-        if decision.reason:
-            with self._traced(
-                "query", algorithm=self._algorithm, k=query.k,
-                admission="shed", shed_reason=decision.reason,
-                **self._label_span_attrs(tenant, priority),
-            ):
-                pass  # never executed; the span records the shed
-        return self._rejected(started, decision)
+        rejected.stats.elapsed_seconds = time.perf_counter() - started
+        return decision, rejected
 
     def _execute_admitted(
         self,
         query: UOTSQuery,
         budget: SearchBudget | None,
-        decision: AdmissionDecision,
+        decision: AdmissionDecision | None,
         key: Hashable | None,
+        started: float,
         executor_label: str | None = None,
         tenant: str | None = None,
         priority: str | None = None,
         pool: SearchWorkerPool | None = None,
     ) -> SearchResult:
-        """Execute one *admitted* query: search, record, release the slot.
+        """Stage 3: search, record, release the admission slot.
 
-        The other half of the :meth:`_admit_decision` seam.  Called on
-        the thread that waits for the answer (the gateway calls it from a
-        bridge thread), owns the admission slot it was handed, and
-        releases it on every path.  The search itself runs on a worker of
-        ``pool`` (default: the service's own) when there is one — the
-        time spent waiting for an idle worker is charged to the budget's
-        deadline — and on this thread otherwise.  ``key`` is the query's
-        result-cache key from :meth:`_cache_key` (``None`` bypasses the
-        cache).
+        Runs on the thread that waits for the answer (the gateway calls it
+        from a bridge thread), owns the slot ``decision`` claimed, and
+        releases it on every path.  The search runs on a worker of
+        ``pool`` (default: the service's own) when there is one, and on
+        this thread otherwise; either way the time since ``started`` — the
+        probe's clock — is charged to the budget's deadline and to the
+        recorded latency.  ``decision=None`` is :meth:`search`'s ungated
+        path: in process, library errors raise.
         """
-        if pool is None:
+        if pool is None and decision is not None:
             pool = self._pool
         try:
             # The policy's tightened budget applies only when the caller
             # did not bring their own — an explicit budget always wins.
-            policy_budget = decision.budget if budget is None else None
-            effective = policy_budget if policy_budget is not None else budget
-            degrade_attrs = (
-                {"admission": "degraded", "admission_reason": decision.reason}
-                if policy_budget is not None
-                else {}
+            policy_budget = (
+                decision.budget if decision is not None and budget is None else None
             )
-            started = time.perf_counter()
+            effective = policy_budget if policy_budget is not None else budget
+            attrs = {"result_cache": "miss"} if key is not None else {}
+            attrs.update(self._label_span_attrs(tenant, priority))
+            if policy_budget is not None:
+                attrs.update(admission="degraded", admission_reason=decision.reason)
             with self._traced(
-                "query", algorithm=self._algorithm, k=query.k,
-                **self._query_span_attrs(key),
-                **self._label_span_attrs(tenant, priority),
-                **degrade_attrs,
+                "query", algorithm=self._algorithm, k=query.k, **attrs
             ) as span:
-                if pool is None:
-                    result = _safe_search(self._searcher, query, effective)
-                else:
+                if pool is not None:
                     result = pool.search(query, effective, started, span)
+                else:
+                    run = (
+                        self._searcher.search
+                        if decision is None
+                        else partial(_safe_search, self._searcher)
+                    )
+                    result = _charged_search(run, query, effective, started)
             if executor_label is not None and not result.stats.executor:
                 result.stats.executor = executor_label
             self._admission.record_outcome(result)
@@ -760,7 +638,85 @@ class QueryService:
             )
             return result
         finally:
-            self._admission.release(decision)
+            if decision is not None:
+                self._admission.release(decision)
+
+    def _submit(
+        self,
+        query: UOTSQuery,
+        budget: SearchBudget | None,
+        executor_label: str | None,
+        tenant: str | None = None,
+        priority: str | None = None,
+        pool: SearchWorkerPool | None = None,
+    ) -> SearchResult:
+        """The full pipeline: probe → admit → execute → record."""
+        started, key, hit = self._probe(query, budget, tenant, priority)
+        if hit is not None:
+            return hit
+        decision, rejected = self._admit(query, started, tenant, priority)
+        if rejected is not None:
+            return rejected
+        return self._execute_admitted(
+            query, budget, decision, key, started, executor_label, tenant,
+            priority, pool,
+        )
+
+    # ------------------------------------------------------------ execution
+    def search(
+        self,
+        query: UOTSQuery,
+        budget: SearchBudget | None = None,
+        tenant: str | None = None,
+        priority: str | None = None,
+    ) -> SearchResult:
+        """Answer one query, letting library errors propagate.
+
+        The exception-transparent sibling of :meth:`submit`, for embedded
+        callers (the :class:`~repro.core.engine.TripRecommender` facade)
+        where a strict budget or an invalid query should raise rather than
+        come back as an error-marked result.  It runs the probe and execute
+        stages in process; successful answers are recorded in the service
+        stats.  ``tenant``/``priority`` label the stats lanes and trace
+        span; this path does not pass the admission gate (it never
+        rejects), so no quota or shed policy applies.
+        """
+        started, key, hit = self._probe(query, budget, tenant, priority)
+        if hit is not None:
+            return hit
+        return self._execute_admitted(
+            query, budget, None, key, started, tenant=tenant, priority=priority
+        )
+
+    def submit(
+        self,
+        query: UOTSQuery,
+        budget: SearchBudget | None = None,
+        tenant: str | None = None,
+        priority: str | None = None,
+    ) -> SearchResult:
+        """Answer one query through admission control and stats recording.
+
+        Library errors come back as error-marked results (the executor's
+        isolation contract); a query turned away by admission control
+        returns an error-marked result with ``degradation_reason``
+        ``"shed by admission policy (<reason>)"`` and is counted as
+        rejected, not served.  A result-cache hit is answered *before* the
+        admission gate — it does no search work, so it never competes for
+        (or is turned away from) an in-flight slot.
+
+        ``tenant`` and ``priority`` identify the caller to the admission
+        policy (quotas, class-based shedding) and label the stats lanes
+        and trace span.  An unknown ``priority`` raises
+        :class:`~repro.errors.QueryError` — like invalid ``workers``, it
+        is an argument error, not a query outcome.  Under a cost policy
+        the query is planned first; a borderline-expensive admission may
+        come back *degraded*: the service attaches the policy's tightened
+        budget (a caller-supplied ``budget`` always wins) and the answer
+        is anytime (``exact=False`` with a usable ``confirmed_prefix()``),
+        counted under ``policy_degraded_results``.
+        """
+        return self._submit(query, budget, None, tenant, priority)
 
     def execute_many(
         self,
@@ -784,7 +740,7 @@ class QueryService:
 
         The batch never runs wider than the admission cap, so its own
         parallelism cannot shed its own queries.  ``tenant``/``priority``
-        apply to every query of the batch.  While an overload
+        apply to every query of the batch.  While the admission
         controller's circuit breaker is open or probing, the batch runs
         sequentially even when ``workers > 1`` — a half-open probe must
         not fan out.

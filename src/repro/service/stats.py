@@ -7,13 +7,11 @@ failed / rejected), the merged per-query work counters, cache hit rates
 over the database's cross-query caches, and a bounded latency reservoir
 from which p50/p95 are read.
 
-When the service runs under an overload policy, additional *lanes* are
-kept — per-tenant and per-priority served/rejected counts, shed counts by
-reason, and the policy-degraded count.  Lanes are created lazily the
-first time a labelled query arrives, and :meth:`snapshot` /
-:meth:`describe` only emit them when non-empty, so a service with no
-policy configured produces byte-identical output to a build that predates
-the overload layer.
+Admission adds *lanes* — per-tenant and per-priority served/rejected
+counts, shed counts by reason, and the policy-degraded count.  Lanes are
+created lazily the first time a labelled, shed or degraded query
+arrives, and :meth:`snapshot` / :meth:`describe` only emit them when
+non-empty.
 
 Thread-safety: every mutation and every readout goes through one
 instance-level lock — the counters, the ``totals`` merge, the lane dicts,
@@ -234,19 +232,15 @@ class ServiceStats:
 
     def record_rejection(
         self,
-        reason: str | None = None,
+        reason: str,
         tenant: str | None = None,
         priority: str | None = None,
     ) -> None:
-        """Count a query turned away by admission control (never executed).
-
-        A ``reason`` slug attributes the shed to a policy rule; the legacy
-        un-policied cap passes none and leaves only ``rejected_queries``.
-        """
+        """Count a query turned away by admission control (never executed),
+        attributed to the ``reason`` slug of the rule that shed it."""
         with self._lock:
             self.rejected_queries += 1
-            if reason:
-                self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
+            self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
             if tenant is not None:
                 self._lane(self.tenant_lanes, tenant)["rejected"] += 1
             if priority is not None:
@@ -288,10 +282,9 @@ class ServiceStats:
     def snapshot(self) -> dict:
         """A plain-dict view (stable keys; for logging/serialisation).
 
-        Overload-policy keys (``shed_reasons``, ``policy_degraded_results``,
+        Admission keys (``shed_reasons``, ``policy_degraded_results``,
         ``tenants``, ``priorities``) appear only once the corresponding
-        feature has been exercised — an un-policied service's snapshot is
-        byte-identical to the pre-overload layout.
+        feature has been exercised.
         """
         with self._lock:
             p50 = self._latencies.percentile(50.0) * 1000.0

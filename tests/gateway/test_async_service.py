@@ -13,7 +13,8 @@ from repro.core.query import UOTSQuery
 from repro.errors import GatewayError, GatewaySaturatedError
 from repro.gateway import AsyncQueryService
 from repro.gateway.aservice import GATEWAY_EXECUTOR_LABEL
-from repro.service.admission import OverloadController
+from repro.resilience.budget import SearchBudget
+from repro.service.admission import AdmissionController
 from repro.service.policy import AdmissionPolicy
 from repro.service.service import QueryService
 
@@ -68,7 +69,7 @@ def test_result_cache_hit_served_on_loop(gateway_database):
 
 
 def test_rejection_comes_back_as_error_result_not_exception(gateway_database):
-    controller = OverloadController(AdmissionPolicy(max_inflight=1))
+    controller = AdmissionController(AdmissionPolicy(max_inflight=1))
     service = QueryService(gateway_database, "collaborative", admission=controller)
     gateway = AsyncQueryService(service, max_workers=2)
 
@@ -113,10 +114,73 @@ def test_saturated_bridge_raises_before_touching_admission(gateway_database):
     assert service.admission.inflight == 0
 
 
+def test_cached_answer_served_while_bridge_saturated(gateway_database):
+    """The order is probe -> saturation -> admit: a hit never needs the
+    bridge, while a 503'd miss has already been counted by the probe."""
+    service = QueryService(gateway_database, "collaborative", result_cache=8)
+    gateway = AsyncQueryService(service, max_workers=1, max_pending=1)
+    release = threading.Event()
+
+    async def go():
+        warm = await gateway.submit(_query())
+        loop = asyncio.get_running_loop()
+        blocker = loop.run_in_executor(gateway._executor, release.wait, 30)
+        gateway._pending = 1  # the blocker stands in for a bridged call
+        try:
+            hit = await gateway.submit(_query())
+            with pytest.raises(GatewaySaturatedError):
+                await gateway.submit(_query(seed=1))
+        finally:
+            gateway._pending = 0
+            release.set()
+            await blocker
+            await gateway.close()
+        return warm, hit
+
+    warm, hit = _run(go())
+    assert hit.stats.cache == "result"
+    assert hit.ids == warm.ids
+    assert service.stats.result_cache_hits == 1
+    assert service.result_cache.stats.misses == 2  # the warm-up and the 503
+    assert service.stats.rejected_queries == 0
+
+
+def test_bridge_queue_wait_counts_against_deadline_and_latency(gateway_database):
+    """A query queued behind a busy bridge thread is charged that wait: its
+    50 ms deadline runs out in the queue, and the recorded latency covers
+    the queued time (both run from the probe's clock)."""
+    service = QueryService(gateway_database, "collaborative")
+    gateway = AsyncQueryService(service, max_workers=1)
+    release = threading.Event()
+    queued_seconds = 0.2
+
+    async def go():
+        loop = asyncio.get_running_loop()
+        blocker = loop.run_in_executor(gateway._executor, release.wait, 30)
+        task = asyncio.create_task(
+            gateway.submit(_query(), SearchBudget.from_millis(50))
+        )
+        await asyncio.sleep(queued_seconds)
+        release.set()
+        await blocker
+        try:
+            return await task
+        finally:
+            await gateway.close()
+
+    result = _run(go())
+    assert result.error is None
+    assert not result.exact
+    assert "deadline" in result.degradation_reason
+    assert "reached" in result.degradation_reason
+    assert service.stats.queries_served == 1
+    assert service.stats.p50_ms >= queued_seconds * 1000
+
+
 def test_cancelled_awaiter_leaks_no_admission_slot(gateway_database):
     """Cancel the awaiting task mid-search: the bridged call must finish
     on its worker thread and release its admission slot."""
-    controller = OverloadController(AdmissionPolicy(max_inflight=4))
+    controller = AdmissionController(AdmissionPolicy(max_inflight=4))
     service = QueryService(gateway_database, "collaborative", admission=controller)
     gateway = AsyncQueryService(service, max_workers=2)
     # Gate the bridged execution so the cancel deterministically lands
@@ -208,7 +272,7 @@ def test_closed_gateway_refuses_submissions(gateway_database):
 
 def test_ready_reflects_breaker_state(gateway_database):
     policy = AdmissionPolicy(breaker_failures=1, breaker_cooldown_seconds=60.0)
-    controller = OverloadController(policy)
+    controller = AdmissionController(policy)
     service = QueryService(gateway_database, "collaborative", admission=controller)
     gateway = AsyncQueryService(service, max_workers=1)
     assert gateway.ready() == (True, "ok")

@@ -21,7 +21,7 @@ from repro.gateway import AsyncQueryService
 from repro.gateway.app import create_app
 from repro.gateway.testing import ASGITestClient
 from repro.obs.metrics import MetricsRegistry
-from repro.service.admission import OverloadController
+from repro.service.admission import AdmissionController
 from repro.service.policy import AdmissionPolicy
 from repro.service.service import QueryService
 
@@ -79,7 +79,7 @@ def test_query_bytes_equal_inprocess_submit(stack, gateway_database):
 
 
 def test_query_rejection_maps_to_429(gateway_database):
-    controller = OverloadController(AdmissionPolicy(max_inflight=1))
+    controller = AdmissionController(AdmissionPolicy(max_inflight=1))
     service = QueryService(gateway_database, "collaborative", admission=controller)
     gateway = AsyncQueryService(service, max_workers=2)
     client = ASGITestClient(create_app(gateway))
@@ -203,7 +203,7 @@ def test_readyz_flips_under_open_breaker(gateway_database):
     """The acceptance check: /readyz answers 503 while the breaker is open
     and recovers to 200 when it closes."""
     policy = AdmissionPolicy(breaker_failures=1, breaker_cooldown_seconds=60.0)
-    controller = OverloadController(policy)
+    controller = AdmissionController(policy)
     service = QueryService(gateway_database, "collaborative", admission=controller)
     gateway = AsyncQueryService(service, max_workers=1)
     client = ASGITestClient(create_app(gateway))

@@ -67,7 +67,7 @@ class TestServiceStatsAdapter:
         degraded = SearchResult(items=[], exact=False, degradation_reason="budget")
         stats.record(ok, 0.010)
         stats.record(degraded, 0.020)
-        stats.record_rejection()
+        stats.record_rejection("inflight_cap")
         registry.collect()
         outcomes = registry.counter("repro_service_queries_total")
         assert outcomes.value(outcome="exact") == 1

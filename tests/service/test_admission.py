@@ -3,8 +3,14 @@
 import pytest
 
 from repro.core.query import UOTSQuery
+from repro.errors import QueryError
 from repro.parallel.executor import fork_available
-from repro.service import AdmissionController, LatencyReservoir, QueryService
+from repro.service import (
+    AdmissionController,
+    AdmissionPolicy,
+    LatencyReservoir,
+    QueryService,
+)
 
 QUERY = UOTSQuery.create([0, 150], ["park"], lam=0.5, k=3)
 BATCH = [
@@ -12,36 +18,39 @@ BATCH = [
     UOTSQuery.create([5, 210], ["lakeside"], lam=0.5, k=3),
     UOTSQuery.create([37, 199], ["museum"], lam=0.5, k=3),
 ]
+SHED = "shed by admission policy (inflight_cap)"
 
 
 class TestController:
     def test_unbounded_always_admits(self):
         controller = AdmissionController()
-        assert all(controller.try_acquire() for _ in range(100))
+        assert all(controller.admit().admitted for _ in range(100))
 
     def test_bounded_caps_and_releases(self):
-        controller = AdmissionController(max_inflight=2)
-        assert controller.try_acquire()
-        assert controller.try_acquire()
-        assert not controller.try_acquire()
-        controller.release()
-        assert controller.try_acquire()
+        controller = AdmissionController(AdmissionPolicy(max_inflight=2))
+        first = controller.admit()
+        assert first.admitted
+        assert controller.admit().admitted
+        assert not controller.admit().admitted
+        controller.release(first)
+        assert controller.admit().admitted
 
     def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError, match="max_inflight"):
-            AdmissionController(max_inflight=0)
+        with pytest.raises(QueryError, match="max_inflight"):
+            AdmissionController(AdmissionPolicy(max_inflight=0))
 
 
 class TestServiceRejection:
     def test_rejected_submit_returns_error_marked_result(self, database):
         service = QueryService(database, "collaborative", admission=1)
-        assert service.admission.try_acquire()  # occupy the only slot
+        held = service.admission.admit()  # occupy the only slot
+        assert held.admitted
         try:
             result = service.submit(QUERY)
         finally:
-            service.admission.release()
+            service.admission.release(held)
         assert result.error is not None
-        assert result.degradation_reason == "rejected by admission control"
+        assert result.degradation_reason == SHED
         assert result.items == []
         assert service.stats.rejected_queries == 1
         assert service.stats.queries_served == 0
@@ -54,7 +63,7 @@ class TestServiceRejection:
         assert service.stats.rejected_queries == 0
 
     def test_prebuilt_controller_is_used_verbatim(self, database):
-        controller = AdmissionController(max_inflight=3)
+        controller = AdmissionController(AdmissionPolicy(max_inflight=3))
         service = QueryService(database, admission=controller)
         assert service.admission is controller
 
@@ -63,12 +72,13 @@ class TestServiceRejection:
         like every other outcome — callers summing ``elapsed_seconds``
         over a mixed batch must not see zero-latency rejections."""
         service = QueryService(database, "collaborative", admission=1)
-        assert service.admission.try_acquire()
+        held = service.admission.admit()
+        assert held.admitted
         try:
             result = service.submit(QUERY)
         finally:
-            service.admission.release()
-        assert result.degradation_reason == "rejected by admission control"
+            service.admission.release(held)
+        assert result.degradation_reason == SHED
         assert result.stats.elapsed_seconds > 0.0
 
 
@@ -80,36 +90,37 @@ class TestBatchAdmissionParity:
 
     def _saturated(self, database):
         service = QueryService(database, "collaborative", admission=1)
-        assert service.admission.try_acquire()  # occupy the only slot
-        return service
+        held = service.admission.admit()  # occupy the only slot
+        assert held.admitted
+        return service, held
 
     def _assert_all_rejected(self, service, results):
         assert len(results) == len(BATCH)
         for result in results:
             assert result.error is not None
-            assert result.degradation_reason == "rejected by admission control"
+            assert result.degradation_reason == SHED
             assert result.items == []
             assert result.stats.elapsed_seconds > 0.0
         assert service.stats.rejected_queries == len(BATCH)
         assert service.stats.queries_served == 0
 
     def test_sequential_batch_rejects_when_saturated(self, database):
-        service = self._saturated(database)
+        service, held = self._saturated(database)
         try:
             results = service.execute_many(BATCH, workers=1)
         finally:
-            service.admission.release()
+            service.admission.release(held)
         self._assert_all_rejected(service, results)
 
     @pytest.mark.skipif(not fork_available(), reason="needs a fork platform")
     def test_forked_batch_rejects_identically(self, database):
         """The regression: the forked branch used to bypass admission and
         serve the whole batch while ``workers=1`` rejected it."""
-        service = self._saturated(database)
+        service, held = self._saturated(database)
         try:
             results = service.execute_many(BATCH, workers=2)
         finally:
-            service.admission.release()
+            service.admission.release(held)
         self._assert_all_rejected(service, results)
 
     @pytest.mark.skipif(not fork_available(), reason="needs a fork platform")

@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.service.admission import AdmissionController, OverloadController
+from repro.service.admission import AdmissionController
 from repro.service.policy import AdmissionPolicy
 
 
@@ -57,7 +57,7 @@ def _storm(controller, threads: int, per_thread: int, tenants=None):
 
 
 def test_plain_controller_storm_restores_all_slots():
-    controller = AdmissionController(max_inflight=4)
+    controller = AdmissionController(AdmissionPolicy(max_inflight=4))
     admitted, rejected, errors, peak = _storm(controller, threads=8, per_thread=500)
     assert not errors, f"storm raised: {errors[:3]}"
     assert controller.inflight == 0, "lost or leaked slots after the storm"
@@ -74,7 +74,7 @@ def test_plain_controller_storm_restores_all_slots():
 
 def test_overload_controller_storm_restores_tenant_lanes():
     policy = AdmissionPolicy(max_inflight=6, tenant_quota=3)
-    controller = OverloadController(policy)
+    controller = AdmissionController(policy)
     tenants = ["alpha", "beta", "gamma", None]
     admitted, rejected, errors, peak = _storm(
         controller, threads=8, per_thread=500, tenants=tenants
@@ -97,7 +97,7 @@ def test_overload_controller_storm_restores_tenant_lanes():
 
 def test_over_release_guard_survives_the_storm():
     """The storm must not loosen the double-release invariant."""
-    controller = AdmissionController(max_inflight=2)
+    controller = AdmissionController(AdmissionPolicy(max_inflight=2))
     _, _, errors, _ = _storm(controller, threads=4, per_thread=200)
     assert not errors
     assert controller.inflight == 0
@@ -107,7 +107,7 @@ def test_over_release_guard_survives_the_storm():
 
 def test_overload_over_release_guard_per_tenant_after_storm():
     policy = AdmissionPolicy(max_inflight=4)
-    controller = OverloadController(policy)
+    controller = AdmissionController(policy)
     _, _, errors, _ = _storm(
         controller, threads=4, per_thread=200, tenants=["a", "b"]
     )

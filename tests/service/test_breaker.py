@@ -13,9 +13,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.resilience.faults import FaultInjector, FaultPolicy
 from repro.service import (
     BREAKER_STATE_CODES,
+    AdmissionController,
     AdmissionPolicy,
     CircuitBreaker,
-    OverloadController,
     QueryService,
 )
 from repro.storage.database import DiskTrajectoryDatabase
@@ -142,7 +142,7 @@ class TestControllerBreakerFeed:
 
     def _controller(self, **kwargs):
         clock, breaker = _breaker(**kwargs)
-        return clock, breaker, OverloadController(AdmissionPolicy(), breaker=breaker)
+        return clock, breaker, AdmissionController(AdmissionPolicy(), breaker=breaker)
 
     def test_infra_errors_trip_and_shed(self):
         _clock, breaker, controller = self._controller()
@@ -178,7 +178,7 @@ class TestControllerBreakerFeed:
         assert controller.inflight == 0
 
     def test_policy_built_breaker_from_knobs(self):
-        controller = OverloadController(
+        controller = AdmissionController(
             AdmissionPolicy(breaker_failures=2, breaker_cooldown_seconds=9.0)
         )
         assert controller.breaker is not None
@@ -202,7 +202,7 @@ class TestChaosTripAndRecovery:
         breaker = CircuitBreaker(
             failure_threshold=3, cooldown_seconds=5.0, clock=lambda: clock[0]
         )
-        controller = OverloadController(AdmissionPolicy(), breaker=breaker)
+        controller = AdmissionController(AdmissionPolicy(), breaker=breaker)
         registry = MetricsRegistry()
         service = QueryService(
             db, "collaborative", admission=controller, metrics=registry

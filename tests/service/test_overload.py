@@ -1,7 +1,7 @@
 """Overload protection: policy-driven admission (ISSUE 6 tentpole surface).
 
 Covers the :class:`AdmissionPolicy` derivations, the
-:class:`OverloadController` decision order (quota / priority / cost /
+:class:`AdmissionController` decision order (quota / priority / cost /
 degrade), the wiring through ``QueryService.submit``/``execute_many``
 (stats lanes, shed reasons, trace attributes, metrics series), and the
 default-off oracle: with no policy configured, served results and
@@ -21,7 +21,6 @@ from repro.resilience.budget import SearchBudget
 from repro.service import (
     AdmissionController,
     AdmissionPolicy,
-    OverloadController,
     QueryService,
     ServiceStats,
 )
@@ -114,7 +113,7 @@ class TestAdmissionPolicy:
 
 class TestOverloadController:
     def test_tenant_quota_sheds_and_releases(self):
-        controller = OverloadController(
+        controller = AdmissionController(
             AdmissionPolicy(max_inflight=8, tenant_quotas={"hog": 2})
         )
         first = controller.admit(tenant="hog")
@@ -129,7 +128,7 @@ class TestOverloadController:
         assert controller.tenant_inflight("hog") == 2
 
     def test_priority_classes_shed_lowest_first(self):
-        controller = OverloadController(AdmissionPolicy(max_inflight=10))
+        controller = AdmissionController(AdmissionPolicy(max_inflight=10))
         for _ in range(6):  # utilization 0.6
             assert controller.admit(priority="interactive").admitted
         assert controller.admit(priority="best_effort").reason == "priority_shed"
@@ -140,7 +139,7 @@ class TestOverloadController:
         assert controller.admit(priority="interactive").admitted  # to the cap
 
     def test_cost_shed_and_degrade(self):
-        controller = OverloadController(
+        controller = AdmissionController(
             AdmissionPolicy(max_inflight=4, max_cost=100.0, degrade_headroom=2.0)
         )
         assert controller.admit(cost=80.0).action == "admit"
@@ -153,19 +152,19 @@ class TestOverloadController:
         assert huge.reason == "cost_shed"
 
     def test_cost_shed_without_headroom_is_hard(self):
-        controller = OverloadController(
+        controller = AdmissionController(
             AdmissionPolicy(max_inflight=4, max_cost=100.0)
         )
         assert controller.admit(cost=101.0).reason == "cost_shed"
 
     def test_uncosted_queries_bypass_the_cost_gate(self):
-        controller = OverloadController(
+        controller = AdmissionController(
             AdmissionPolicy(max_inflight=4, max_cost=1.0)
         )
         assert controller.admit(cost=None).admitted
 
     def test_anonymous_queries_share_the_default_lane(self):
-        controller = OverloadController(
+        controller = AdmissionController(
             AdmissionPolicy(tenant_quotas={"default": 1})
         )
         first = controller.admit()
@@ -174,15 +173,8 @@ class TestOverloadController:
         controller.release(first)
         assert controller.inflight == 0
 
-    def test_try_acquire_compat_accounts_default_lane(self):
-        controller = OverloadController(AdmissionPolicy(max_inflight=1))
-        assert controller.try_acquire()
-        assert not controller.try_acquire()
-        controller.release()
-        assert controller.inflight == 0
-
     def test_global_cap_reason_is_inflight_cap(self):
-        controller = OverloadController(AdmissionPolicy(max_inflight=1))
+        controller = AdmissionController(AdmissionPolicy(max_inflight=1))
         held = controller.admit(tenant="a")
         shed = controller.admit(tenant="b")
         assert shed.reason == "inflight_cap"
@@ -193,19 +185,12 @@ class TestOverReleaseGuard:
     """ISSUE 6 satellite: an unmatched release is a clear invariant error,
     not a bare ``BoundedSemaphore`` ``ValueError``."""
 
-    def test_base_controller_guards_over_release(self):
-        controller = AdmissionController(max_inflight=2)
-        assert controller.try_acquire()
-        controller.release()
-        with pytest.raises(RuntimeError, match="without a matching acquire"):
-            controller.release()
-
     def test_unbounded_controller_guards_too(self):
         with pytest.raises(RuntimeError, match="without a matching"):
             AdmissionController().release()
 
     def test_overload_controller_guards_tenant_lane(self):
-        controller = OverloadController(AdmissionPolicy(max_inflight=4))
+        controller = AdmissionController(AdmissionPolicy(max_inflight=4))
         a = controller.admit(tenant="a")
         controller.admit(tenant="b")
         controller.release(a)
@@ -218,7 +203,7 @@ class TestServiceIntegration:
     def _service(self, database, policy, **kwargs):
         return QueryService(
             database, "collaborative",
-            admission=OverloadController(policy), **kwargs,
+            admission=AdmissionController(policy), **kwargs,
         )
 
     def test_tenant_quota_shed_through_submit(self, database):
@@ -290,11 +275,19 @@ class TestServiceIntegration:
         assert "admission degrade" not in result.degradation_reason
         assert service.stats.policy_degraded_results == 0
 
-    def test_unknown_priority_raises_like_bad_arguments(self, database):
-        service = self._service(database, AdmissionPolicy(max_inflight=4))
+    @pytest.mark.parametrize(
+        "admission",
+        [None, 2, AdmissionPolicy(max_inflight=4)],
+        ids=["default", "int-capped", "policied"],
+    )
+    def test_unknown_priority_raises_like_bad_arguments(self, database, admission):
+        if isinstance(admission, AdmissionPolicy):
+            admission = AdmissionController(admission)
+        service = QueryService(database, "collaborative", admission=admission)
         with pytest.raises(QueryError, match="priority"):
             service.submit(QUERY, priority="urgent")
         assert service.admission.inflight == 0
+        assert service.stats.queries_served == 0
 
     def test_execute_many_sheds_batch_with_reason(self, database):
         service = self._service(database, AdmissionPolicy(max_inflight=1))
@@ -372,38 +365,46 @@ class TestDefaultOffOracle:
     ]
 
     def test_snapshot_keys_and_describe_shape_unchanged(self, database):
+        """An int cap is a policy cap: its shed adds the ``shed_reasons``
+        key and the ``shed:`` line, and nothing else."""
         service = QueryService(database, "collaborative", admission=1)
         service.submit(QUERY)
-        assert service.admission.try_acquire()
+        held = service.admission.admit()
         try:
-            service.submit(QUERY)  # rejected by the legacy cap
+            service.submit(QUERY)  # shed by the cap
         finally:
-            service.admission.release()
+            service.admission.release(held)
         snapshot = service.stats.snapshot()
-        assert list(snapshot) == self.LEGACY_SNAPSHOT_KEYS
+        keys = list(self.LEGACY_SNAPSHOT_KEYS)
+        keys.insert(keys.index("plan_drift"), "shed_reasons")
+        assert list(snapshot) == keys
         described = service.stats.describe()
-        assert len(described.splitlines()) == 5
-        assert "shed" not in described
+        assert len(described.splitlines()) == 6
+        assert "shed:            inflight_cap 1" in described
         assert "tenant" not in described
 
     def test_legacy_rejection_strings_exact(self, database):
+        """The int cap sheds with the unified strings; the error text (and
+        so the HTTP 429 mapping) is unchanged."""
         service = QueryService(database, "collaborative", admission=1)
-        assert service.admission.try_acquire()
+        held = service.admission.admit()
         try:
             result = service.submit(QUERY)
         finally:
-            service.admission.release()
-        assert result.degradation_reason == "rejected by admission control"
+            service.admission.release(held)
+        assert result.degradation_reason == (
+            "shed by admission policy (inflight_cap)"
+        )
         assert result.error == (
             "AdmissionError: service at its in-flight query cap"
         )
-        assert service.stats.shed_reasons == {}
+        assert service.stats.shed_reasons == {"inflight_cap": 1}
 
     def test_default_service_results_and_stats_identical(self, database):
         plain = QueryService(database, "collaborative")
         policied_off = QueryService(
             database, "collaborative",
-            admission=OverloadController(AdmissionPolicy()),
+            admission=AdmissionController(AdmissionPolicy()),
         )
         for q in BATCH:
             a = plain.submit(q)
@@ -439,7 +440,7 @@ class TestSubmitStorm:
 
     def test_exact_quota_in_flight_and_no_lost_slots(self):
         quota, threads = 3, 16
-        controller = OverloadController(
+        controller = AdmissionController(
             AdmissionPolicy(max_inflight=8, tenant_quotas={"storm": quota})
         )
         attempted = threading.Barrier(threads)
@@ -477,7 +478,7 @@ class TestSubmitStorm:
     def test_concurrent_submits_conserve_accounting(self, database):
         service = QueryService(
             database, "collaborative",
-            admission=OverloadController(
+            admission=AdmissionController(
                 AdmissionPolicy(max_inflight=2, tenant_quotas={"t": 1})
             ),
         )
@@ -507,7 +508,7 @@ class TestSubmitStorm:
         def run(workers):
             service = QueryService(
                 database, "collaborative",
-                admission=OverloadController(AdmissionPolicy(max_inflight=1)),
+                admission=AdmissionController(AdmissionPolicy(max_inflight=1)),
             )
             held = service.admission.admit()
             try:

@@ -62,10 +62,11 @@ class TestServiceRouting:
 
     def test_admission_still_gates_sharded_queries(self, database):
         from repro.service.admission import AdmissionController
+        from repro.service.policy import AdmissionPolicy
 
         service = QueryService(
             database, "sharded", shards=4,
-            admission=AdmissionController(max_inflight=1),
+            admission=AdmissionController(AdmissionPolicy(max_inflight=1)),
         )
         result = service.submit(QUERY)
         assert result.error is None
