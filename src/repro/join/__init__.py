@@ -1,6 +1,6 @@
 """Trajectory similarity join extension: two-phase join + temporal-first baseline."""
 
-from repro.join.pairs import PairwiseScorer, distance_transform
+from repro.join.pairs import PairwiseScorer
 from repro.join.tfmatch import TemporalFirstJoin
 from repro.join.tsjoin import BruteForceJoin, JoinResult, TopKJoin, TwoPhaseJoin
 
@@ -11,5 +11,4 @@ __all__ = [
     "TemporalFirstJoin",
     "TopKJoin",
     "TwoPhaseJoin",
-    "distance_transform",
 ]

@@ -14,46 +14,16 @@ all-pair distances play for the accelerated temporal-first baseline.)
 
 from __future__ import annotations
 
-import heapq
 import math
 
+from repro.core.similarity import distance_transform
 from repro.index.database import TrajectoryDatabase
 from repro.matching.temporal import min_time_gap
 from repro.trajectory.model import Trajectory
 
-__all__ = ["PairwiseScorer", "distance_transform"]
+__all__ = ["PairwiseScorer"]
 
 _INF = float("inf")
-
-
-def distance_transform(database: TrajectoryDatabase, trajectory: Trajectory) -> dict[int, float]:
-    """Network distance from every (reachable) vertex to the trajectory.
-
-    A multi-source Dijkstra seeded with all of the trajectory's vertices at
-    distance zero; the settled distance of any vertex ``v`` is then
-    ``min over trajectory vertices p of sd(v, p) = d(v, trajectory)``.
-    """
-    dist: dict[int, float] = {}
-    heap: list[tuple[float, int]] = []
-    for vertex in trajectory.vertex_set:
-        dist[vertex] = 0.0
-        heap.append((0.0, vertex))
-    heapq.heapify(heap)
-    settled: dict[int, float] = {}
-    csr = database.graph.csr
-    indptr, indices, weights = csr.indptr_list, csr.indices_list, csr.weights_list
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled[u] = d
-        for k in range(indptr[u], indptr[u + 1]):
-            v = indices[k]
-            nd = d + weights[k]
-            if v not in settled and nd < dist.get(v, _INF):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return settled
 
 
 class PairwiseScorer:
@@ -90,9 +60,8 @@ class PairwiseScorer:
         key = (from_other, trajectory_id)
         cached = self._transforms.get(key)
         if cached is None:
-            cached = distance_transform(
-                self._database, self._lookup(from_other, trajectory_id)
-            )
+            trajectory = self._lookup(from_other, trajectory_id)
+            cached = distance_transform(self._database.graph, trajectory.vertex_set)
             self._transforms[key] = cached
             self.transforms_built += 1
         return cached

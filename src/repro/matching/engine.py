@@ -40,6 +40,7 @@ from repro.core.bounds import BoundTracker, SourceRadiiWeights
 from repro.core.instrument import annotate_search_span, execute_span
 from repro.core.plan import QueryPlan
 from repro.core.results import ScoredTrajectory, SearchResult, SearchStats, TopK
+from repro.core.similarity import distance_transform
 from repro.errors import QueryError
 from repro.index.database import TrajectoryDatabase
 from repro.matching.temporal import TemporalExpansion, TimestampIndex, min_time_gap
@@ -183,10 +184,8 @@ class DirectionalSearchEngine:
         cached = self._transforms.get(trajectory_id)
         if cached is not None:
             return cached
-        from repro.join.pairs import distance_transform
-
         cached = distance_transform(
-            self._database, self._database.get(trajectory_id)
+            self._database.graph, self._database.get(trajectory_id).vertex_set
         )
         if len(self._transforms) >= self._max_transforms:
             self._transforms.pop(next(iter(self._transforms)))

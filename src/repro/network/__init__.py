@@ -1,9 +1,6 @@
 """Spatial-network substrate: graph model, shortest paths, expansion, generators."""
 
-from repro.network.astar import astar_path, astar_path_length, euclidean_heuristic
-from repro.network.bidirectional import bidirectional_path, bidirectional_path_length
 from repro.network.builder import GraphBuilder
-from repro.network.contraction import ContractionHierarchy
 from repro.network.dijkstra import (
     distance_matrix,
     distances_to_targets,
@@ -19,7 +16,6 @@ from repro.network.generators import (
     ring_radial_network,
 )
 from repro.network.graph import SpatialNetwork
-from repro.network.interop import from_networkx, to_networkx
 from repro.network.io import load_edge_list, load_json, save_edge_list, save_json
 from repro.network.landmarks import LandmarkIndex
 from repro.network.stats import (
@@ -30,24 +26,16 @@ from repro.network.stats import (
 )
 
 __all__ = [
-    "ContractionHierarchy",
     "SpatialNetwork",
     "GraphBuilder",
     "IncrementalExpansion",
     "LandmarkIndex",
     "NetworkStats",
-    "astar_path",
-    "astar_path_length",
-    "bidirectional_path",
-    "bidirectional_path_length",
     "characteristic_distance",
     "distance_matrix",
     "distances_to_targets",
     "eccentricity",
     "estimate_diameter",
-    "euclidean_heuristic",
-    "from_networkx",
-    "to_networkx",
     "grid_network",
     "load_edge_list",
     "load_json",

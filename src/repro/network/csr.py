@@ -7,16 +7,17 @@ shortest-path kernels written against it with flat ``dist`` arrays and a
 ``settled`` byte mask instead of dicts and sets, and the connected
 components.
 
-Two execution tiers share the layout:
+Every multi-source shortest-path call in the package lands on one of two
+execution tiers:
 
-- a pure-Python tier that walks Python-list mirrors of the CSR arrays
-  (scalar indexing on lists is several times faster than on NumPy arrays
-  inside interpreted loops), used for every early-exit variant
-  (single-target, multi-target, cutoff);
-- a SciPy tier (``scipy.sparse.csgraph.dijkstra``) for full or
+- one interpreted kernel, ``_sssp_python``, that walks Python-list
+  mirrors of the CSR arrays (scalar indexing on lists is several times
+  faster than on NumPy arrays inside interpreted loops) and serves every
+  early-exit variant (a stop set of targets, a cutoff);
+- SciPy's compiled ``scipy.sparse.csgraph.dijkstra`` for full or
   cutoff-bounded single/multi-source explorations, used when SciPy is
   importable.  SciPy is an optional accelerator, never a requirement:
-  every kernel falls back to the Python tier.
+  every public kernel falls back to the interpreted one.
 
 SciPy is resolved *lazily*, on the first kernel call that could use it —
 importing this module (and therefore ``repro.core.search`` and the serving
@@ -181,9 +182,15 @@ def _sssp_python(
     csr: CSRAdjacency,
     sources: Iterable[int],
     cutoff: float | None,
-    target: int | None,
+    stop: set[int] | None,
 ) -> np.ndarray:
-    """Interpreted multi-source Dijkstra over the CSR list mirrors."""
+    """Interpreted multi-source Dijkstra over the CSR list mirrors.
+
+    The only heap loop of this module.  Settles vertices in distance order
+    until the frontier passes ``cutoff`` or every member of ``stop`` is
+    settled (``None``: explore the whole component); unsettled entries are
+    ``inf``.
+    """
     n = csr.num_vertices
     dist = [_INF] * n
     heap: list[tuple[float, int]] = []
@@ -192,6 +199,7 @@ def _sssp_python(
         heap.append((0.0, s))
     heapq.heapify(heap)
     settled = bytearray(n)
+    remaining = len(stop) if stop else 0
     indptr = csr.indptr_list
     indices = csr.indices_list
     weights = csr.weights_list
@@ -204,8 +212,10 @@ def _sssp_python(
         if cutoff is not None and d > cutoff:
             break
         settled[u] = 1
-        if u == target:
-            break
+        if remaining and u in stop:
+            remaining -= 1
+            if not remaining:
+                break
         start = indptr[u]
         end = indptr[u + 1]
         for k in range(start, end):
@@ -214,10 +224,8 @@ def _sssp_python(
             if nd < dist[v]:
                 dist[v] = nd
                 push(heap, (nd, v))
-    out = np.full(n, np.inf)
-    for v in range(n):
-        if settled[v]:
-            out[v] = dist[v]
+    out = np.array(dist)
+    out[np.frombuffer(settled, dtype=np.uint8) == 0] = np.inf
     return out
 
 
@@ -249,7 +257,9 @@ def sssp_array(
         return dijkstra(
             matrix, directed=True, indices=source_list, limit=limit, min_only=True
         )
-    return _sssp_python(csr, source_list, cutoff, target)
+    return _sssp_python(
+        csr, source_list, cutoff, None if target is None else {target}
+    )
 
 
 def sssp_arrays_batch(
@@ -285,56 +295,23 @@ def targets_array(
 ) -> list[float]:
     """Distances from the source set to each target, stopping early.
 
-    The interpreted kernel with a remaining-target counter: the search ends
+    The interpreted kernel with the targets as its stop set: the search ends
     as soon as every target is settled (or the frontier passes ``cutoff``).
-    Unreached targets come back as ``inf``, in ``targets`` order.  On large
-    graphs the early exit cannot outrun SciPy's compiled sweep, so the
-    SciPy tier takes over past ``_SCIPY_TARGETS_MIN_VERTICES`` vertices.
+    Unreached targets, and targets beyond ``cutoff``, come back as ``inf``,
+    in ``targets`` order.  On large graphs the early exit cannot outrun
+    SciPy's compiled sweep, so the SciPy tier takes over past
+    ``_SCIPY_TARGETS_MIN_VERTICES`` vertices.
     """
-    n = csr.num_vertices
     sources = list(sources)
     if (
         sources
-        and n >= _SCIPY_TARGETS_MIN_VERTICES
+        and csr.num_vertices >= _SCIPY_TARGETS_MIN_VERTICES
         and _scipy_kernels()[1] is not None
     ):
         row = sssp_array(csr, sources, cutoff=cutoff)
-        return [float(row[t]) for t in targets]
-    remaining = set(targets)
-    remaining_count = len(remaining)
-    dist = [_INF] * n
-    heap: list[tuple[float, int]] = []
-    for s in sources:
-        dist[s] = 0.0
-        heap.append((0.0, s))
-    heapq.heapify(heap)
-    settled = bytearray(n)
-    indptr = csr.indptr_list
-    indices = csr.indices_list
-    weights = csr.weights_list
-    pop = heapq.heappop
-    push = heapq.heappush
-    found: dict[int, float] = {}
-    while heap and remaining_count:
-        d, u = pop(heap)
-        if settled[u]:
-            continue
-        settled[u] = 1
-        if u in remaining:
-            found[u] = d
-            remaining.discard(u)
-            remaining_count -= 1
-        if cutoff is not None and d > cutoff:
-            break
-        start = indptr[u]
-        end = indptr[u + 1]
-        for k in range(start, end):
-            v = indices[k]
-            nd = d + weights[k]
-            if nd < dist[v]:
-                dist[v] = nd
-                push(heap, (nd, v))
-    return [found.get(t, _INF) for t in targets]
+    else:
+        row = _sssp_python(csr, sources, cutoff, set(targets))
+    return [float(row[t]) for t in targets]
 
 
 def array_to_distance_dict(distances: np.ndarray) -> dict[int, float]:

@@ -1,17 +1,15 @@
 """Shortest-path primitives on spatial networks.
 
-All functions implement Dijkstra's algorithm with a binary heap and lazy
-deletion, the workhorse of every search in this library.  Variants cover
-single-target search with early exit, bounded exploration (``cutoff``),
-multi-target search that stops once all targets are settled, and dense
-all-pairs matrices for small graphs.
+Graph-level wrappers over the multi-source Dijkstra of
+:mod:`repro.network.csr` (SciPy ``csgraph`` when importable, its one
+interpreted kernel otherwise): single-target search with early exit,
+bounded exploration (``cutoff``), multi-target search that stops once all
+targets are settled, and dense all-pairs matrices for small graphs.
 
-The hot loops run against the graph's flat CSR layout
-(:mod:`repro.network.csr`): array-backed ``dist``/``settled`` state, a
-SciPy ``csgraph`` tier for full explorations when SciPy is importable, and
-interpreted list-mirror kernels everywhere else.  The historical dict-based
-kernels are kept (``dict_reference_sssp``) as the executable specification
-the property tests and benchmarks compare against.
+Two heap loops of their own remain here, each for a stated reason:
+:func:`shortest_path` is the one search that tracks parents, and
+:func:`dict_reference_sssp` is the historical dict-based kernel, kept as
+the executable specification the property tests compare against.
 """
 
 from __future__ import annotations

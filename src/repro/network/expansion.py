@@ -22,7 +22,6 @@ running dry mid-batch.
 from __future__ import annotations
 
 import heapq
-from typing import Iterator
 
 from repro.network.graph import SpatialNetwork
 
@@ -102,11 +101,6 @@ class IncrementalExpansion:
         """Whether the whole reachable component has been settled."""
         return not self._heap
 
-    @property
-    def num_settled(self) -> int:
-        """How many vertices have been settled so far."""
-        return len(self._order)
-
     # ------------------------------------------------------------- stepping
     def expand(self) -> tuple[int, float] | None:
         """Settle the next-closest vertex.
@@ -157,34 +151,7 @@ class IncrementalExpansion:
             pop(heap)
         return out
 
-    def expand_until(self, radius: float) -> Iterator[tuple[int, float]]:
-        """Yield settled vertices until :attr:`radius` exceeds ``radius``."""
-        while not self.exhausted:
-            nxt = self._peek_distance()
-            if nxt is None or nxt > radius:
-                return
-            item = self.expand()
-            if item is None:
-                return
-            yield item
-
-    def _peek_distance(self) -> float | None:
-        """Distance of the next vertex to be settled, without settling it."""
-        heap = self._heap
-        settled = self._settled
-        while heap and settled[heap[0][1]]:
-            heapq.heappop(heap)  # drop stale entries
-        if not heap:
-            return None
-        return heap[0][0]
-
     # --------------------------------------------------------------- lookup
-    def distance(self, vertex: int) -> float | None:
-        """Settled distance to ``vertex`` (``None`` if not settled yet)."""
-        if self._settled[vertex]:
-            return self._dist[vertex]
-        return None
-
     def settled_vertices(self) -> dict[int, float]:
         """All settled ``vertex -> distance`` entries (snapshot)."""
         return dict(self._order)

@@ -6,10 +6,10 @@ triangle inequality then gives, for any pair ``(u, v)``,
 
     sd(u, v) >= |sd(l, u) - sd(l, v)|      for every landmark l,
 
-and the maximum over landmarks is a (often tight) lower bound usable both as
-an A* heuristic and as a cheap pre-filter before running an exact search.
-The vectorised :meth:`LandmarkIndex.lower_bounds_to_set` extends the bound
-to point-to-set distances (``min over p in P of sd(o, p)``), which is what
+and the maximum over landmarks is a (often tight) lower bound, a cheap
+pre-filter before running an exact search.  The vectorised
+:meth:`LandmarkIndex.lower_bounds_to_set` extends the bound to
+point-to-set distances (``min over p in P of sd(o, p)``), which is what
 the collaborative search needs to cap a blocked trajectory's frontier
 contribution before paying for its refinement Dijkstra.
 """
@@ -127,21 +127,6 @@ class LandmarkIndex:
             table[:, sources][:, :, None] - table[:, vertices][:, None, :]
         )
         return diff.max(axis=0).min(axis=1)
-
-    def heuristic(self, target: int):
-        """An admissible A* heuristic ``h(v) = lower_bound(v, target)``."""
-        self._graph._check_vertex(target)
-        column_t = self._table[:, target]
-        table = self._table
-
-        def h(v: int) -> float:
-            return float(np.max(np.abs(table[:, v] - column_t)))
-
-        return h
-
-    def landmark_distance(self, landmark_index: int, vertex: int) -> float:
-        """Precomputed ``sd(landmark, vertex)`` for the i-th landmark."""
-        return float(self._table[landmark_index, vertex])
 
 
 def _distance_row(graph: SpatialNetwork, source: int) -> np.ndarray:

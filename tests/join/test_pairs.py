@@ -1,34 +1,8 @@
-"""Unit tests for exact pairwise similarity (distance transforms)."""
-
-import math
+"""Unit tests for exact pairwise similarity."""
 
 import pytest
 
-from repro.join.pairs import PairwiseScorer, distance_transform
-from repro.network.dijkstra import single_source_distances
-
-
-class TestDistanceTransform:
-    def test_trajectory_vertices_at_zero(self, database):
-        trajectory = database.get(0)
-        transform = distance_transform(database, trajectory)
-        for vertex in trajectory.vertex_set:
-            assert transform[vertex] == 0.0
-
-    def test_matches_min_over_sources(self, database):
-        trajectory = database.get(1)
-        transform = distance_transform(database, trajectory)
-        tables = [
-            single_source_distances(database.graph, v)
-            for v in trajectory.vertex_set
-        ]
-        for probe in (0, 57, 200, 399):
-            expected = min(t.get(probe, math.inf) for t in tables)
-            assert transform.get(probe, math.inf) == pytest.approx(expected)
-
-    def test_covers_component(self, database):
-        transform = distance_transform(database, database.get(0))
-        assert len(transform) == database.graph.num_vertices  # grid is connected
+from repro.join.pairs import PairwiseScorer
 
 
 class TestPairwiseScorer:

@@ -3,19 +3,22 @@
 The array-backed kernels in :mod:`repro.network.csr` replaced the original
 dict-based Dijkstra.  ``dict_reference_sssp`` is kept as the executable
 specification; hypothesis drives random connected weighted graphs through
-both implementations (and, when SciPy is importable, through
-``scipy.sparse.csgraph.dijkstra`` as an independent third opinion) and
-requires identical settled sets and distances — including the cutoff and
-early-exit target variants.
+both implementations and requires identical settled sets and distances —
+including the cutoff and early-exit target variants.  Every property runs
+once per kernel branch: the interpreted kernel with SciPy hidden, and (when
+SciPy is importable) SciPy for every call it can serve, so both tiers are
+checked against the same oracle.
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.network import csr
 from repro.network.builder import GraphBuilder
 from repro.network.csr import (
     CSRAdjacency,
@@ -50,6 +53,25 @@ def connected_graphs(draw):
     return builder.build(require_connected=True)
 
 
+@contextmanager
+def _tier(scipy: bool):
+    """Force one kernel branch: SciPy wherever it can serve (even on tiny
+    graphs), or the interpreted kernel alone.  A context manager rather
+    than ``monkeypatch``, which hypothesis rejects as function-scoped."""
+    saved = csr._SCIPY_KERNELS, csr._SCIPY_TARGETS_MIN_VERTICES
+    if scipy:
+        csr._SCIPY_TARGETS_MIN_VERTICES = 0
+    else:
+        csr._SCIPY_KERNELS = (None, None)
+    try:
+        yield
+    finally:
+        csr._SCIPY_KERNELS, csr._SCIPY_TARGETS_MIN_VERTICES = saved
+
+
+_TIERS = (False, True) if scipy_available() else (False,)
+
+
 def _as_dict(distances):
     return array_to_distance_dict(distances)
 
@@ -65,40 +87,51 @@ class TestAgainstDictReference:
     @given(graph=connected_graphs(), data=st.data())
     def test_single_source_full(self, graph, data):
         source = data.draw(st.integers(0, graph.num_vertices - 1))
-        got = _as_dict(sssp_array(graph.csr, (source,)))
-        _assert_same(got, dict_reference_sssp(graph, (source,)))
+        want = dict_reference_sssp(graph, (source,))
+        for scipy in _TIERS:
+            with _tier(scipy):
+                got = _as_dict(sssp_array(graph.csr, (source,)))
+            _assert_same(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=connected_graphs(), data=st.data())
     def test_multi_source_full(self, graph, data):
         k = data.draw(st.integers(1, min(3, graph.num_vertices)))
-        sources = [
-            data.draw(st.integers(0, graph.num_vertices - 1)) for __ in range(k)
-        ]
-        got = _as_dict(sssp_array(graph.csr, tuple(set(sources))))
-        _assert_same(got, dict_reference_sssp(graph, tuple(set(sources))))
+        sources = tuple(
+            {data.draw(st.integers(0, graph.num_vertices - 1)) for __ in range(k)}
+        )
+        want = dict_reference_sssp(graph, sources)
+        for scipy in _TIERS:
+            with _tier(scipy):
+                got = _as_dict(sssp_array(graph.csr, sources))
+            _assert_same(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=connected_graphs(), data=st.data())
     def test_cutoff(self, graph, data):
         source = data.draw(st.integers(0, graph.num_vertices - 1))
         cutoff = data.draw(st.floats(min_value=0.0, max_value=30.0))
-        got = _as_dict(sssp_array(graph.csr, (source,), cutoff=cutoff))
-        _assert_same(got, dict_reference_sssp(graph, (source,), cutoff=cutoff))
+        want = dict_reference_sssp(graph, (source,), cutoff=cutoff)
+        for scipy in _TIERS:
+            with _tier(scipy):
+                got = _as_dict(sssp_array(graph.csr, (source,), cutoff=cutoff))
+            _assert_same(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=connected_graphs(), data=st.data())
     def test_target_early_exit(self, graph, data):
         source = data.draw(st.integers(0, graph.num_vertices - 1))
         target = data.draw(st.integers(0, graph.num_vertices - 1))
-        got = sssp_array(graph.csr, (source,), target=target)
         want = dict_reference_sssp(graph, (source,), target=target)
-        # The early exit guarantees the target entry; everything settled on
-        # the way must carry its exact (full-search) distance.
-        assert got[target] == pytest.approx(want[target], abs=1e-9)
         full = dict_reference_sssp(graph, (source,))
-        for v, d in _as_dict(got).items():
-            assert d == pytest.approx(full[v], abs=1e-9)
+        for scipy in _TIERS:
+            with _tier(scipy):
+                got = sssp_array(graph.csr, (source,), target=target)
+            # The early exit guarantees the target entry; everything settled
+            # on the way must carry its exact (full-search) distance.
+            assert got[target] == pytest.approx(want[target], abs=1e-9)
+            for v, d in _as_dict(got).items():
+                assert d == pytest.approx(full[v], abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=connected_graphs(), data=st.data())
@@ -111,10 +144,19 @@ class TestAgainstDictReference:
                 for __ in range(k)
             )
         )
-        got = targets_array(graph.csr, (source,), targets)
+        # A cutoff just short of a target's distance makes that target the
+        # first vertex past the bound: it must come back inf, not its distance.
         full = dict_reference_sssp(graph, (source,))
-        for t, d in zip(targets, got):
-            assert d == pytest.approx(full[t], abs=1e-9)
+        just_short = [0.999 * full[t] for t in targets]
+        cutoff = data.draw(
+            st.none() | st.floats(0.0, 30.0) | st.sampled_from(just_short)
+        )
+        want = dict_reference_sssp(graph, (source,), cutoff=cutoff)
+        for scipy in _TIERS:
+            with _tier(scipy):
+                got = targets_array(graph.csr, (source,), targets, cutoff=cutoff)
+            for t, d in zip(targets, got):
+                assert d == pytest.approx(want.get(t, _INF), abs=1e-9)
 
 
 @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")

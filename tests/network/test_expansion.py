@@ -5,7 +5,6 @@ import pytest
 from repro.errors import VertexNotFoundError
 from repro.network.dijkstra import single_source_distances
 from repro.network.expansion import IncrementalExpansion
-from repro.network.graph import SpatialNetwork
 
 
 class TestStepping:
@@ -92,31 +91,3 @@ class TestRadius:
             if vertex not in settled:
                 assert dist >= radius - 1e-9
 
-
-class TestExpandUntil:
-    def test_respects_radius_limit(self, line_graph):
-        ex = IncrementalExpansion(line_graph, 0)
-        items = list(ex.expand_until(2.0))
-        assert [v for v, __ in items] == [0, 1, 2]
-
-    def test_resumable_after_partial(self, line_graph):
-        ex = IncrementalExpansion(line_graph, 0)
-        first = list(ex.expand_until(1.0))
-        assert [v for v, __ in first] == [0, 1]
-        more = list(ex.expand_until(10.0))
-        assert [v for v, __ in more] == [2, 3, 4]
-
-    def test_stops_in_disconnected_component(self):
-        g = SpatialNetwork(xs=[0, 1, 5], ys=[0, 0, 0], edges=[(0, 1, 1.0)])
-        ex = IncrementalExpansion(g, 0)
-        settled = [v for v, __ in ex.expand_until(100.0)]
-        assert settled == [0, 1]
-        assert ex.exhausted
-        assert ex.distance(2) is None
-
-    def test_distance_lookup(self, line_graph):
-        ex = IncrementalExpansion(line_graph, 2)
-        list(ex.expand_until(1.0))
-        assert ex.distance(2) == 0.0
-        assert ex.distance(1) == pytest.approx(1.0)
-        assert ex.distance(4) is None

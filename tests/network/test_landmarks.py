@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.errors import GraphError
-from repro.network.astar import astar_path_length
 from repro.network.dijkstra import shortest_path_length
 from repro.network.graph import SpatialNetwork
 from repro.network.landmarks import LandmarkIndex
@@ -81,18 +80,3 @@ class TestLowerBound:
         index = LandmarkIndex.build(grid10, num_landmarks=4, seed=0)
         assert index.lower_bound(3, 88) == pytest.approx(index.lower_bound(88, 3))
 
-
-class TestAltHeuristic:
-    def test_astar_with_alt_stays_exact(self, grid10):
-        index = LandmarkIndex.build(grid10, num_landmarks=8, seed=4)
-        rng = random.Random(5)
-        for __ in range(20):
-            u = rng.randrange(grid10.num_vertices)
-            v = rng.randrange(grid10.num_vertices)
-            got = astar_path_length(grid10, u, v, heuristic=index.heuristic(v))
-            assert got == pytest.approx(shortest_path_length(grid10, u, v))
-
-    def test_landmark_distance_accessor(self, grid10):
-        index = LandmarkIndex.build(grid10, num_landmarks=2, seed=0)
-        lm = index.landmarks[1]
-        assert index.landmark_distance(1, lm) == 0.0

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.network.astar import astar_path_length
-from repro.network.bidirectional import bidirectional_path_length
 from repro.network.builder import GraphBuilder
 from repro.network.dijkstra import shortest_path, shortest_path_length
 from repro.network.expansion import IncrementalExpansion
@@ -59,17 +57,6 @@ def test_dijkstra_matches_networkx(data, graphs):
     v = data.draw(st.integers(0, graph.num_vertices - 1))
     expected = nx.shortest_path_length(mirror, u, v, weight="weight")
     assert shortest_path_length(graph, u, v) == pytest.approx(expected)
-
-
-@given(data=st.data(), graphs=connected_graphs())
-@settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow], deadline=None)
-def test_all_algorithms_agree(data, graphs):
-    graph, __ = graphs
-    u = data.draw(st.integers(0, graph.num_vertices - 1))
-    v = data.draw(st.integers(0, graph.num_vertices - 1))
-    d = shortest_path_length(graph, u, v)
-    assert astar_path_length(graph, u, v) == pytest.approx(d)
-    assert bidirectional_path_length(graph, u, v) == pytest.approx(d)
 
 
 @given(data=st.data(), graphs=connected_graphs())

@@ -26,7 +26,7 @@ def _load(path: Path):
 
 
 def test_benchmarks_exist():
-    assert len(BENCH_MODULES) >= 14  # E1-E10, M1, N1, A1, X1-X3
+    assert len(BENCH_MODULES) >= 14  # E1-E10, M1, A1, X1-X3 (+ G1 I1 O1 O2 P1 R1 R2 S1)
 
 
 @pytest.mark.parametrize("path", BENCH_MODULES, ids=lambda p: p.stem)
