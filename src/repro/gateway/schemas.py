@@ -141,16 +141,6 @@ class ScoredItem(_Strict):
     text_similarity: float
     exact: bool
 
-    @classmethod
-    def from_item(cls, item) -> "ScoredItem":
-        return cls(
-            trajectory_id=item.trajectory_id,
-            score=item.score,
-            spatial_similarity=item.spatial_similarity,
-            text_similarity=item.text_similarity,
-            exact=item.exact,
-        )
-
 
 class ResultStats(_Strict):
     """The work counters a serving client can act on.
@@ -170,19 +160,6 @@ class ResultStats(_Strict):
     executor: str
     cache: str
 
-    @classmethod
-    def from_stats(cls, stats) -> "ResultStats":
-        return cls(
-            elapsed_seconds=stats.elapsed_seconds,
-            expanded_vertices=stats.expanded_vertices,
-            visited_trajectories=stats.visited_trajectories,
-            similarity_evaluations=stats.similarity_evaluations,
-            refinements=stats.refinements,
-            estimated_cost=stats.estimated_cost,
-            executor=stats.executor,
-            cache=stats.cache,
-        )
-
 
 class QueryResponse(_Strict):
     """One answered query, mirroring :class:`SearchResult`."""
@@ -196,14 +173,10 @@ class QueryResponse(_Strict):
 
     @classmethod
     def from_result(cls, result: SearchResult) -> "QueryResponse":
-        return cls(
-            items=[ScoredItem.from_item(item) for item in result.items],
-            exact=result.exact,
-            degradation_reason=result.degradation_reason,
-            residual_bound=result.residual_bound,
-            error=result.error,
-            stats=ResultStats.from_stats(result.stats),
-        )
+        """One validation pass over the result's attributes, nested items
+        and stats included; only the declared fields are read, so the
+        :class:`SearchStats` internals stay off the wire."""
+        return cls.model_validate(result, from_attributes=True)
 
     @property
     def rejected(self) -> bool:

@@ -5,6 +5,9 @@ HTTP/1.1 for the gateway's own contract — JSON request/response bodies
 with ``Content-Length``, keep-alive, graceful shutdown.  It is
 deliberately *not* a general web server: no chunked transfer-encoding
 (411 when asked), no TLS, no websockets, bounded header/body sizes.
+Framing is single-pass: the request line and headers are one CRLF-framed
+block read with one ``readuntil`` (a bare-LF blank line does not end it),
+and each response leaves in one ``write``.
 
 Everything here is stdlib + the app callable, so ``repro serve`` needs no
 server package.  The app is plain ASGI, so embedders that want another
@@ -18,7 +21,7 @@ import contextlib
 
 __all__ = ["HTTPServer", "serve"]
 
-#: Request-line + headers cap: past this the request is hostile, not big.
+#: Request-line + headers cap (431 past it): the request is hostile, not big.
 MAX_HEADER_BYTES = 64 * 1024
 #: Body cap — the largest legitimate gateway request is a batch of a few
 #: thousand queries, far below this.
@@ -60,7 +63,8 @@ class HTTPServer:
     async def start(self) -> None:
         """Bind and start accepting connections (returns immediately)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+            self._handle_connection, self._host, self._port,
+            limit=MAX_HEADER_BYTES,
         )
 
     async def stop(self) -> None:
@@ -86,17 +90,15 @@ class HTTPServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        # Fixed for the connection's lifetime: looked up once, not per request.
+        client = writer.get_extra_info("peername")
+        server = (self._host, self.port)
         try:
             while True:
-                keep_alive = await self._handle_one(reader, writer)
+                keep_alive = await self._handle_one(reader, writer, client, server)
                 if not keep_alive:
                     break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.LimitOverrunError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
             pass  # client went away mid-request; nothing to answer
         finally:
             with contextlib.suppress(ConnectionResetError, BrokenPipeError):
@@ -104,34 +106,33 @@ class HTTPServer:
                 await writer.wait_closed()
 
     async def _handle_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        client: tuple,
+        server: tuple,
     ) -> bool:
         """Serve one request; returns whether to keep the connection."""
-        request_line = await reader.readline()
-        if not request_line:
+        try:
+            # The request line and every header in one read: the stream's
+            # limit (MAX_HEADER_BYTES) caps the block, not each line.
+            block = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as exc:
+            if exc.partial:
+                raise  # client went away mid-request
             return False  # clean EOF between requests
-        if len(request_line) > MAX_HEADER_BYTES:
+        except asyncio.LimitOverrunError:
             await self._plain_error(writer, 431)
             return False
+        request_line, *header_lines = block[:-4].split(b"\r\n")
         try:
-            method, target, version = (
-                request_line.decode("latin-1").rstrip("\r\n").split(" ", 2)
-            )
+            method, target, version = request_line.decode("latin-1").split(" ", 2)
         except ValueError:
             await self._plain_error(writer, 400)
             return False
-
         headers: list[tuple[bytes, bytes]] = []
-        total_header_bytes = len(request_line)
-        while True:
-            line = await reader.readline()
-            total_header_bytes += len(line)
-            if total_header_bytes > MAX_HEADER_BYTES:
-                await self._plain_error(writer, 431)
-                return False
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.rstrip(b"\r\n").partition(b":")
+        for line in header_lines:
+            name, _, value = line.partition(b":")
             headers.append((name.strip().lower(), value.strip()))
 
         header_map = dict(headers)
@@ -162,8 +163,8 @@ class HTTPServer:
             "query_string": query_string.encode("latin-1"),
             "root_path": "",
             "headers": headers,
-            "client": writer.get_extra_info("peername"),
-            "server": (self._host, self.port),
+            "client": client,
+            "server": server,
         }
 
         keep_alive = (
@@ -181,32 +182,34 @@ class HTTPServer:
             received = True
             return {"type": "http.request", "body": body, "more_body": False}
 
-        started = False
+        head = b""
+        written = False
 
         async def send(message):
-            nonlocal started
+            # The status line and headers wait for the body so a response
+            # leaves in one write (one send, one TCP segment when it fits).
+            nonlocal head, written
             if message["type"] == "http.response.start":
-                started = True
                 status = message["status"]
                 lines = [f"HTTP/1.1 {status} {_phrase(status)}\r\n".encode()]
                 for name, value in message.get("headers", []):
                     lines.append(name + b": " + value + b"\r\n")
                 lines.append(
-                    b"connection: keep-alive\r\n"
+                    b"connection: keep-alive\r\n\r\n"
                     if keep_alive
-                    else b"connection: close\r\n"
+                    else b"connection: close\r\n\r\n"
                 )
-                lines.append(b"\r\n")
-                writer.write(b"".join(lines))
+                head = b"".join(lines)
             elif message["type"] == "http.response.body":
-                writer.write(message.get("body", b""))
+                writer.write(head + message.get("body", b""))
+                head, written = b"", True
                 if not message.get("more_body", False):
                     await writer.drain()
 
         try:
             await self._app(scope, receive, send)
         except Exception:
-            if not started:
+            if not written:
                 await self._plain_error(writer, 500)
             return False
         return keep_alive

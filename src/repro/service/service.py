@@ -512,11 +512,14 @@ class QueryService:
         hit = self._result_cache.get(key)
         if hit is None:
             return started, key, None
-        with self._traced(
-            "query", algorithm=self._algorithm, k=query.k, result_cache="hit",
-            **self._label_span_attrs(tenant, priority),
-        ):
-            pass  # no execution: the span marks the served hit
+        if self._tracer is not None:
+            # No execution: the span only marks the served hit, and a hit
+            # has no worker telemetry for the harvest sink to merge.
+            with self._traced(
+                "query", algorithm=self._algorithm, k=query.k,
+                result_cache="hit", **self._label_span_attrs(tenant, priority),
+            ):
+                pass
         hit.stats.elapsed_seconds = time.perf_counter() - started
         self._record(hit, hit.stats.elapsed_seconds, query, tenant, priority)
         return started, key, hit

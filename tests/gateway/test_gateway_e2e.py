@@ -78,6 +78,83 @@ def test_query_bytes_equal_inprocess_submit(stack, gateway_database):
     )
 
 
+def _field_by_field(result):
+    """The response a client saw before ``from_result`` validated in one
+    pass: every item and the stats built as models of their own."""
+    from repro.gateway.schemas import QueryResponse, ResultStats, ScoredItem
+
+    stats = result.stats
+    return QueryResponse(
+        items=[
+            ScoredItem(
+                trajectory_id=item.trajectory_id,
+                score=item.score,
+                spatial_similarity=item.spatial_similarity,
+                text_similarity=item.text_similarity,
+                exact=item.exact,
+            )
+            for item in result.items
+        ],
+        exact=result.exact,
+        degradation_reason=result.degradation_reason,
+        residual_bound=result.residual_bound,
+        error=result.error,
+        stats=ResultStats(
+            elapsed_seconds=stats.elapsed_seconds,
+            expanded_vertices=stats.expanded_vertices,
+            visited_trajectories=stats.visited_trajectories,
+            similarity_evaluations=stats.similarity_evaluations,
+            refinements=stats.refinements,
+            estimated_cost=stats.estimated_cost,
+            executor=stats.executor,
+            cache=stats.cache,
+        ),
+    )
+
+
+def test_from_result_wire_bytes_match_field_by_field_models(gateway_database):
+    """Every result shape the gateway serves — fresh, cached, degraded,
+    admission-rejected, failed — leaves as the same JSON bytes."""
+    from repro.gateway.schemas import QueryResponse
+    from repro.resilience.budget import SearchBudget
+
+    controller = AdmissionController(AdmissionPolicy(max_inflight=1))
+    service = QueryService(
+        gateway_database, "collaborative", result_cache=8, admission=controller
+    )
+    query = UOTSQuery.create([3, 47], "river cafe", k=3)
+    results = {
+        "fresh": service.submit(query),
+        "cached": service.submit(query),
+        "deadline": service.submit(query, budget=SearchBudget.from_millis(0)),
+        "work": service.submit(
+            query, budget=SearchBudget(max_expanded_vertices=5)
+        ),
+        "query_error": service.submit(
+            UOTSQuery.create([3, 4700], "river cafe", k=3)
+        ),
+    }
+    decision = controller.admit()
+    try:
+        results["rejected"] = service.submit(
+            UOTSQuery.create([5, 60], "river", k=3)
+        )
+    finally:
+        controller.release(decision)
+
+    assert results["fresh"].items and results["fresh"].stats.cache == ""
+    assert results["cached"].stats.cache == "result"
+    assert "deadline" in results["deadline"].degradation_reason
+    assert results["work"].items and not any(
+        item.exact for item in results["work"].items
+    )
+    assert results["query_error"].error.startswith("QueryError")
+    assert QueryResponse.from_result(results["rejected"]).rejected
+    for name, result in results.items():
+        wire = QueryResponse.from_result(result).model_dump_json()
+        assert wire == _field_by_field(result).model_dump_json(), name
+
+
 def test_query_rejection_maps_to_429(gateway_database):
     controller = AdmissionController(AdmissionPolicy(max_inflight=1))
     service = QueryService(gateway_database, "collaborative", admission=controller)

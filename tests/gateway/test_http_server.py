@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import socket
 
 import pytest
 
@@ -109,3 +110,99 @@ def test_connection_close_honored(gateway_database):
     status, header = _serve(gateway_database, drive)
     assert status == 200
     assert header == "close"
+
+
+def _raw_exchange(port: int, request: bytes) -> bytes:
+    """Send raw bytes on a fresh connection; everything read until EOF."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        chunks = []
+        try:
+            sock.sendall(request)
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # a reset is no reply, like an empty read
+    return b"".join(chunks)
+
+
+def test_oversized_header_block_gets_431_and_server_keeps_serving(
+    gateway_database,
+):
+    long_line = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: x\r\n\r\n"
+    long_header = (
+        b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"
+    )
+    many_headers = (
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-H%d: " % i + b"a" * 1000 + b"\r\n" for i in range(80))
+        + b"\r\n"
+    )
+
+    def drive(port: int):
+        replies = [
+            _raw_exchange(port, request)
+            for request in (long_line, long_header, many_headers)
+        ]
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        connection.request("GET", "/healthz")
+        health = connection.getresponse()
+        health_status = health.status
+        health.read()
+        connection.close()
+        return replies, health_status
+
+    replies, health_status = _serve(gateway_database, drive)
+    for reply in replies:
+        assert reply.startswith(b"HTTP/1.1 431 "), reply[:80]
+        assert reply.endswith(b'{"error":"Request Header Fields Too Large"}')
+    assert health_status == 200
+
+
+def test_one_write_per_response_on_one_keepalive_connection(
+    gateway_database, monkeypatch
+):
+    """Status line, headers and body leave in a single write — a miss, a
+    hit, a health check, a 404 and a 422 alike."""
+    writes: list[bytes] = []
+    write = asyncio.StreamWriter.write
+
+    def counting_write(self, data):
+        writes.append(bytes(data))
+        return write(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", counting_write)
+    query = json.dumps({"locations": [3, 47], "preference": "river", "k": 3})
+    requests = {
+        "miss": ("POST", "/query", query),
+        "hit": ("POST", "/query", query),
+        "healthz": ("GET", "/healthz", None),
+        "not_found": ("GET", "/nope", None),
+        "invalid": ("POST", "/query", "{broken"),
+    }
+
+    def drive(port: int):
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        observed = {}
+        for name, (method, path, body) in requests.items():
+            before = len(writes)
+            connection.request(method, path, body=body)
+            response = connection.getresponse()
+            payload = response.read()
+            observed[name] = (
+                response.status,
+                response.getheader("connection"),
+                writes[before:],
+                payload,
+            )
+        connection.close()
+        return observed
+
+    observed = _serve(gateway_database, drive)
+    assert {name: status for name, (status, *_) in observed.items()} == {
+        "miss": 200, "hit": 200, "healthz": 200, "not_found": 404, "invalid": 422,
+    }
+    assert json.loads(observed["hit"][3])["stats"]["cache"] == "result"
+    for name, (_, connection_header, sent, payload) in observed.items():
+        assert connection_header == "keep-alive", name
+        assert len(sent) == 1, (name, sent)
+        assert sent[0].startswith(b"HTTP/1.1 ") and sent[0].endswith(payload)

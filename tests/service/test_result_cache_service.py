@@ -15,6 +15,7 @@ import pytest
 from repro.bench.datasets import build_bundle
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.core.query import UOTSQuery
+from repro.obs import harvest
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.executor import fork_available
 from repro.perf import ResultCache
@@ -188,17 +189,48 @@ class TestServiceWiring:
         assert entries.value() == 2
 
     def test_trace_spans_carry_result_cache_attribute(self, bundle, workload):
-        service = _service(bundle, trace=True)
+        service = _service(bundle, trace=True, metrics=MetricsRegistry())
         service.search(workload[0])
         assert service.tracer.last_trace().attributes["result_cache"] == "miss"
-        service.search(workload[0])
+        traces = len(service.tracer.traces)
+        service.submit(workload[0])
+        assert len(service.tracer.traces) == traces + 1  # one span per hit
         root = service.tracer.last_trace()
+        assert root.name == "query"
         assert root.attributes["result_cache"] == "hit"
         assert root.children == []  # a hit plans and executes nothing
         # Untraced services never mention the attribute.
         bare = QueryService(bundle.database, "collaborative", trace=True)
         bare.search(workload[0])
         assert "result_cache" not in bare.tracer.last_trace().attributes
+
+    def test_untraced_hit_skips_the_harvest_sink_but_is_counted(
+        self, bundle, workload, monkeypatch
+    ):
+        entered = []
+        sink_to = harvest.sink_to
+
+        def counting_sink_to(registry):
+            entered.append(registry)
+            return sink_to(registry)
+
+        monkeypatch.setattr(harvest, "sink_to", counting_sink_to)
+        registry = MetricsRegistry()
+        service = _service(bundle, metrics=registry)
+        outcomes = registry.counter("repro_service_queries_total")
+        paths = registry.counter("repro_executor_queries_total")
+        service.submit(workload[0])
+        assert entered  # a miss still runs under the sink
+        entered.clear()
+        registry.collect()
+        served = outcomes.value(outcome="exact")
+        cached = paths.value(path="result-cache")
+        assert service.submit(workload[0]).stats.cache == "result"
+        assert entered == []
+        registry.collect()
+        assert outcomes.value(outcome="exact") == served + 1
+        assert paths.value(path="result-cache") == cached + 1
+        assert service.stats.result_cache_hits == 1
 
     def test_tuning_kwargs_key_the_cache(self, bundle, workload):
         cache = ResultCache(32)
