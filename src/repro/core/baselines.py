@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 
 from repro.core.instrument import annotate_search_span, execute_span
-from repro.core.plan import QueryPlan
+from repro.core.plan import QueryPlan, _baseline_plan
 from repro.core.query import UOTSQuery
 from repro.core.results import ScoredTrajectory, SearchResult, SearchStats, TopK
 from repro.core.similarity import ExactScorer, combine, spatial_similarity
@@ -57,43 +57,6 @@ def _degraded(topk: TopK, stats: SearchStats, reason: str, started: float,
         exact=False,
         degradation_reason=reason,
         residual_bound=_TRIVIAL_RESIDUAL,
-    )
-
-
-def _baseline_plan(
-    searcher,
-    query: UOTSQuery,
-    *,
-    use_text_in_bounds: bool,
-    use_refinement: bool,
-    estimated_cost: float,
-    notes: tuple[str, ...],
-    candidate_count: int | None = None,
-) -> QueryPlan:
-    """The shared (trivial) plan of the baselines: no scheduling, no ALT.
-    ``candidate_count`` defaults to the keyword index's count."""
-    database = searcher._database
-    query.validate_against(database.graph)
-    if candidate_count is None:
-        candidate_count = (
-            len(database.keyword_index.candidates(query.keywords)) if query.keywords else 0
-        )
-    return QueryPlan(
-        algorithm=searcher.plan_name,
-        query=query,
-        scheduler="none",
-        batch_size=0,
-        use_text_in_bounds=use_text_in_bounds,
-        use_refinement=use_refinement,
-        alt_enabled=False,
-        alt_reason="not applicable (no bound-driven expansion)",
-        text_measure=query.text_measure,
-        source_vertices=query.locations,
-        candidate_count=candidate_count,
-        database_size=len(database),
-        cache_enabled=database.caches.distances.enabled,
-        estimated_cost=estimated_cost,
-        notes=notes,
     )
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
+    from repro.core.query import UOTSQuery
     from repro.core.results import SearchResult
     from repro.resilience.budget import SearchBudget
 
@@ -154,3 +155,41 @@ class Searcher(Protocol):
     def search(self, query, budget: "SearchBudget | None" = None) -> "SearchResult":
         """``execute(plan(query), budget)`` — the one-call convenience."""
         ...  # pragma: no cover - protocol
+
+
+def _baseline_plan(
+    searcher,
+    query: UOTSQuery,
+    *,
+    use_text_in_bounds: bool,
+    use_refinement: bool,
+    estimated_cost: float,
+    notes: tuple[str, ...],
+    candidate_count: int | None = None,
+) -> QueryPlan:
+    """The shared (trivial) plan of the baselines and ``scan``: no
+    scheduling, no ALT.  ``candidate_count`` defaults to the keyword
+    index's count."""
+    database = searcher._database
+    query.validate_against(database.graph)
+    if candidate_count is None:
+        candidate_count = (
+            len(database.keyword_index.candidates(query.keywords)) if query.keywords else 0
+        )
+    return QueryPlan(
+        algorithm=searcher.plan_name,
+        query=query,
+        scheduler="none",
+        batch_size=0,
+        use_text_in_bounds=use_text_in_bounds,
+        use_refinement=use_refinement,
+        alt_enabled=False,
+        alt_reason="not applicable (no bound-driven expansion)",
+        text_measure=query.text_measure,
+        source_vertices=query.locations,
+        candidate_count=candidate_count,
+        database_size=len(database),
+        cache_enabled=database.caches.distances.enabled,
+        estimated_cost=estimated_cost,
+        notes=notes,
+    )

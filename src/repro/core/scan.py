@@ -24,6 +24,12 @@ array grain instead of per settled vertex:
   gap, and exact scores for the blocking set only, after which every
   candidate is exact and their top-k is the answer.
 
+A budget is checked once, at the boundary between the two: when phase 2
+would run past the deadline or a work cap, the scan stops there and
+answers from phase 1's bounds, labelled ``exact=False`` with the largest
+upper bound it did not resolve as ``residual_bound`` (the paper's
+bound-and-stop, :func:`bounded_topk`).
+
 The top-k is ranked under the library-wide total order (score desc, id
 asc).  :func:`scan_topk` is the unbounded kernel — every trajectory scored
 from full distance rows and a dict of text scores — which the sharded
@@ -39,17 +45,16 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.baselines import _baseline_plan
 from repro.core.instrument import annotate_search_span, execute_span
-from repro.core.plan import QueryPlan
+from repro.core.plan import QueryPlan, _baseline_plan
 from repro.core.query import UOTSQuery
 from repro.core.results import ScoredTrajectory, SearchResult, SearchStats
-from repro.core.search import CollaborativeSearcher
+from repro.errors import BudgetExceededError
 from repro.index.database import TrajectoryDatabase
 from repro.index.events import MutationEvent
 from repro.network.csr import CSRAdjacency, _scipy_kernels, sssp_arrays_batch
 from repro.network.stats import PHASE1_RADIUS_SIGMAS
-from repro.resilience.budget import SearchBudget
+from repro.resilience.budget import BudgetMeter, SearchBudget
 from repro.text.similarity import get_count_form
 
 __all__ = [
@@ -363,9 +368,12 @@ def _ranked(
     return keep[np.lexsort((ids[keep], -scores[keep]))][:k]
 
 
-def _items(order, ids, scores, spatial, textual) -> list[ScoredTrajectory]:
+def _items(order, ids, scores, spatial, textual, exact=None) -> list[ScoredTrajectory]:
     return [
-        ScoredTrajectory(int(ids[i]), float(scores[i]), float(spatial[i]), float(textual[i]))
+        ScoredTrajectory(
+            int(ids[i]), float(scores[i]), float(spatial[i]), float(textual[i]),
+            exact is None or bool(exact[i]),
+        )
         for i in order
     ]
 
@@ -447,13 +455,25 @@ def bounded_topk(
     textual: np.ndarray,
     query: UOTSQuery,
     radius: float,
+    meter: BudgetMeter | None = None,
 ) -> tuple[SearchResult, dict]:
-    """The exact top-k of a snapshot by the two-phase scan (module docs),
-    given its vertex transpose and the exact SimT of each trajectory.
+    """The top-k of a snapshot by the two-phase scan (module docs), given
+    its vertex transpose and the exact SimT of each trajectory: exact
+    unless ``meter`` stops the scan.
+
+    ``meter`` is the query's running budget (``None`` when unbudgeted).
+    It is read once, after phase 1 and only when a blocking set exists:
+    phase 2 runs only if the deadline has not passed and its worst case —
+    one full row of ``|V|`` settles and one refinement per gap location —
+    keeps every work counter within its cap.  Otherwise the scan stops at
+    the phase boundary with phase 1's bounds: the top-k by lower bound,
+    each item flagged by whether its score is exact, and as
+    ``residual_bound`` the largest upper bound outside the exactly scored
+    items.  A strict budget raises instead.
 
     Returns the result and what the execute span reports: the radius, the
-    (vertex, trajectory) pairs phase 1 reached, the blocking-set size and
-    the phase that answered.
+    (vertex, trajectory) pairs phase 1 reached, the blocking-set size, the
+    phase that answered and, on a stop, the reason.
     """
     ids, starts, vertices, sigma, *_ = arrays
     n, k = ids.size, query.k
@@ -465,24 +485,31 @@ def bounded_topk(
     floor = np.partition(scores, n - k)[n - k] if n > k else -np.inf
     candidates = np.flatnonzero(upper >= floor)
     blocking = candidates[~exact[candidates]]
-    phase = 2 if blocking.size else 1
+    stopped = None
     if blocking.size:
-        # Phase 2: score the blocking set exactly from full SSSP rows.
         gaps = np.flatnonzero(np.isinf(distances[:, blocking]).any(axis=1))
-        lengths = np.diff(starts, append=vertices.size)[blocking]
-        offsets = np.cumsum(lengths) - lengths
-        members = vertices[
-            np.repeat(starts[blocking] - offsets, lengths) + np.arange(lengths.sum())
-        ].astype(np.intp)  # the faster gather index (see scan_topk)
-        full = sssp_arrays_batch(csr, [query.locations[i] for i in gaps])
-        for i, row in zip(gaps, full):
-            distances[i, blocking] = np.minimum.reduceat(row[members], offsets)
-            settled += int(np.count_nonzero(np.isfinite(row)))
-        spatial[blocking], scores[blocking] = _combine(
-            distances[:, blocking], textual[blocking], query, sigma
-        )
+        if meter is not None:
+            stopped = meter.forbids(settled + gaps.size * csr.num_vertices, gaps.size)
+        if stopped is None:
+            # Phase 2: score the blocking set exactly from full SSSP rows.
+            lengths = np.diff(starts, append=vertices.size)[blocking]
+            offsets = np.cumsum(lengths) - lengths
+            members = vertices[
+                np.repeat(starts[blocking] - offsets, lengths) + np.arange(lengths.sum())
+            ].astype(np.intp)  # the faster gather index (see scan_topk)
+            full = sssp_arrays_batch(csr, [query.locations[i] for i in gaps])
+            for i, row in zip(gaps, full):
+                distances[i, blocking] = np.minimum.reduceat(row[members], offsets)
+                settled += int(np.count_nonzero(np.isfinite(row)))
+            spatial[blocking], scores[blocking] = _combine(
+                distances[:, blocking], textual[blocking], query, sigma
+            )
+            exact[blocking] = True
+        elif meter.budget.strict:
+            raise BudgetExceededError(stopped)
+    phase2 = blocking.size > 0 and stopped is None
     order = _ranked(candidates, scores, ids, k)
-    evaluated = int(np.count_nonzero(exact)) + blocking.size
+    evaluated = int(np.count_nonzero(exact))
     touched = np.isfinite(distances).any(axis=0) | (textual > 0.0)
     touched[blocking] = True
     stats = SearchStats(
@@ -491,24 +518,35 @@ def bounded_topk(
         similarity_evaluations=evaluated,
         pruned_trajectories=n - evaluated,
         text_candidates=int(np.count_nonzero(textual)),
+        refinements=int(gaps.size) if phase2 else 0,
     )
     trace = {
         "radius": radius,
         "reached_pairs": pairs,
         "blocking": int(blocking.size),
-        "phase": phase,
+        "phase": 2 if phase2 else 1,
     }
-    result = SearchResult(items=_items(order, ids, scores, spatial, textual), stats=stats)
+    items = _items(order, ids, scores, spatial, textual, exact)
+    if stopped is None:
+        return SearchResult(items=items, stats=stats), trace
+    trace["stopped"] = stopped
+    stats.degraded_queries = 1
+    # Nothing outside the exactly scored items can beat its upper bound.
+    open_ = np.ones(n, dtype=bool)
+    open_[order[exact[order]]] = False
+    result = SearchResult(
+        items, stats, exact=False, degradation_reason=stopped,
+        residual_bound=float(upper[open_].max()),
+    )
     return result, trace
 
 
 class ScanSearcher:
-    """Exact top-k by the two-phase scan (see the module docs).
-    Budgeted (anytime) queries go unchanged to a held
-    :class:`CollaborativeSearcher`: ``exact=False`` / ``residual_bound`` /
-    ``confirmed_prefix()`` are the bound tracker's semantics.  That
-    searcher builds the database's vertex index on its first query; the
-    scan itself never reads it.
+    """Top-k by the two-phase scan (see the module docs): exact, unless a
+    budget stops it at the phase boundary (:func:`bounded_topk`).  Its
+    budget meter starts when :meth:`execute` does, so the snapshot and the
+    text scores count against the deadline too.  Phase 1 is never cut, so
+    a deadline is overrun by at most one phase 2.
     """
 
     plan_name = "scan"
@@ -516,7 +554,6 @@ class ScanSearcher:
     def __init__(self, database: TrajectoryDatabase):
         self._database = database
         self._arrays = ScanArrays(database)
-        self._anytime = CollaborativeSearcher(database)
 
     def warm(self) -> None:
         """Build the SciPy matrix, the snapshot and its vertex and keyword
@@ -569,8 +606,7 @@ class ScanSearcher:
         query: UOTSQuery = plan.query
         if budget is None:
             budget = query.budget
-        if budget is not None and not budget.unlimited:
-            return self._anytime.search(query, budget)
+        meter = None if budget is None or budget.unlimited else budget.start()
         database = self._database
         query.validate_against(database.graph)
         with execute_span(self.plan_name) as span:
@@ -584,7 +620,7 @@ class ScanSearcher:
                 textual = _simt(arrays, postings, words, query)
             result, trace = bounded_topk(
                 arrays, transpose, database.graph.csr, textual, query,
-                PHASE1_RADIUS_SIGMAS * database.sigma,
+                PHASE1_RADIUS_SIGMAS * database.sigma, meter,
             )
             result.stats.estimated_cost = plan.estimated_cost
             result.stats.elapsed_seconds = time.perf_counter() - started

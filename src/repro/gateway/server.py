@@ -7,7 +7,9 @@ deliberately *not* a general web server: no chunked transfer-encoding
 (411 when asked), no TLS, no websockets, bounded header/body sizes.
 Framing is single-pass: the request line and headers are one CRLF-framed
 block read with one ``readuntil`` (a bare-LF blank line does not end it),
-and each response leaves in one ``write``.
+and each response leaves in one ``write``.  A request refused before its
+body is read (400, 411, 413, 431) ends in a bounded lingering close, so
+the client reads the status instead of a TCP reset.
 
 Everything here is stdlib + the app callable, so ``repro serve`` needs no
 server package.  The app is plain ASGI, so embedders that want another
@@ -26,6 +28,10 @@ MAX_HEADER_BYTES = 64 * 1024
 #: Body cap — the largest legitimate gateway request is a batch of a few
 #: thousand queries, far below this.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: How long a refused request's unread input is discarded before the
+#: close: closing with input still unread makes the kernel send a reset,
+#: which can destroy the refusal before the client reads it.
+LINGER_SECONDS = 1.0
 
 _STATUS_PHRASES = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -122,13 +128,13 @@ class HTTPServer:
                 raise  # client went away mid-request
             return False  # clean EOF between requests
         except asyncio.LimitOverrunError:
-            await self._plain_error(writer, 431)
+            await self._refuse(reader, writer, 431)
             return False
         request_line, *header_lines = block[:-4].split(b"\r\n")
         try:
             method, target, version = request_line.decode("latin-1").split(" ", 2)
         except ValueError:
-            await self._plain_error(writer, 400)
+            await self._refuse(reader, writer, 400)
             return False
         headers: list[tuple[bytes, bytes]] = []
         for line in header_lines:
@@ -137,15 +143,15 @@ class HTTPServer:
 
         header_map = dict(headers)
         if b"chunked" in header_map.get(b"transfer-encoding", b"").lower():
-            await self._plain_error(writer, 411)
+            await self._refuse(reader, writer, 411)
             return False
         try:
             content_length = int(header_map.get(b"content-length", b"0") or 0)
         except ValueError:
-            await self._plain_error(writer, 400)
+            await self._refuse(reader, writer, 400)
             return False
         if content_length > MAX_BODY_BYTES:
-            await self._plain_error(writer, 413)
+            await self._refuse(reader, writer, 413)
             return False
         body = (
             await reader.readexactly(content_length) if content_length else b""
@@ -225,6 +231,23 @@ class HTTPServer:
         )
         with contextlib.suppress(ConnectionResetError, BrokenPipeError):
             await writer.drain()
+
+    @classmethod
+    async def _refuse(
+        cls, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, status: int
+    ) -> None:
+        """Answer ``status`` to a request whose input is not all read, then
+        linger: shut the write side and discard input until EOF or
+        ``LINGER_SECONDS``, so the close that follows sends no reset."""
+        await cls._plain_error(writer, status)
+        with contextlib.suppress(OSError, asyncio.TimeoutError):
+            writer.write_eof()
+            await asyncio.wait_for(_discard(reader), LINGER_SECONDS)
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    while await reader.read(64 * 1024):
+        pass
 
 
 async def serve(

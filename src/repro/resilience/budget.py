@@ -2,11 +2,11 @@
 
 A :class:`SearchBudget` declares how much a caller is willing to spend on
 one search; a :class:`BudgetMeter` is the running instance the searcher
-consults at batch boundaries.  When a budget trips, the search stops and
-returns its current top-k flagged ``exact=False`` together with the bound
-tracker's residual upper bound — the largest score any unevaluated
-trajectory could still achieve, i.e. an error bar on the missed score
-(see DESIGN.md, "Resilience").
+consults at batch boundaries (``scan``: once, at its phase boundary).
+When a budget trips, the search stops and returns its current top-k
+flagged ``exact=False`` together with a residual upper bound — the
+largest score any unevaluated trajectory could still achieve, i.e. an
+error bar on the missed score (see DESIGN.md, "Resilience").
 """
 
 from __future__ import annotations
@@ -140,4 +140,29 @@ class BudgetMeter:
                     f"deadline of {self.budget.deadline_seconds * 1000:.1f} "
                     f"ms reached"
                 )
+        return None
+
+    def forbids(self, expanded_vertices: int, refinements: int) -> str | None:
+        """The degradation reason if a step that would bring the work
+        counters to these totals must not run, else ``None``.
+
+        For a searcher that checks once before one step of known
+        worst-case size: a total equal to its cap still fits, so the step
+        never crosses a cap, and the clock is read on every call.
+        """
+        budget = self.budget
+        cap = budget.max_expanded_vertices
+        if cap is not None and expanded_vertices > cap:
+            return (
+                f"expansion budget exhausted "
+                f"(would reach {expanded_vertices} > {cap} vertices)"
+            )
+        cap = budget.max_refinements
+        if cap is not None and refinements > cap:
+            return (
+                f"refinement budget exhausted "
+                f"(would reach {refinements} > {cap} refinements)"
+            )
+        if self._deadline is not None and time.perf_counter() >= self._deadline:
+            return f"deadline of {budget.deadline_seconds * 1000:.1f} ms reached"
         return None

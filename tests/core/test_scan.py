@@ -8,8 +8,9 @@ oracle's score at that rank.  The generic registry contract (protocol,
 plan, statelessness, budgets) covers ``scan`` through the suites
 parametrised over ``ALGORITHMS``; this file covers what is particular to
 it: the vectorised kernels' edge cases, both phases forced on and off, the
-array snapshot and its transpose under mutation, budget delegation, the
-serving paths, the plan estimate and what the serving path never builds.
+array snapshot and its transpose under mutation, the phase-boundary budget
+stop, the serving paths, the plan estimate and what the serving path never
+builds.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import repro.index.database as database_module
 from repro.core.query import UOTSQuery
 from repro.core.registry import ALGORITHMS, SERVING_ALGORITHM, make_searcher
 from repro.core.scan import ScanArrays, ScanSearcher, scan_topk
+from repro.core.results import SearchResult
 from repro.core.search import exact_text_scores
 from repro.core.similarity import ExactScorer
 from repro.errors import BudgetExceededError, QueryError
@@ -643,37 +645,109 @@ def test_add_remove_interleavings_stay_oracle_equal():
 
 
 # ------------------------------------------------------------------ budgets
-BUDGETS = (
-    SearchBudget(deadline_seconds=0.0),
-    SearchBudget(max_expanded_vertices=40),
-    SearchBudget(max_expanded_vertices=400, max_refinements=1),
-)
+SWEEP_BUDGETS = {
+    "deadline-0ms": SearchBudget(deadline_seconds=0.0),
+    "deadline-1ms": SearchBudget(deadline_seconds=0.001),
+    "deadline-5ms": SearchBudget(deadline_seconds=0.005),
+    "deadline-20ms": SearchBudget(deadline_seconds=0.02),
+    "deadline-60s": SearchBudget(deadline_seconds=60.0),
+    "cap-40": SearchBudget(max_expanded_vertices=40),
+    "cap-400": SearchBudget(max_expanded_vertices=400),
+    "cap-1e9": SearchBudget(max_expanded_vertices=10**9),
+    "refinements-0": SearchBudget(max_refinements=0),
+    "refinements-1": SearchBudget(max_refinements=1),
+}
 
 
-@pytest.mark.parametrize("budget", BUDGETS, ids=("deadline", "expansions", "mixed"))
-def test_budgeted_queries_return_exactly_what_collaborative_returns(budget):
-    database = build_world(cache_size=0)  # no caches: runs are repeatable
-    scan = make_searcher(database, "scan")
-    reference = make_searcher(database, "collaborative")
-    for query in seeded_queries(database, seed=3, count=10):
-        got, want = scan.search(query, budget), reference.search(query, budget)
-        assert got.items == want.items
-        assert got.exact == want.exact
-        assert got.degradation_reason == want.degradation_reason
-        assert got.residual_bound == want.residual_bound
-        assert got.confirmed_prefix() == want.confirmed_prefix()
-        carried = UOTSQuery.create(
-            query.locations, query.keywords, lam=query.lam, k=query.k, budget=budget
+@pytest.fixture(scope="module")
+def sweep_world():
+    """A cache-free world, its seeded queries, and for each query the
+    unbudgeted answer's phase and the oracle's full ranking."""
+    database = build_world(cache_size=0)
+    scan, oracle = make_searcher(database, "scan"), oracle_of(database)
+    cases = []
+    for query in seeded_queries(database, seed=3, count=30):
+        _, span = traced_search(scan, query)
+        everything = UOTSQuery.create(
+            query.locations, query.keywords, lam=query.lam, k=len(database)
         )
-        assert scan.search(carried).items == want.items  # query.budget counts too
+        cases.append((query, span["phase"], oracle.search(everything).items))
+    return database, scan, cases
+
+
+def budgeted_search(searcher, query, budget):
+    """The budgeted result and the attributes of its ``execute`` span."""
+    tracer = Tracer()
+    with activated(tracer):
+        result = searcher.search(query, budget)
+    return result, tracer.last_trace().attributes
+
+
+@pytest.mark.parametrize("name", SWEEP_BUDGETS)
+def test_budget_sweep_stops_at_the_phase_boundary_with_sound_bounds(sweep_world, name):
+    """Every budgeted answer is exact and oracle-equal, or a labelled stop
+    at the phase boundary whose confirmed prefix is the oracle's prefix
+    and whose residual bound caps every trajectory outside that prefix.
+    A query phase 1 answers is exact under any budget, and phase 2 runs
+    only when it keeps every work counter within its cap."""
+    budget = SWEEP_BUDGETS[name]
+    database, scan, cases = sweep_world
+    stops = 0
+    for query, unbudgeted_phase, ranking in cases:
+        got, span = budgeted_search(scan, query, budget)
+        if got.exact:
+            want = SearchResult(items=ranking[: query.k])
+            assert_oracle_equal(database, query, got, want)
+            assert "stopped" not in span
+        else:
+            stops += 1
+            assert unbudgeted_phase == 2, "a phase-1 answer must stay exact"
+            assert span["phase"] == 1 and span["stopped"] == got.degradation_reason
+            assert got.stats.degraded_queries == 1
+            assert len(got.items) == min(query.k, len(database))
+            truth = {item.trajectory_id: item.score for item in ranking}
+            for item in got.items:
+                assert item.score <= truth[item.trajectory_id] + TOLERANCE
+                if item.exact:
+                    assert item.score == pytest.approx(truth[item.trajectory_id], abs=TOLERANCE)
+            prefix = got.confirmed_prefix()
+            assert_oracle_equal(
+                database, query, SearchResult(items=prefix),
+                SearchResult(items=ranking[: len(prefix)]),
+            )
+            confirmed = {item.trajectory_id for item in prefix}
+            missed = max(s for tid, s in truth.items() if tid not in confirmed)
+            assert got.residual_bound >= missed - TOLERANCE
+        if unbudgeted_phase == 1:
+            assert got.exact
+        if span["phase"] == 2:
+            if budget.max_expanded_vertices is not None:
+                assert got.stats.expanded_vertices <= budget.max_expanded_vertices
+            if budget.max_refinements is not None:
+                assert got.stats.refinements <= budget.max_refinements
+        if budget.deadline_seconds is None:  # work caps are deterministic
+            carried = UOTSQuery.create(
+                query.locations, query.keywords, lam=query.lam, k=query.k, budget=budget
+            )
+            assert scan.search(carried).items == got.items  # query.budget counts too
+    needs_phase2 = sum(phase == 2 for _, phase, _ in cases)
+    assert 0 < needs_phase2 < len(cases)
+    if name in ("deadline-0ms", "cap-40", "refinements-0"):
+        assert stops == needs_phase2  # no phase 2 fits these budgets (|V| = 144)
+    if name in ("deadline-60s", "cap-1e9"):
+        assert stops == 0
 
 
 def test_strict_budget_raises_like_collaborative(world):
+    scan = make_searcher(world, "scan")
     query = UOTSQuery.create([5, 100], ["park"], lam=0.5, k=3)
+    assert traced_search(scan, query)[1]["phase"] == 2
     with pytest.raises(BudgetExceededError):
-        make_searcher(world, "scan").search(
-            query, SearchBudget(deadline_seconds=0.0, strict=True)
-        )
+        scan.search(query, SearchBudget(deadline_seconds=0.0, strict=True))
+    # Phase 1 answers this one, so the budget never gets the chance to trip.
+    text_free = UOTSQuery.create([5, 100], [], lam=0.5, k=3)
+    assert traced_search(scan, text_free)[1]["phase"] == 1
+    assert scan.search(text_free, SearchBudget(deadline_seconds=0.0, strict=True)).exact
 
 
 # ------------------------------------------------------------ serving paths
@@ -729,7 +803,11 @@ def test_http_answers_are_oracle_equal_and_errors_typed(world):
         budgeted = client.post(
             "/query", json={"locations": [3, 90], "preference": "park", "deadline_ms": 0}
         )
-        assert budgeted.status == 200 and budgeted.json()["exact"] is False
+        assert budgeted.status == 200
+        reply = budgeted.json()
+        assert reply["exact"] or (
+            reply["degradation_reason"] and reply["residual_bound"] > 0
+        )
     finally:
         asyncio.run(gateway.close())
 
@@ -800,8 +878,8 @@ def test_scan_path_never_builds_the_vertex_index_or_vertex_arrays():
         assert shard.arrays._transposed is None
         assert shard.database._vertex_index is None
     budgeted = UOTSQuery.create([3, 77], ["park"], lam=0.5, k=3)
-    scan.search(budgeted, SearchBudget(max_expanded_vertices=40))
-    assert database._vertex_index is not None  # the held anytime searcher's
+    assert not scan.search(budgeted, SearchBudget(max_expanded_vertices=40)).exact
+    assert database._vertex_index is None  # budgets are answered by the scan too
 
 
 def test_scan_path_never_builds_a_vertex_set(tmp_path):

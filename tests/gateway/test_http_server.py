@@ -19,7 +19,7 @@ pytest.importorskip("pydantic")
 
 from repro.gateway import AsyncQueryService
 from repro.gateway.app import create_app
-from repro.gateway.server import HTTPServer
+from repro.gateway.server import MAX_BODY_BYTES, HTTPServer
 from repro.service.service import QueryService
 
 
@@ -155,6 +155,40 @@ def test_oversized_header_block_gets_431_and_server_keeps_serving(
     for reply in replies:
         assert reply.startswith(b"HTTP/1.1 431 "), reply[:80]
         assert reply.endswith(b'{"error":"Request Header Fields Too Large"}')
+    assert health_status == 200
+
+
+def test_refused_oversized_requests_read_their_status_not_a_reset(
+    gateway_database,
+):
+    """A body past ``MAX_BODY_BYTES`` and a header block past twice the
+    stream limit (where asyncio stops reading) leave input unread when the
+    server refuses them; the lingering close discards it, so the client
+    reads 413 and 431 rather than a connection reset."""
+    size = 17 * 1024 * 1024
+    assert size > MAX_BODY_BYTES
+    big_body = (
+        b"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % size
+        + b"a" * size
+    )
+    big_headers = (
+        b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (130 * 1024) + b"\r\n\r\n"
+    )
+
+    def drive(port: int):
+        replies = [_raw_exchange(port, request) for request in (big_body, big_headers)]
+        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        connection.request("GET", "/healthz")
+        health = connection.getresponse()
+        health_status = health.status
+        health.read()
+        connection.close()
+        return replies, health_status
+
+    (too_large, too_long), health_status = _serve(gateway_database, drive)
+    assert too_large.startswith(b"HTTP/1.1 413 "), too_large[:80]
+    assert too_large.endswith(b'{"error":"Payload Too Large"}')
+    assert too_long.startswith(b"HTTP/1.1 431 "), too_long[:80]
     assert health_status == 200
 
 

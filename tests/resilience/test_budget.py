@@ -60,6 +60,14 @@ class TestSearchBudget:
         meter = SearchBudget(deadline_seconds=60.0).start()
         assert meter.exceeded() is None
 
+    def test_meter_forbids_only_a_step_that_crosses_a_cap(self):
+        meter = SearchBudget(max_expanded_vertices=5, max_refinements=2).start()
+        assert meter.forbids(5, 2) is None  # landing on a cap still fits
+        assert "expansion budget" in meter.forbids(6, 0)
+        assert "refinement budget" in meter.forbids(0, 3)
+        assert "deadline" in SearchBudget(deadline_seconds=0.0).start().forbids(0, 0)
+        assert SearchBudget(deadline_seconds=60.0).start().forbids(10**9, 10**9) is None
+
 
 class TestDegradedSearch:
     """Budget-tripped collaborative searches degrade, never lie."""
