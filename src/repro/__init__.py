@@ -97,7 +97,6 @@ from repro.resilience import (
 from repro.service import (
     AdmissionController,
     AdmissionPolicy,
-    CircuitBreaker,
     QueryService,
     ServiceStats,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "BruteForceSearcher",
     "BudgetExceededError",
     "BudgetMeter",
-    "CircuitBreaker",
     "CollaborativeSearcher",
     "CorruptPageError",
     "DatasetError",

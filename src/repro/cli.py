@@ -702,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-inflight", type=int, default=None, metavar="N",
-        help="overload-policy in-flight cap (enables shedding + breaker)",
+        help="overload-policy in-flight cap (enables shedding)",
     )
     p.add_argument("--max-cost", type=float, default=None, metavar="COST")
     p.add_argument(

@@ -21,8 +21,8 @@ Routes and status mapping (DESIGN.md §14):
                           on a saturated bridge
 ``POST /explain``         200 with the rendered plan; never executes
 ``GET /healthz``          200 while the process serves at all
-``GET /readyz``           200 ready / 503 with a reason slug: breaker open,
-                          bridge saturated, or closing
+``GET /readyz``           200 ready / 503 with a reason slug: bridge
+                          saturated or closing
 ``GET /metrics``          Prometheus text exposition from the bound registry
 ==========================  ===================================================
 

@@ -145,17 +145,10 @@ class AsyncQueryService:
     def ready(self) -> tuple[bool, str]:
         """Readiness and a reason slug for the ``/readyz`` body.
 
-        Not ready when closed, when the service's circuit breaker is
-        open (the backend is failing; sending traffic here only feeds
-        the failure), or when the bridge is saturated.  A *half-open*
-        breaker keeps readiness: it is actively probing for recovery and
-        admission control already meters the probe volume.
+        Not ready when closed or when the bridge is saturated.
         """
         if self._closed:
             return False, "closed"
-        breaker = self._service.admission.breaker
-        if breaker is not None and breaker.state == "open":
-            return False, "breaker_open"
         if self.saturated:
             return False, "saturated"
         return True, "ok"

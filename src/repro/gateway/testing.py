@@ -11,7 +11,7 @@ Stdlib-only.  The sync :meth:`request` wrapper runs each call on a fresh
 event loop, which mirrors production more closely than it may look: the
 gateway's bridged work lives on the :class:`AsyncQueryService`'s own
 thread pool (not the loop), so state carried *between* requests —
-caches, admission counters, breaker — is exactly the state a long-lived
+caches, admission counters — is exactly the state a long-lived
 server carries between requests.
 """
 

@@ -4,7 +4,6 @@ from repro.network.builder import GraphBuilder
 from repro.network.dijkstra import (
     distance_matrix,
     distances_to_targets,
-    eccentricity,
     shortest_path,
     shortest_path_length,
     single_source_distances,
@@ -18,28 +17,19 @@ from repro.network.generators import (
 from repro.network.graph import SpatialNetwork
 from repro.network.io import load_edge_list, load_json, save_edge_list, save_json
 from repro.network.landmarks import LandmarkIndex
-from repro.network.stats import (
-    NetworkStats,
-    characteristic_distance,
-    estimate_diameter,
-    network_stats,
-)
+from repro.network.stats import characteristic_distance
 
 __all__ = [
     "SpatialNetwork",
     "GraphBuilder",
     "IncrementalExpansion",
     "LandmarkIndex",
-    "NetworkStats",
     "characteristic_distance",
     "distance_matrix",
     "distances_to_targets",
-    "eccentricity",
-    "estimate_diameter",
     "grid_network",
     "load_edge_list",
     "load_json",
-    "network_stats",
     "random_geometric_network",
     "ring_radial_network",
     "save_edge_list",

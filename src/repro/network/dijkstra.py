@@ -34,7 +34,6 @@ __all__ = [
     "single_source_distances",
     "distances_to_targets",
     "distance_matrix",
-    "eccentricity",
     "dict_reference_sssp",
 ]
 
@@ -145,17 +144,6 @@ def distance_matrix(
     if sources is None:
         sources = range(graph.num_vertices)
     return sssp_arrays_batch(graph.csr, list(sources))
-
-
-def eccentricity(graph: SpatialNetwork, vertex: int) -> tuple[int, float]:
-    """The farthest vertex from ``vertex`` and its distance.
-
-    Two applications of this function give the classic double-sweep lower
-    bound on the graph diameter.
-    """
-    dist = single_source_distances(graph, vertex)
-    far = max(dist, key=dist.get)
-    return far, dist[far]
 
 
 # -------------------------------------------------------------- reference

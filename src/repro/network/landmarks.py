@@ -27,7 +27,7 @@ from repro.network.graph import SpatialNetwork
 __all__ = ["LandmarkIndex", "clamp_events"]
 
 # Process-wide count of builds that asked for more landmarks than the graph
-# has vertices and were clamped (mirrored into metrics by repro.obs.adapters).
+# has vertices and were clamped.
 _clamp_events = 0
 
 

@@ -22,12 +22,10 @@ from repro.obs.adapters import (
     bind_cache_stats,
     bind_database,
     bind_fault_injector,
-    bind_network_stats,
     bind_search_stats,
     bind_service_stats,
     bind_slowlog,
     bind_tracer,
-    bind_trajectory_stats,
 )
 from repro.obs.harvest import HarvestCollector, WorkerTelemetry
 from repro.obs.metrics import (
@@ -75,8 +73,6 @@ __all__ = [
     "bind_slowlog",
     "bind_buffer_stats",
     "bind_cache_stats",
-    "bind_network_stats",
-    "bind_trajectory_stats",
     "bind_fault_injector",
     "bind_database",
 ]

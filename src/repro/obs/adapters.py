@@ -1,8 +1,8 @@
 """Adapters publishing the existing stats classes into the registry.
 
-The library already keeps six stats surfaces — ``SearchStats``,
-``ServiceStats``, ``BufferStats``, ``CacheStats``, ``NetworkStats``,
-``TrajectoryStats`` — plus the chaos-testing ``FaultInjector`` counters.
+The library already keeps four stats surfaces — ``SearchStats``,
+``ServiceStats``, ``BufferStats``, ``CacheStats`` — plus the
+chaos-testing ``FaultInjector`` counters.
 Each ``bind_*`` function here takes a *live* stats object and a
 :class:`~repro.obs.metrics.MetricsRegistry`, registers a collector that
 mirrors the object's current totals into named instruments at export
@@ -23,7 +23,6 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps import light
     from repro.core.results import SearchStats
     from repro.index.database import TrajectoryDatabase
-    from repro.network.stats import NetworkStats
     from repro.obs.slowlog import SlowQueryJournal
     from repro.obs.trace import Tracer
     from repro.perf.cache import CacheStats
@@ -32,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, keeps import light
     from repro.service.admission import AdmissionController
     from repro.service.stats import ServiceStats
     from repro.storage.buffer import BufferStats
-    from repro.trajectory.stats import TrajectoryStats
 
 __all__ = [
     "bind_search_stats",
@@ -43,11 +41,8 @@ __all__ = [
     "bind_buffer_stats",
     "bind_cache_stats",
     "bind_result_cache",
-    "bind_network_stats",
-    "bind_trajectory_stats",
     "bind_fault_injector",
     "bind_database",
-    "bind_landmark_clamps",
 ]
 
 Collector = Callable[[], None]
@@ -316,44 +311,15 @@ def bind_admission(
     registry: MetricsRegistry | None = None,
     **labels,
 ) -> Collector:
-    """Mirror an admission controller (and its breaker) into the registry.
-
-    Publishes the current in-flight gauge; when the controller carries a
-    circuit breaker, also a state gauge (``0`` closed / ``1`` half-open /
-    ``2`` open — see :data:`~repro.service.breaker.BREAKER_STATE_CODES`)
-    and a transitions counter fed *eventfully* by chaining onto the
-    breaker's ``on_transition`` hook, so every trip/half-open/close is
-    counted even between scrapes (a previously installed hook keeps
-    firing).
-    """
+    """Mirror an admission controller's in-flight count into the registry."""
     if registry is None:
         registry = get_registry()
     inflight = registry.gauge(
         "repro_service_inflight", "Queries currently holding an admission slot"
     )
-    breaker = getattr(controller, "breaker", None)
-    if breaker is not None:
-        state = registry.gauge(
-            "repro_service_breaker_state",
-            "Circuit breaker state (0 closed, 1 half-open, 2 open)",
-        )
-        transitions = registry.counter(
-            "repro_service_breaker_transitions_total",
-            "Breaker state transitions, by target state",
-        )
-        previous = breaker.on_transition
-
-        def on_transition(to_state: str) -> None:
-            transitions.inc(to=to_state)
-            if previous is not None:
-                previous(to_state)
-
-        breaker.on_transition = on_transition
 
     def collect() -> None:
         inflight.set(controller.inflight, **labels)
-        if breaker is not None:
-            state.set(breaker.state_code, **labels)
 
     registry.register_collector(collect)
     return collect
@@ -461,89 +427,6 @@ def bind_result_cache(
     return collect
 
 
-def bind_network_stats(
-    stats: "NetworkStats",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Publish a (frozen) :class:`NetworkStats` as dataset gauges."""
-    if registry is None:
-        registry = get_registry()
-    gauges = {
-        "num_vertices": registry.gauge(
-            "repro_dataset_network_vertices", "Vertices in the spatial network"
-        ),
-        "num_edges": registry.gauge(
-            "repro_dataset_network_edges", "Edges in the spatial network"
-        ),
-        "total_weight": registry.gauge(
-            "repro_dataset_network_total_weight", "Sum of edge weights"
-        ),
-        "avg_degree": registry.gauge(
-            "repro_dataset_network_avg_degree", "Average vertex degree"
-        ),
-        "avg_edge_weight": registry.gauge(
-            "repro_dataset_network_avg_edge_weight", "Average edge weight"
-        ),
-        "diameter_lower_bound": registry.gauge(
-            "repro_dataset_network_diameter_lower_bound",
-            "Lower bound on the network diameter",
-        ),
-    }
-
-    def collect() -> None:
-        for field, gauge in gauges.items():
-            gauge.set(getattr(stats, field), **labels)
-
-    registry.register_collector(collect)
-    return collect
-
-
-def bind_trajectory_stats(
-    stats: "TrajectoryStats",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Publish a (frozen) :class:`TrajectoryStats` as dataset gauges."""
-    if registry is None:
-        registry = get_registry()
-    gauges = {
-        "count": registry.gauge(
-            "repro_dataset_trajectories", "Trajectories in the database"
-        ),
-        "avg_points": registry.gauge(
-            "repro_dataset_trajectory_avg_points", "Average points per trajectory"
-        ),
-        "min_points": registry.gauge(
-            "repro_dataset_trajectory_min_points", "Shortest trajectory length"
-        ),
-        "max_points": registry.gauge(
-            "repro_dataset_trajectory_max_points", "Longest trajectory length"
-        ),
-        "avg_duration": registry.gauge(
-            "repro_dataset_trajectory_avg_duration_seconds",
-            "Average trajectory duration",
-        ),
-        "distinct_vertices": registry.gauge(
-            "repro_dataset_trajectory_distinct_vertices",
-            "Vertices covered by at least one trajectory",
-        ),
-        "avg_keywords": registry.gauge(
-            "repro_dataset_trajectory_avg_keywords", "Average keywords per trajectory"
-        ),
-        "distinct_keywords": registry.gauge(
-            "repro_dataset_trajectory_distinct_keywords", "Distinct keywords"
-        ),
-    }
-
-    def collect() -> None:
-        for field, gauge in gauges.items():
-            gauge.set(getattr(stats, field), **labels)
-
-    registry.register_collector(collect)
-    return collect
-
-
 def bind_fault_injector(
     injector: "FaultInjector",
     registry: MetricsRegistry | None = None,
@@ -566,33 +449,6 @@ def bind_fault_injector(
         injected.set_total(injector.injected_transients, **labels)
         observed.set_total(injector.observed_reads, **labels)
         corrupted.set_total(len(injector.corrupted_pages), **labels)
-
-    registry.register_collector(collect)
-    return collect
-
-
-def bind_landmark_clamps(
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Mirror the process-wide landmark-count clamp counter.
-
-    :func:`repro.network.landmarks.clamp_events` counts every
-    ``LandmarkIndex.build`` call whose requested ``num_landmarks`` exceeded
-    the graph size and was clamped — a sizing-misconfiguration signal worth
-    a dashboard line even though each individual clamp is benign.
-    """
-    if registry is None:
-        registry = get_registry()
-    clamps = registry.counter(
-        "repro_index_landmark_clamps_total",
-        "LandmarkIndex builds whose landmark count was clamped to the graph size",
-    )
-
-    def collect() -> None:
-        from repro.network.landmarks import clamp_events
-
-        clamps.set_total(clamp_events(), **labels)
 
     registry.register_collector(collect)
     return collect

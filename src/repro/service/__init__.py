@@ -1,7 +1,6 @@
 """The serving layer: query front-end, admission control, service stats."""
 
 from repro.service.admission import AdmissionController
-from repro.service.breaker import BREAKER_STATE_CODES, CircuitBreaker
 from repro.service.policy import (
     DEFAULT_PRIORITY_THRESHOLDS,
     DEFAULT_TENANT,
@@ -16,8 +15,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionPolicy",
-    "BREAKER_STATE_CODES",
-    "CircuitBreaker",
     "DEFAULT_PRIORITY_THRESHOLDS",
     "DEFAULT_TENANT",
     "LatencyReservoir",

@@ -3,21 +3,18 @@
 A production front-end protects itself by *rejecting* excess load instead
 of queueing it without bound.  :class:`AdmissionController` is that gate,
 configured by one :class:`~repro.service.policy.AdmissionPolicy`: a global
-in-flight cap, per-tenant quotas and weighted fair shares, priority
-classes shed lowest first under pressure, a load-dependent cost ceiling
-over planned ``estimated_cost`` (with optional graceful degradation
-instead of hard shedding), and a failure-rate :class:`~repro.service.
-breaker.CircuitBreaker` that sheds everything while the substrate is
-failing.  The default policy turns every feature off: an unbounded gate
-that only validates the priority class.
+in-flight cap, per-tenant weighted fair shares, priority classes shed
+lowest first under pressure, and a load-dependent cost ceiling over
+planned ``estimated_cost`` (with optional graceful degradation instead of
+hard shedding).  The default policy turns every feature off: an unbounded
+gate that only validates the priority class.
 
-The protocol: ``admit(...) -> AdmissionDecision``, ``release(decision)``
-from the matching ``finally`` block, and ``record_outcome(result)`` after
-execution (the breaker's diet).  Slot accounting is an explicit
-lock-guarded counter, so an unmatched ``release`` raises a clear
-invariant error instead of a bare ``ValueError`` out of a
-``BoundedSemaphore`` — a double-release in some failure path is a serving
-bug worth a loud, named crash.
+The protocol: ``admit(...) -> AdmissionDecision`` and
+``release(decision)`` from the matching ``finally`` block.  Slot
+accounting is an explicit lock-guarded counter, so an unmatched
+``release`` raises a clear invariant error instead of a bare
+``ValueError`` out of a ``BoundedSemaphore`` — a double-release in some
+failure path is a serving bug worth a loud, named crash.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from __future__ import annotations
 import threading
 
 from repro.resilience.budget import SearchBudget
-from repro.service.breaker import CircuitBreaker
 from repro.service.policy import (
     DEFAULT_TENANT,
     AdmissionDecision,
@@ -34,70 +30,33 @@ from repro.service.policy import (
 
 __all__ = ["AdmissionController"]
 
-#: Exception type names (the prefix of ``SearchResult.error``) that count
-#: as *infrastructure* failures and feed the circuit breaker.  User-level
-#: errors (``QueryError`` et al.) never trip it — one malformed query must
-#: not take the service into shed mode.
-_INFRA_ERRORS = frozenset(
-    {
-        "StorageError",
-        "CorruptPageError",
-        "OSError",
-        "IOError",
-        "TimeoutError",
-        "ConnectionError",
-        "BrokenProcessPool",
-    }
-)
-
-
-def _infrastructure_failure(error: str | None) -> bool:
-    """Whether an error-marked result indicates a failing substrate."""
-    if not error:
-        return False
-    return error.split(":", 1)[0] in _INFRA_ERRORS
-
 
 class AdmissionController:
-    """Policy-driven admission: cap, quotas, priorities, cost, breaker.
+    """Policy-driven admission: cap, tenant shares, priorities, cost.
 
     One :class:`~repro.service.policy.AdmissionPolicy` (default: every
     feature off) drives every decision; the controller adds the mutable
-    half — global and per-tenant in-flight counters, and the circuit
-    breaker.  Decision order (first refusal wins; the full table lives in
-    DESIGN.md §10):
+    half — global and per-tenant in-flight counters.  Decision order
+    (first refusal wins; the full table lives in DESIGN.md §10):
 
     0. unknown priority class -> :class:`~repro.errors.QueryError`
        (a caller error, not a shed);
-    1. breaker open -> shed ``breaker_open``;
-    2. global cap full -> shed ``inflight_cap``;
-    3. class threshold exceeded -> shed ``priority_shed``;
-    4. tenant quota full -> shed ``tenant_quota``;
-    5. cost over the load-dependent ceiling -> degrade (within
-       ``degrade_headroom``) or shed ``cost_shed``;
-    6. breaker half-open and probe budget spent -> shed ``breaker_probing``.
+    1. global cap full -> shed ``inflight_cap``;
+    2. class threshold exceeded -> shed ``priority_shed``;
+    3. tenant share full -> shed ``tenant_quota``;
+    4. cost over the load-dependent ceiling -> degrade (within
+       ``degrade_headroom``) or shed ``cost_shed``.
 
     Anonymous queries account against the ``default`` tenant lane.  The
     in-flight counts are observable (:attr:`inflight`,
     :meth:`tenant_inflight`, :attr:`utilization`).
     """
 
-    def __init__(
-        self,
-        policy: AdmissionPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
-    ):
+    def __init__(self, policy: AdmissionPolicy | None = None):
         if policy is None:
             policy = AdmissionPolicy()
         self.policy = policy
         self.max_inflight = policy.max_inflight
-        if breaker is None and policy.breaker_failures is not None:
-            breaker = CircuitBreaker(
-                failure_threshold=policy.breaker_failures,
-                cooldown_seconds=policy.breaker_cooldown_seconds,
-                half_open_probes=policy.breaker_probes,
-            )
-        self._breaker = breaker
         self._lock = threading.Lock()
         self._inflight = 0
         self._tenant_inflight: dict[str, int] = {}
@@ -125,25 +84,10 @@ class AdmissionController:
         with self._lock:
             return self._tenant_inflight.get(tenant or DEFAULT_TENANT, 0)
 
-    # ------------------------------------------------------------- properties
-    @property
-    def breaker(self) -> CircuitBreaker | None:
-        """The circuit breaker, when one is configured."""
-        return self._breaker
-
     @property
     def needs_plan(self) -> bool:
         """Whether :meth:`admit` wants the query planned first (for cost)."""
         return self.policy.uses_cost
-
-    @property
-    def prefer_sequential(self) -> bool:
-        """Whether batch execution should avoid the forked fan-out.
-
-        While the breaker is anything but closed the executor stays
-        sequential: an open breaker sheds anyway, and half-open probes must
-        not fan out over a pool that may be the thing that is broken."""
-        return self._breaker is not None and self._breaker.state != CircuitBreaker.CLOSED
 
     # -------------------------------------------------------------- admission
     @staticmethod
@@ -173,12 +117,6 @@ class AdmissionController:
         threshold = (
             policy.priority_threshold(priority) if priority is not None else None
         )
-        breaker_state = (
-            self._breaker.preflight() if self._breaker is not None else None
-        )
-        if breaker_state == CircuitBreaker.OPEN:
-            detail = "circuit breaker open after repeated infrastructure failures"
-            return self._shed("breaker_open", detail, lane, priority)
         with self._lock:
             utilization = self._utilization_locked()
             if (
@@ -233,14 +171,6 @@ class AdmissionController:
                         lane,
                         priority,
                     )
-            # Breaker probe budget: the last gate before committing a slot,
-            # so a refused probe never leaks admission accounting.
-            if (
-                breaker_state == CircuitBreaker.HALF_OPEN
-                and not self._breaker.try_probe()
-            ):
-                detail = "circuit breaker half-open; probe budget in use"
-                return self._shed("breaker_probing", detail, lane, priority)
             self._inflight += 1
             self._tenant_inflight[lane] = held + 1
             return AdmissionDecision(
@@ -280,22 +210,6 @@ class AdmissionController:
             else:
                 self._tenant_inflight[lane] = held - 1
 
-    # ---------------------------------------------------------------- outcome
-    def record_outcome(self, result) -> None:
-        """Feed the breaker: infrastructure failures count against it,
-        successes reset it, user-level errors teach it nothing."""
-        if self._breaker is None:
-            return
-        error = getattr(result, "error", None)
-        if error is None:
-            self._breaker.record_success()
-        elif _infrastructure_failure(error):
-            self._breaker.record_failure()
-
     def __repr__(self) -> str:
         cap = "unbounded" if self.max_inflight is None else self.max_inflight
-        state = self._breaker.state if self._breaker is not None else "none"
-        return (
-            f"AdmissionController(max_inflight={cap}, "
-            f"inflight={self.inflight}, breaker={state})"
-        )
+        return f"AdmissionController(max_inflight={cap}, inflight={self.inflight})"

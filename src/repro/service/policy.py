@@ -6,12 +6,11 @@ overload protection — a frozen configuration record consumed by
 questions a saturated multi-tenant service must settle *before* running a
 query:
 
-- **How much may one tenant hold?**  Per-tenant in-flight quotas, either
-  explicit (``tenant_quotas``), weighted fair shares of ``max_inflight``
-  (``tenant_weights``), or one default quota for everyone
-  (``tenant_quota``).  Quotas bound the noisy tenant; they do not reserve
-  idle slots (small tenants may overcommit while the service is quiet —
-  the controller is work-conserving).
+- **How much may one tenant hold?**  Per-tenant in-flight quotas as
+  weighted fair shares of ``max_inflight`` (``tenant_weights``).  Quotas
+  bound the noisy tenant; they do not reserve idle slots (small tenants
+  may overcommit while the service is quiet — the controller is
+  work-conserving).
 - **Who is shed first?**  Priority classes (:data:`PRIORITY_CLASSES`):
   each class has a utilization threshold above which its queries are shed,
   so ``best_effort`` traffic drains first, ``batch`` next, and
@@ -78,12 +77,11 @@ class AdmissionDecision:
     ``"shed"`` (refused; ``admitted`` is ``False``).  ``reason`` is a
     stable slug used as the metrics/trace label: every shed carries one
     (``inflight_cap`` / ``tenant_quota`` / ``priority_shed`` /
-    ``cost_shed`` / ``breaker_open`` / ``breaker_probing``), a degrade
-    carries ``cost_degrade``, a plain admit ``""``.  ``detail`` is the
-    human sentence carried into the result.  An admitted decision
-    must be handed back to :meth:`~repro.service.admission.
-    AdmissionController.release` — it carries the tenant lane whose
-    in-flight count the admission incremented.
+    ``cost_shed``), a degrade carries ``cost_degrade``, a plain admit
+    ``""``.  ``detail`` is the human sentence carried into the result.
+    An admitted decision must be handed back to :meth:`~repro.service.
+    admission.AdmissionController.release` — it carries the tenant lane
+    whose in-flight count the admission incremented.
     """
 
     admitted: bool
@@ -110,11 +108,6 @@ class AdmissionPolicy:
     max_inflight:
         Global in-flight cap (``None`` = unbounded).  Utilization-driven
         features (priority shedding, the sliding cost ceiling) need it.
-    tenant_quota:
-        Default per-tenant in-flight quota applied to every tenant without
-        an explicit entry (``None`` = no default quota).
-    tenant_quotas:
-        Explicit per-tenant in-flight quotas (override everything else).
     tenant_weights:
         Weighted fair shares of ``max_inflight``: tenant ``t`` may hold up
         to ``max(1, floor(max_inflight * w_t / sum(weights)))`` slots.
@@ -135,17 +128,10 @@ class AdmissionPolicy:
         When set (``>= 1``), a query whose cost exceeds the current
         ceiling by at most this factor is admitted with a tightened
         budget instead of shed; ``None`` sheds every over-ceiling query.
-    breaker_failures:
-        Consecutive infrastructure failures that trip the circuit breaker
-        (``None`` = no breaker).
-    breaker_cooldown_seconds / breaker_probes:
-        Breaker recovery knobs (see :class:`~repro.service.breaker.
-        CircuitBreaker`).
+        Scales ``max_cost``, so it requires ``max_cost``.
     """
 
     max_inflight: int | None = None
-    tenant_quota: int | None = None
-    tenant_quotas: Mapping[str, int] = field(default_factory=dict)
     tenant_weights: Mapping[str, float] = field(default_factory=dict)
     priority_thresholds: Mapping[str, float] = field(
         default_factory=lambda: DEFAULT_PRIORITY_THRESHOLDS
@@ -154,24 +140,12 @@ class AdmissionPolicy:
     cost_pressure: float = 0.5
     min_cost_fraction: float = 0.1
     degrade_headroom: float | None = None
-    breaker_failures: int | None = None
-    breaker_cooldown_seconds: float = 5.0
-    breaker_probes: int = 1
 
     def __post_init__(self):
         if self.max_inflight is not None and self.max_inflight < 1:
             raise QueryError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
             )
-        if self.tenant_quota is not None and self.tenant_quota < 1:
-            raise QueryError(
-                f"tenant_quota must be >= 1, got {self.tenant_quota}"
-            )
-        for tenant, quota in self.tenant_quotas.items():
-            if quota < 1:
-                raise QueryError(
-                    f"tenant_quotas[{tenant!r}] must be >= 1, got {quota}"
-                )
         for tenant, weight in self.tenant_weights.items():
             if weight <= 0:
                 raise QueryError(
@@ -198,45 +172,33 @@ class AdmissionPolicy:
                 f"min_cost_fraction must be in (0, 1], got "
                 f"{self.min_cost_fraction}"
             )
-        if self.degrade_headroom is not None and self.degrade_headroom < 1.0:
-            raise QueryError(
-                f"degrade_headroom must be >= 1, got {self.degrade_headroom}"
-            )
-        if self.breaker_failures is not None and self.breaker_failures < 1:
-            raise QueryError(
-                f"breaker_failures must be >= 1, got {self.breaker_failures}"
-            )
-        if self.breaker_cooldown_seconds < 0:
-            raise QueryError(
-                f"breaker_cooldown_seconds must be >= 0, got "
-                f"{self.breaker_cooldown_seconds}"
-            )
-        if self.breaker_probes < 1:
-            raise QueryError(
-                f"breaker_probes must be >= 1, got {self.breaker_probes}"
-            )
+        if self.degrade_headroom is not None:
+            if self.degrade_headroom < 1.0:
+                raise QueryError(
+                    f"degrade_headroom must be >= 1, got {self.degrade_headroom}"
+                )
+            if self.max_cost is None:
+                raise QueryError(
+                    "degrade_headroom scales the max_cost ceiling; set max_cost"
+                )
 
     # ------------------------------------------------------------ derivations
     def quota_for(self, tenant: str) -> int | None:
         """The tenant's in-flight quota, or ``None`` when unlimited.
 
-        Resolution order: explicit ``tenant_quotas`` entry, weighted fair
-        share of ``max_inflight``, the ``tenant_quota`` default.  Fair
-        shares floor at one slot so a configured tenant is never starved
-        outright, and do not sum-reserve: an unlisted tenant weighs 1.0
-        against the *configured* total, which deliberately lets small
-        tenants overcommit while the hog is bounded.
+        The weighted fair share of ``max_inflight``.  Shares floor at one
+        slot so a configured tenant is never starved outright, and do not
+        sum-reserve: an unlisted tenant weighs 1.0 against the
+        *configured* total, which deliberately lets small tenants
+        overcommit while the hog is bounded.
         """
-        explicit = self.tenant_quotas.get(tenant)
-        if explicit is not None:
-            return explicit
-        if self.tenant_weights and self.max_inflight is not None:
-            weight = self.tenant_weights.get(tenant, 1.0)
-            total = sum(self.tenant_weights.values())
-            if tenant not in self.tenant_weights:
-                total += weight
-            return max(1, int(self.max_inflight * weight / total))
-        return self.tenant_quota
+        if not self.tenant_weights:
+            return None
+        weight = self.tenant_weights.get(tenant, 1.0)
+        total = sum(self.tenant_weights.values())
+        if tenant not in self.tenant_weights:
+            total += weight
+        return max(1, int(self.max_inflight * weight / total))
 
     def effective_max_cost(self, utilization: float) -> float | None:
         """The cost ceiling at the given utilization (``None`` = no limit).
@@ -270,12 +232,3 @@ class AdmissionPolicy:
     def uses_cost(self) -> bool:
         """Whether admission wants ``QueryPlan.estimated_cost`` up front."""
         return self.max_cost is not None
-
-    @property
-    def uses_tenants(self) -> bool:
-        """Whether any per-tenant quota rule is configured."""
-        return bool(
-            self.tenant_quota is not None
-            or self.tenant_quotas
-            or self.tenant_weights
-        )

@@ -11,9 +11,9 @@ carry:
 
 - **admission control** — one :class:`~repro.service.admission.
   AdmissionController` that *rejects* excess load: an in-flight cap,
-  per-tenant quotas, priority classes, cost-based shedding over planned
-  ``estimated_cost``, graceful degradation under a policy-tightened
-  budget, and a circuit breaker (all off by default);
+  per-tenant weighted shares, priority classes, cost-based shedding over
+  planned ``estimated_cost`` and graceful degradation under a
+  policy-tightened budget (all off by default);
 - **failure isolation** — a query that raises a library error comes back
   as an error-marked result, never as an exception that takes the batch
   down;
@@ -102,7 +102,7 @@ class QueryService:
         (shorthand for ``AdmissionPolicy(max_inflight=n)``), or a
         pre-built :class:`AdmissionController` carrying an
         :class:`~repro.service.policy.AdmissionPolicy` for multi-tenant
-        quota / priority / cost / breaker protection.
+        share / priority / cost protection.
     trace:
         ``None``/``False`` (default, tracing off), ``True`` for a fresh
         :class:`~repro.obs.trace.Tracer`, or a pre-built tracer to share.
@@ -616,7 +616,6 @@ class QueryService:
                     result = _charged_search(run, query, effective, started)
             if executor_label is not None and not result.stats.executor:
                 result.stats.executor = executor_label
-            self._admission.record_outcome(result)
             policy_degraded = (
                 policy_budget is not None
                 and result.error is None
@@ -743,10 +742,7 @@ class QueryService:
 
         The batch never runs wider than the admission cap, so its own
         parallelism cannot shed its own queries.  ``tenant``/``priority``
-        apply to every query of the batch.  While the admission
-        controller's circuit breaker is open or probing, the batch runs
-        sequentially even when ``workers > 1`` — a half-open probe must
-        not fan out.
+        apply to every query of the batch.
         """
         if workers < 1:
             raise QueryError(f"workers must be >= 1, got {workers}")
@@ -756,11 +752,7 @@ class QueryService:
             return self._submit(query, budget, "sequential", tenant, priority, pool)
 
         width = min(workers, len(queries), self._admission.max_inflight or workers)
-        if (
-            width < 2
-            or self._admission.prefer_sequential
-            or (self._pool is None and not fork_available())
-        ):
+        if width < 2 or (self._pool is None and not fork_available()):
             with self._traced("execute_many", queries=len(queries), workers=1):
                 return [submit(query) for query in queries]
         with ExitStack() as stack:

@@ -11,7 +11,6 @@ from repro.trajectory.model import (
 )
 from repro.trajectory.noise import NoiseConfig, RawFix, add_gps_noise
 from repro.trajectory.routes import reconstruct_route, route_length, route_overlap
-from repro.trajectory.stats import TrajectoryStats, trajectory_stats
 
 __all__ = [
     "DAY_SECONDS",
@@ -21,7 +20,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryPoint",
     "TrajectorySet",
-    "TrajectoryStats",
     "TripConfig",
     "TripGenerator",
     "VertexGrid",
@@ -33,5 +31,4 @@ __all__ = [
     "route_overlap",
     "save_jsonl",
     "snap_match",
-    "trajectory_stats",
 ]

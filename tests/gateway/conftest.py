@@ -1,6 +1,6 @@
 """Gateway fixtures: a small served database and helpers to build
 service/gateway pairs per test (gateway state — pending counters,
-breakers — must not leak between tests, so nothing here is shared
+admission slots — must not leak between tests, so nothing here is shared
 mutable)."""
 
 from __future__ import annotations

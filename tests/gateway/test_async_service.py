@@ -270,15 +270,14 @@ def test_closed_gateway_refuses_submissions(gateway_database):
     _run(go())
 
 
-def test_ready_reflects_breaker_state(gateway_database):
-    policy = AdmissionPolicy(breaker_failures=1, breaker_cooldown_seconds=60.0)
-    controller = AdmissionController(policy)
-    service = QueryService(gateway_database, "collaborative", admission=controller)
-    gateway = AsyncQueryService(service, max_workers=1)
+def test_ready_reflects_saturation(gateway_database):
+    service = QueryService(gateway_database, "collaborative")
+    gateway = AsyncQueryService(service, max_workers=1, max_pending=1)
     assert gateway.ready() == (True, "ok")
-    controller.breaker.record_failure()
-    assert controller.breaker.state == "open"
-    assert gateway.ready() == (False, "breaker_open")
+    gateway._pending = 1  # stands in for one bridged call
+    assert gateway.ready() == (False, "saturated")
+    gateway._pending = 0
+    assert gateway.ready() == (True, "ok")
     _run(gateway.close())
 
 

@@ -276,24 +276,25 @@ def test_healthz_and_readyz_lifecycle(stack):
     assert client.get("/readyz").json()["reason"] == "closed"
 
 
-def test_readyz_flips_under_open_breaker(gateway_database):
-    """The acceptance check: /readyz answers 503 while the breaker is open
-    and recovers to 200 when it closes."""
-    policy = AdmissionPolicy(breaker_failures=1, breaker_cooldown_seconds=60.0)
-    controller = AdmissionController(policy)
-    service = QueryService(gateway_database, "collaborative", admission=controller)
-    gateway = AsyncQueryService(service, max_workers=1)
+def test_readyz_flips_while_the_bridge_is_saturated(gateway_database):
+    """/readyz answers 503 while the bridge is full and 200 once it
+    drains; queries still pass through, since readiness is advisory for
+    the load balancer, not a hard gate."""
+    service = QueryService(gateway_database, "collaborative", result_cache=8)
+    gateway = AsyncQueryService(service, max_workers=1, max_pending=1)
     client = ASGITestClient(create_app(gateway))
     try:
+        assert client.post("/query", json=_payload()).status == 200
         assert client.get("/readyz").status == 200
-        controller.breaker.record_failure()
-        assert controller.breaker.state == "open"
+        gateway._pending = 1  # stands in for one bridged call
         response = client.get("/readyz")
         assert response.status == 503
-        assert response.json()["reason"] == "breaker_open"
-        # Queries still pass through (and come back shed by the breaker) —
-        # readiness is advisory for the load balancer, not a hard gate.
-        assert client.post("/query", json=_payload()).status == 429
+        assert response.json()["reason"] == "saturated"
+        # A cached answer needs no bridge slot; a miss is turned away.
+        assert client.post("/query", json=_payload()).status == 200
+        assert client.post("/query", json=_payload(k=4)).status == 503
+        gateway._pending = 0
+        assert client.get("/readyz").status == 200
     finally:
         asyncio.run(gateway.close())
 

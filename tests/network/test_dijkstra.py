@@ -6,7 +6,6 @@ from repro.errors import DisconnectedError
 from repro.network.dijkstra import (
     distance_matrix,
     distances_to_targets,
-    eccentricity,
     shortest_path,
     shortest_path_length,
     single_source_distances,
@@ -115,10 +114,3 @@ class TestDistanceMatrix:
         matrix = distance_matrix(diamond, sources=[0])
         assert matrix.shape == (1, 4)
         assert matrix[0, 3] == pytest.approx(2.5)
-
-
-class TestEccentricity:
-    def test_line_end_to_end(self, line_graph):
-        far, dist = eccentricity(line_graph, 0)
-        assert far == 4
-        assert dist == pytest.approx(4.0)

@@ -1,4 +1,4 @@
-"""Unit tests for network statistics."""
+"""Unit tests for the characteristic distance scale."""
 
 import random
 
@@ -6,59 +6,16 @@ import pytest
 
 from repro.errors import GraphError
 from repro.network import csr
-from repro.network.dijkstra import shortest_path_length, single_source_distances
+from repro.network.dijkstra import distance_matrix, single_source_distances
 from repro.network.generators import grid_network, random_geometric_network
 from repro.network.graph import SpatialNetwork
-from repro.network.stats import (
-    characteristic_distance,
-    estimate_diameter,
-    network_stats,
-)
-
-
-class TestNetworkStats:
-    def test_basic_fields(self, line_graph):
-        stats = network_stats(line_graph)
-        assert stats.num_vertices == 5
-        assert stats.num_edges == 4
-        assert stats.total_weight == pytest.approx(4.0)
-        assert stats.avg_degree == pytest.approx(2 * 4 / 5)
-        assert stats.avg_edge_weight == pytest.approx(1.0)
-
-    def test_describe_is_single_line(self, grid10):
-        text = network_stats(grid10).describe()
-        assert "\n" not in text
-        assert "|V|=100" in text
-
-    def test_empty_graph_rejected(self):
-        with pytest.raises(GraphError):
-            network_stats(SpatialNetwork([], [], []))
-
-
-class TestDiameter:
-    def test_lower_bounds_true_diameter_on_line(self, line_graph):
-        assert estimate_diameter(line_graph) == pytest.approx(4.0)
-
-    def test_never_exceeds_true_diameter(self, grid10):
-        estimate = estimate_diameter(grid10, sweeps=3)
-        true_diameter = max(
-            shortest_path_length(grid10, u, v)
-            for u in range(0, 100, 9)
-            for v in range(0, 100, 9)
-        )
-        # The sampled "true" value is itself a lower bound on the real
-        # diameter, so only sanity-check the order of magnitude.
-        assert estimate >= true_diameter * 0.5
-
-    def test_empty_rejected(self):
-        with pytest.raises(GraphError):
-            estimate_diameter(SpatialNetwork([], [], []))
+from repro.network.stats import characteristic_distance
 
 
 class TestCharacteristicDistance:
     def test_positive_and_below_diameter(self, grid10):
         sigma = characteristic_distance(grid10)
-        assert 0 < sigma <= estimate_diameter(grid10, sweeps=3) + 1e-9
+        assert 0 < sigma <= distance_matrix(grid10).max() + 1e-9
 
     def test_deterministic_under_seed(self, grid10):
         assert characteristic_distance(grid10, seed=5) == pytest.approx(

@@ -9,10 +9,8 @@ from repro.obs.adapters import (
     bind_cache_stats,
     bind_database,
     bind_fault_injector,
-    bind_network_stats,
     bind_search_stats,
     bind_service_stats,
-    bind_trajectory_stats,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.cache import CacheStats
@@ -123,19 +121,6 @@ class TestStorageAdapters:
 
 
 class TestDatasetAdapters:
-    def test_network_and_trajectory_gauges(self, database):
-        from repro.network.stats import network_stats
-        from repro.trajectory.stats import trajectory_stats
-
-        registry = MetricsRegistry()
-        bind_network_stats(network_stats(database.graph), registry)
-        bind_trajectory_stats(trajectory_stats(database.trajectories), registry)
-        registry.collect()
-        vertices = registry.gauge("repro_dataset_network_vertices")
-        assert vertices.value() == database.graph.num_vertices
-        count = registry.gauge("repro_dataset_trajectories")
-        assert count.value() == len(database.trajectories)
-
     def test_bind_database_covers_both_caches(self, database):
         registry = MetricsRegistry()
         bind_database(database, registry)

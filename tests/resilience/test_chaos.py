@@ -6,7 +6,9 @@ Three invariants, in order of importance:
    are byte-identical to a fault-free run (only the retry counters move).
 2. Detected corruption always surfaces as ``CorruptPageError`` — never as
    silently wrong data.
-3. Faults past the retry budget surface as typed ``StorageError``.
+3. Faults past the retry budget surface as typed ``StorageError`` — and,
+   through the serving layer, as error-marked results that never stop the
+   service from answering the next query.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from repro.core.query import UOTSQuery
 from repro.errors import CorruptPageError, QueryError, StorageError
 from repro.resilience.faults import FaultInjector, FaultPolicy
 from repro.resilience.retry import RetryPolicy
+from repro.service import QueryService
 from repro.storage.database import DiskTrajectoryDatabase
 from repro.storage.store import DiskTrajectoryStore
 
@@ -109,6 +112,28 @@ class TestTransientFaults:
         with pytest.raises(StorageError):
             for trajectory_id in db.trajectories.ids():
                 db.get(trajectory_id)
+
+
+class TestServiceContainment:
+    def test_storage_errors_are_contained(
+        self, tmp_path, grid20, annotated_trips
+    ):
+        db = _build_db(tmp_path, grid20, annotated_trips, "service")
+        service = QueryService(db, "collaborative")
+        query = UOTSQuery.create([0, 150], "park", lam=0.5, k=3)
+        injector = FaultInjector(FaultPolicy(seed=1, transient_fault_rate=0.99))
+        injector.attach(db.store.pagefile)
+        results = [service.submit(query) for _ in range(6)]
+        failed = [r for r in results if r.error is not None]
+        assert failed, "the faulty disk never surfaced an error"
+        assert all(r.error.startswith("StorageError") for r in failed)
+        assert all(not r.exact and not r.ids for r in failed)
+        # Lift the faults: the same service answers exactly again.
+        injector.detach(db.store.pagefile)
+        healed = service.submit(query)
+        assert healed.error is None and healed.exact
+        oracle = QueryService(db, "brute-force").submit(query)
+        assert healed.scores == pytest.approx(oracle.scores, abs=1e-9)
 
 
 class TestCorruption:

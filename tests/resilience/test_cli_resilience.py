@@ -65,3 +65,15 @@ class TestErrorExits:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:")
+
+    def test_degrade_headroom_without_max_cost_exits_one(self, dataset_dir, capsys):
+        code = main([
+            "query", "--data", str(dataset_dir), "--locations", "0,50",
+            "--degrade-headroom", "1.5",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.splitlines() == [
+            "error: degrade_headroom scales the max_cost ceiling; set max_cost"
+        ]
+        assert captured.out == ""

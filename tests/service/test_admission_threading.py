@@ -73,7 +73,10 @@ def test_plain_controller_storm_restores_all_slots():
 
 
 def test_overload_controller_storm_restores_tenant_lanes():
-    policy = AdmissionPolicy(max_inflight=6, tenant_quota=3)
+    # alpha and beta each get 6 * 1/2 = 3 slots; gamma and default 2.
+    policy = AdmissionPolicy(
+        max_inflight=6, tenant_weights={"alpha": 1.0, "beta": 1.0}
+    )
     controller = AdmissionController(policy)
     tenants = ["alpha", "beta", "gamma", None]
     admitted, rejected, errors, peak = _storm(
@@ -86,7 +89,7 @@ def test_overload_controller_storm_restores_tenant_lanes():
         assert controller.tenant_inflight(tenant) == 0, (
             f"tenant lane {tenant!r} leaked slots"
         )
-    # The per-tenant quota is intact after the churn.
+    # The per-tenant share is intact after the churn.
     held = [controller.admit(tenant="alpha") for _ in range(3)]
     assert all(d.admitted for d in held)
     assert not controller.admit(tenant="alpha").admitted  # quota

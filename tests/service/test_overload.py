@@ -1,8 +1,8 @@
 """Overload protection: policy-driven admission (ISSUE 6 tentpole surface).
 
 Covers the :class:`AdmissionPolicy` derivations, the
-:class:`AdmissionController` decision order (quota / priority / cost /
-degrade), the wiring through ``QueryService.submit``/``execute_many``
+:class:`AdmissionController` decision order (cap / priority / tenant
+share / cost / degrade), the wiring through ``QueryService.submit``/``execute_many``
 (stats lanes, shed reasons, trace attributes, metrics series), and the
 default-off oracle: with no policy configured, served results and
 ``ServiceStats`` output are byte-identical to the pre-overload layout.
@@ -38,26 +38,8 @@ class TestAdmissionPolicy:
         policy = AdmissionPolicy()
         assert policy.max_inflight is None
         assert not policy.uses_cost
-        assert not policy.uses_tenants
         assert policy.quota_for("anyone") is None
         assert policy.effective_max_cost(0.9) is None
-
-    def test_explicit_quota_beats_weights_and_default(self):
-        policy = AdmissionPolicy(
-            max_inflight=10,
-            tenant_quota=2,
-            tenant_quotas={"vip": 9},
-            tenant_weights={"vip": 1.0},
-        )
-        assert policy.quota_for("vip") == 9
-        # Weights rank above the default quota: unlisted tenants weigh 1.0
-        # against vip's 1.0, so "other" gets half of max_inflight.
-        assert policy.quota_for("other") == 5
-
-    def test_default_quota_applies_without_weights(self):
-        policy = AdmissionPolicy(tenant_quota=2, tenant_quotas={"vip": 9})
-        assert policy.quota_for("vip") == 9
-        assert policy.quota_for("other") == 2
 
     def test_weighted_fair_share(self):
         policy = AdmissionPolicy(
@@ -92,18 +74,19 @@ class TestAdmissionPolicy:
         "kwargs",
         [
             {"max_inflight": 0},
-            {"tenant_quota": 0},
-            {"tenant_quotas": {"t": 0}},
+            {"max_inflight": -1},
+            {"tenant_weights": {"t": -1.0}, "max_inflight": 4},
             {"tenant_weights": {"t": 0.0}, "max_inflight": 4},
             {"tenant_weights": {"t": 1.0}},  # weights need max_inflight
             {"priority_thresholds": {"interactive": 1.5}},
+            {"priority_thresholds": {"batch": -0.1}},
             {"max_cost": 0.0},
             {"cost_pressure": 1.0},
             {"min_cost_fraction": 0.0},
-            {"degrade_headroom": 0.5},
-            {"breaker_failures": 0},
-            {"breaker_cooldown_seconds": -1.0},
-            {"breaker_probes": 0},
+            {"degrade_headroom": 0.5, "max_cost": 100.0},
+            # The headroom scales the max_cost ceiling: alone it is a no-op.
+            {"degrade_headroom": 1.5},
+            {"degrade_headroom": 1.5, "max_inflight": 4},
         ],
     )
     def test_validation_rejects_bad_knobs(self, kwargs):
@@ -114,7 +97,10 @@ class TestAdmissionPolicy:
 class TestOverloadController:
     def test_tenant_quota_sheds_and_releases(self):
         controller = AdmissionController(
-            AdmissionPolicy(max_inflight=8, tenant_quotas={"hog": 2})
+            # hog's share is 8 * 1/4 = 2 slots.
+            AdmissionPolicy(
+                max_inflight=8, tenant_weights={"hog": 1.0, "polite": 3.0}
+            )
         )
         first = controller.admit(tenant="hog")
         second = controller.admit(tenant="hog")
@@ -165,7 +151,10 @@ class TestOverloadController:
 
     def test_anonymous_queries_share_the_default_lane(self):
         controller = AdmissionController(
-            AdmissionPolicy(tenant_quotas={"default": 1})
+            # The default lane's share is 4 * 1/4 = 1 slot.
+            AdmissionPolicy(
+                max_inflight=4, tenant_weights={"default": 1.0, "other": 3.0}
+            )
         )
         first = controller.admit()
         assert first.admitted
@@ -208,7 +197,10 @@ class TestServiceIntegration:
 
     def test_tenant_quota_shed_through_submit(self, database):
         service = self._service(
-            database, AdmissionPolicy(tenant_quotas={"hog": 1})
+            database,
+            AdmissionPolicy(
+                max_inflight=4, tenant_weights={"hog": 1.0, "polite": 3.0}
+            ),
         )
         held = service.admission.admit(tenant="hog")  # occupy hog's slot
         try:
@@ -349,7 +341,7 @@ class TestServiceIntegration:
 
 
 class TestDefaultOffOracle:
-    """Acceptance: with no tenant/priority/cost/breaker options set, served
+    """Acceptance: with no tenant/priority/cost options set, served
     results and ``ServiceStats`` output are byte-identical to the
     pre-overload behaviour."""
 
@@ -431,7 +423,6 @@ class TestDefaultOffOracle:
         rendered = registry.render_prometheus()
         assert "repro_service_shed_total" not in rendered
         assert "repro_service_tenant_queries_total" not in rendered
-        assert "repro_service_breaker_state" not in rendered
 
 
 class TestSubmitStorm:
@@ -441,7 +432,10 @@ class TestSubmitStorm:
     def test_exact_quota_in_flight_and_no_lost_slots(self):
         quota, threads = 3, 16
         controller = AdmissionController(
-            AdmissionPolicy(max_inflight=8, tenant_quotas={"storm": quota})
+            # storm's share is 8 * 3/8 = quota slots.
+            AdmissionPolicy(
+                max_inflight=8, tenant_weights={"storm": 3.0, "other": 5.0}
+            )
         )
         attempted = threading.Barrier(threads)
         all_attempted = threading.Event()
@@ -479,7 +473,9 @@ class TestSubmitStorm:
         service = QueryService(
             database, "collaborative",
             admission=AdmissionController(
-                AdmissionPolicy(max_inflight=2, tenant_quotas={"t": 1})
+                AdmissionPolicy(
+                    max_inflight=2, tenant_weights={"t": 1.0, "other": 1.0}
+                )
             ),
         )
         threads = 8

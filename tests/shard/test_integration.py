@@ -10,7 +10,6 @@ service stats grow (gated) shard lanes, the metrics registry exports
 import pytest
 
 from repro.core.query import UOTSQuery
-from repro.obs.adapters import bind_landmark_clamps
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, activated
 from repro.service import QueryService
@@ -120,15 +119,6 @@ class TestMetrics:
         assert "repro_shard_planned_total" in rendered
         assert "repro_shard_executed_total" in rendered
         assert "repro_shard_pruned_total" in rendered
-
-    def test_landmark_clamp_counter_exported(self):
-        from repro.network import landmarks
-
-        registry = MetricsRegistry()
-        bind_landmark_clamps(registry)
-        registry.collect()
-        counter = registry.counter("repro_index_landmark_clamps_total")
-        assert counter.value() == landmarks.clamp_events()
 
 
 class TestTraceNesting:
