@@ -116,13 +116,11 @@ def _make_service(
     trace: bool = False,
     metrics: MetricsRegistry | None = None,
     slowlog: SlowQueryJournal | bool | None = None,
-    pool: int = 0,
 ) -> QueryService:
     """A one-shot query service configured from the CLI tuning flags.
 
     Unset flags arrive as ``None`` and mean "keep the algorithm default"
-    (the registry drops them).  ``pool`` is the number of search worker
-    processes to fork (``repro serve`` only; 0 searches in process).
+    (the registry drops them).
     """
     return QueryService(
         database,
@@ -132,7 +130,6 @@ def _make_service(
         metrics=metrics,
         result_cache=args.result_cache_size,
         slowlog=slowlog,
-        pool=pool,
         alt=False if args.no_alt else None,
         batch_size=args.batch_size,
         scheduler=args.scheduler,
@@ -390,14 +387,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.metrics import get_registry
     from repro.parallel.pool import serving_workers
 
-    database = _load_database(args.data, cache_size=args.cache_size)
+    database = _load_database(args.data)
     # The service forks its search workers here (warm -> freeze -> fork),
     # while this process is still single-threaded: before the bridge
-    # threads and the event loop exist.
-    service = _make_service(
+    # threads and the event loop exist.  Served algorithms keep their
+    # registry defaults: serve has no tuning flags.
+    service = QueryService(
         database,
-        args,
+        args.algorithm,
+        admission=_make_admission(args),
         metrics=get_registry(),
+        result_cache=args.result_cache_size,
         pool=serving_workers(args.gateway_workers),
     )
     gateway = AsyncQueryService(
@@ -685,16 +685,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bound on bridged calls queued-or-running "
              "(default 4x --gateway-workers; past it /query answers 503)",
     )
-    p.add_argument(
-        "--no-alt", action="store_true",
-        help="disable landmark (ALT) bound tightening",
-    )
-    p.add_argument("--batch-size", type=int, default=None, metavar="N")
-    p.add_argument(
-        "--scheduler", choices=["heuristic", "round-robin"], default=None
-    )
-    p.add_argument("--shards", type=int, default=None, metavar="N")
-    p.add_argument("--cache-size", type=int, default=None, metavar="N")
     p.add_argument(
         "--result-cache-size", type=int, default=256, metavar="N",
         help="service result cache answering identical repeats in O(1) "

@@ -210,6 +210,9 @@ class TopK:
         self._k = k
         # Min-heap on (score, -id): the worst kept item sits at heap[0].
         self._heap: list[tuple[float, int, ScoredTrajectory]] = []
+        #: Best score among items offered but not kept (rejected or
+        #: evicted); a degraded answer's residual bound must cover them.
+        self.best_dropped = float("-inf")
 
     def offer(self, item: ScoredTrajectory) -> bool:
         """Consider an item; returns whether it was admitted."""
@@ -218,8 +221,10 @@ class TopK:
             heapq.heappush(self._heap, entry)
             return True
         if entry > self._heap[0]:
-            heapq.heapreplace(self._heap, entry)
+            evicted = heapq.heapreplace(self._heap, entry)
+            self.best_dropped = max(self.best_dropped, evicted[0])
             return True
+        self.best_dropped = max(self.best_dropped, item.score)
         return False
 
     @property

@@ -522,8 +522,18 @@ class CollaborativeSearcher:
         stats = ctx.stats
         if ctx.degradation_reason is not None:
             stats.degraded_queries = 1
-            residual = ctx.tracker.global_upper_bound(ctx.radii_weights)
             items = self._best_effort_items(ctx.query, ctx.tracker, ctx.topk)
+            # The tracker bounds the partly scanned and the unseen; an
+            # exactly scored trajectory left out of ``items`` (dropped by
+            # the top-k, or displaced by a lower-bound entry) falls under
+            # neither, so its exact score joins the residual.
+            kept = {item.trajectory_id for item in items}
+            residual = max(
+                ctx.tracker.global_upper_bound(ctx.radii_weights),
+                ctx.topk.best_dropped,
+                *(item.score for item in ctx.topk.ranked()
+                  if item.trajectory_id not in kept),
+            )
             stats.visited_trajectories = ctx.tracker.num_seen
             stats.pruned_trajectories = (
                 len(self._database) - stats.similarity_evaluations

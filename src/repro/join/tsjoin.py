@@ -76,7 +76,7 @@ class _Phase1State:
 
     def search(self, task: tuple[str, int]):
         """One trajectory's candidate set: ``(side, id, values, stats,
-        telemetry)``."""
+        spans)``."""
         side, trajectory_id = task
         database, engine = self.sides[side]
         points = database.get(trajectory_id).samples()
@@ -86,19 +86,16 @@ class _Phase1State:
                 points, self.lam, self.limit, exclude_id=exclude_id
             )
             return side, trajectory_id, candidates.values, candidates.stats, None
-        with harvest.collecting(self.config) as collector:
+        with harvest.collecting(self.config) as tracer:
             # threshold_search is not span-instrumented; the task root gives
             # the stitched join trace its per-trajectory timing.
-            with collector.tracer.span(
-                "join_task", trajectory_id=trajectory_id, side=side
-            ):
+            with tracer.span("join_task", trajectory_id=trajectory_id, side=side):
                 candidates = engine.threshold_search(
                     points, self.lam, self.limit, exclude_id=exclude_id
                 )
-            collector.record_stats(candidates.stats, kind="join")
         return (
             side, trajectory_id, candidates.values, candidates.stats,
-            collector.telemetry(),
+            harvest.span_records(tracer),
         )
 
 
@@ -183,11 +180,10 @@ class TwoPhaseJoin:
         tracer = current_tracer()
         with tracer.span("parallel_join", workers=self._workers, tasks=len(tasks)) as span:
             rows = self._phase1(sides, tasks, theta - 1.0, self_join)
-            for side, trajectory_id, values, stats, telemetry in rows:
+            for side, trajectory_id, values, stats, spans in rows:
                 found[side][trajectory_id] = values
                 result.stats.merge(stats)
-                harvest.merge_telemetry(telemetry)
-                harvest.graft_telemetry(tracer, span, telemetry)
+                harvest.graft_telemetry(tracer, span, spans)
         _merge(result, found["p"], found["p" if self_join else "q"], theta, self_join)
         result.stats.elapsed_seconds = time.perf_counter() - started
         return result

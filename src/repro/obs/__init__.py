@@ -8,8 +8,9 @@ Pure-stdlib measurement substrate for the plan/execute/serve stack:
   with Prometheus text exposition and a JSON snapshot;
 - :mod:`repro.obs.adapters` — collectors mirroring the existing stats
   classes into the registry;
-- :mod:`repro.obs.harvest` — the cross-process telemetry harvest that
-  brings forked workers' spans and counter deltas home;
+- :mod:`repro.obs.harvest` — the cross-process span harvest that
+  brings forked workers' span trees home (their work counts come home
+  in each result's stats, not here);
 - :mod:`repro.obs.slowlog` — the bounded worst-N slow-query journal.
 
 See DESIGN.md §8 for the span model, naming convention, and overhead
@@ -19,15 +20,12 @@ plan-drift accounting.
 
 from repro.obs.adapters import (
     bind_buffer_stats,
-    bind_cache_stats,
-    bind_database,
     bind_fault_injector,
     bind_search_stats,
     bind_service_stats,
     bind_slowlog,
     bind_tracer,
 )
-from repro.obs.harvest import HarvestCollector, WorkerTelemetry
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     LATENCY_BUCKETS,
@@ -63,8 +61,6 @@ __all__ = [
     "LATENCY_BUCKETS",
     "get_registry",
     "set_registry",
-    "WorkerTelemetry",
-    "HarvestCollector",
     "SlowLogEntry",
     "SlowQueryJournal",
     "bind_search_stats",
@@ -72,7 +68,5 @@ __all__ = [
     "bind_tracer",
     "bind_slowlog",
     "bind_buffer_stats",
-    "bind_cache_stats",
     "bind_fault_injector",
-    "bind_database",
 ]

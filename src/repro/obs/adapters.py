@@ -1,13 +1,16 @@
 """Adapters publishing the existing stats classes into the registry.
 
-The library already keeps four stats surfaces — ``SearchStats``,
-``ServiceStats``, ``BufferStats``, ``CacheStats`` — plus the
-chaos-testing ``FaultInjector`` counters.
+The library already keeps three stats surfaces — ``SearchStats``,
+``ServiceStats``, ``BufferStats`` — plus the chaos-testing
+``FaultInjector`` counters.
 Each ``bind_*`` function here takes a *live* stats object and a
 :class:`~repro.obs.metrics.MetricsRegistry`, registers a collector that
 mirrors the object's current totals into named instruments at export
 time, and returns that collector (tests call it directly).  The stats
-objects stay the source of truth; nothing double-counts.
+objects stay the source of truth, and each fact is exported once: a
+query's work (including its per-query cache hits and misses) is
+``repro_search_*_total``, mirrored from the service totals that every
+answer — pooled or in process — folds into.
 
 Metric names follow the DESIGN.md §8 convention
 (``repro_<subsystem>_<what>[_total]``); all ``bind_*`` functions default
@@ -22,10 +25,8 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps import light
     from repro.core.results import SearchStats
-    from repro.index.database import TrajectoryDatabase
     from repro.obs.slowlog import SlowQueryJournal
     from repro.obs.trace import Tracer
-    from repro.perf.cache import CacheStats
     from repro.perf.result_cache import ResultCache
     from repro.resilience.faults import FaultInjector
     from repro.service.admission import AdmissionController
@@ -39,10 +40,8 @@ __all__ = [
     "bind_slowlog",
     "bind_admission",
     "bind_buffer_stats",
-    "bind_cache_stats",
     "bind_result_cache",
     "bind_fault_injector",
-    "bind_database",
 ]
 
 Collector = Callable[[], None]
@@ -135,9 +134,6 @@ def bind_service_stats(
     p95 = registry.gauge(
         "repro_service_latency_p95_seconds", "p95 latency over the recent window"
     )
-    hit_rate = registry.gauge(
-        "repro_service_cache_hit_rate", "Cross-query cache hit rate, by cache"
-    )
     totals = bind_search_stats(stats.totals, registry, **labels)
 
     def collect() -> None:
@@ -148,8 +144,6 @@ def bind_service_stats(
         outcomes.set_total(snapshot["rejected_queries"], outcome="rejected", **labels)
         p50.set(snapshot["p50_ms"] / 1000.0, **labels)
         p95.set(snapshot["p95_ms"] / 1000.0, **labels)
-        hit_rate.set(snapshot["distance_cache_hit_rate"], cache="distance", **labels)
-        hit_rate.set(snapshot["text_cache_hit_rate"], cache="text", **labels)
         # Invalidation and admission series materialise only once such an
         # event happened (get-or-create makes the repeats cheap).
         if "invalidation_events" in snapshot:
@@ -360,32 +354,6 @@ def bind_buffer_stats(
     return collect
 
 
-def bind_cache_stats(
-    stats: "CacheStats",
-    cache: str,
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Mirror one perf-cache :class:`CacheStats` under a ``cache=`` label."""
-    if registry is None:
-        registry = get_registry()
-    hits = registry.counter("repro_cache_hits_total", "Cache hits, by cache")
-    misses = registry.counter("repro_cache_misses_total", "Cache misses, by cache")
-    evictions = registry.counter(
-        "repro_cache_evictions_total", "Cache evictions, by cache"
-    )
-    hit_rate = registry.gauge("repro_cache_hit_rate", "Lifetime hit rate, by cache")
-
-    def collect() -> None:
-        hits.set_total(stats.hits, cache=cache, **labels)
-        misses.set_total(stats.misses, cache=cache, **labels)
-        evictions.set_total(stats.evictions, cache=cache, **labels)
-        hit_rate.set(stats.hit_rate, cache=cache, **labels)
-
-    registry.register_collector(collect)
-    return collect
-
-
 def bind_result_cache(
     cache: "ResultCache",
     registry: MetricsRegistry | None = None,
@@ -451,24 +419,4 @@ def bind_fault_injector(
         corrupted.set_total(len(injector.corrupted_pages), **labels)
 
     registry.register_collector(collect)
-    return collect
-
-
-def bind_database(
-    database: "TrajectoryDatabase",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Bind a database's cross-query caches (one collector for both)."""
-    if registry is None:
-        registry = get_registry()
-    collectors = [
-        bind_cache_stats(stats, cache=name, registry=registry, **labels)
-        for name, stats in database.caches.stats().items()
-    ]
-
-    def collect() -> None:
-        for collector in collectors:
-            collector()
-
     return collect

@@ -335,49 +335,6 @@ class MetricsRegistry:
         with self._lock:
             self._collectors.append(collector)
 
-    # ------------------------------------------------------ harvest seam
-    def counter_deltas(self) -> tuple:
-        """Serialize every counter as ``(name, help, ((labels, value), ...))``.
-
-        The worker half of the cross-process harvest protocol (see
-        :mod:`repro.obs.harvest`): a forked worker accumulates into a
-        *fresh* registry, so its counter values ARE the deltas its task
-        produced, and the tuples pickle cleanly back to the parent.
-        Gauges and histograms are deliberately excluded — only monotone
-        counts merge associatively across processes.
-        """
-        with self._lock:
-            counters = [
-                inst for inst in self._instruments.values()
-                if type(inst) is Counter
-            ]
-        out = []
-        for counter in sorted(counters, key=lambda c: c.name):
-            with counter._lock:
-                values = tuple(sorted(counter._values.items()))
-            out.append((counter.name, counter.help, values))
-        return tuple(out)
-
-    def merge_counter_deltas(self, deltas: tuple) -> None:
-        """Fold :meth:`counter_deltas` rows into this registry's counters.
-
-        The parent half of the harvest: additions per labelled series, so
-        merging commutes across workers and never collides with the
-        ``set_total`` collectors mirroring parent-side stats objects (the
-        harvested names live in their own ``repro_worker_*`` namespace).
-        Rows fold under the counter lock directly rather than through
-        ``inc``: the keys are verbatim ``_values`` keys from the worker's
-        :meth:`counter_deltas`, already canonical, and this merge sits on
-        the per-result serving path of every harvested query.
-        """
-        for name, help, values in deltas:
-            counter = self.counter(name, help)
-            with counter._lock:
-                counter_values = counter._values
-                for key, value in values:
-                    if value:
-                        counter_values[key] = counter_values.get(key, 0.0) + value
-
     # --------------------------------------------------------------- export
     def collect(self) -> None:
         """Run every registered collector (export does this for you)."""

@@ -3,8 +3,9 @@
 SciPy's ``dijkstra`` holds the GIL, so threads in one process never search
 on two cores at once.  :class:`SearchWorkerPool` forks ``workers``
 processes **once**, each holding the forked searcher, and answers a query
-by one pipe round trip: ``(query, budget[, harvest config])`` down,
-``(SearchResult[, WorkerTelemetry])`` back.  Result cache, admission,
+by one pipe round trip: ``(query, budget, harvest config)`` down,
+``(SearchResult, span records)`` back (both harvest halves ``None``
+unless the parent traces).  Result cache, admission,
 stats, drift and metrics stay in the parent
 (:class:`~repro.service.service.QueryService` dispatches here from
 ``_execute_admitted`` when it was given a pool).  DESIGN.md §15 has the
@@ -101,14 +102,13 @@ def serving_workers(limit: int) -> int:
 
 # ---------------------------------------------------------------- worker side
 def _run_search(searcher, query: UOTSQuery, budget: SearchBudget | None, config):
-    """One worker task: the isolated search, under harvest when asked."""
+    """One worker task: the isolated search, its spans captured when asked."""
     try:
         if not config:
             return _safe_search(searcher, query, budget), None
-        with harvest.collecting(config) as collector:
+        with harvest.collecting(config) as tracer:
             result = _safe_search(searcher, query, budget)
-            collector.record_result(result, kind="search")
-        return result, collector.telemetry()
+        return result, harvest.span_records(tracer)
     except Exception as exc:  # noqa: BLE001 - a non-library bug: isolate it
         return _error_result(exc), None
 
@@ -336,7 +336,7 @@ class SearchWorkerPool:
         config = harvest.harvest_config()
         try:
             worker.send(("search", query, budget, config))
-            result, telemetry = worker.conn.recv()
+            result, spans = worker.conn.recv()
         except (EOFError, OSError):
             self._bury(worker, fell_back=True)
             tracer = current_tracer()
@@ -353,9 +353,7 @@ class SearchWorkerPool:
         result.stats.executor = "fork"
         if span is not None:
             span.update({"forked": True, "worker_pid": worker.process.pid})
-        if telemetry is not None:
-            harvest.merge_telemetry(telemetry)
-            harvest.graft_telemetry(current_tracer(), span, telemetry)
+        harvest.graft_telemetry(current_tracer(), span, spans)
         return result
 
     def _bury(self, worker: _Worker, fell_back: bool = False) -> None:

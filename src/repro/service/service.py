@@ -59,10 +59,8 @@ from repro.core.registry import get_spec, make_searcher
 from repro.core.results import SearchResult
 from repro.errors import QueryError
 from repro.index.database import TrajectoryDatabase
-from repro.obs import harvest
 from repro.obs.adapters import (
     bind_admission,
-    bind_database,
     bind_result_cache,
     bind_service_stats,
     bind_slowlog,
@@ -205,7 +203,6 @@ class QueryService:
         if self._metrics is not None:
             bind_service_stats(self._stats, self._metrics)
             bind_admission(self._admission, self._metrics)
-            bind_database(database, self._metrics)
             if self._result_cache is not None:
                 bind_result_cache(self._result_cache, self._metrics)
             if self._tracer is not None:
@@ -344,22 +341,12 @@ class QueryService:
     @contextmanager
     def _traced(self, name: str, **attributes):
         """Run a block under the service tracer (a no-op when tracing is
-        off); yields the open span or ``None``.
-
-        When metrics are bound, the block also runs with the service
-        registry installed as the telemetry harvest sink, so counter
-        deltas from pool workers under it merge into *this* service's
-        registry (``repro_worker_*`` series).
-        """
-        with ExitStack() as stack:
-            if self._metrics is not None:
-                stack.enter_context(harvest.sink_to(self._metrics))
-            if self._tracer is None:
-                yield None
-                return
-            stack.enter_context(activated(self._tracer))
-            with self._tracer.span(name, **attributes) as span:
-                yield span
+        off); yields the open span or ``None``."""
+        if self._tracer is None:
+            yield None
+            return
+        with activated(self._tracer), self._tracer.span(name, **attributes) as span:
+            yield span
 
     def _record(
         self,
@@ -513,8 +500,7 @@ class QueryService:
         if hit is None:
             return started, key, None
         if self._tracer is not None:
-            # No execution: the span only marks the served hit, and a hit
-            # has no worker telemetry for the harvest sink to merge.
+            # No execution: the span only marks the served hit.
             with self._traced(
                 "query", algorithm=self._algorithm, k=query.k,
                 result_cache="hit", **self._label_span_attrs(tenant, priority),

@@ -6,14 +6,11 @@ from repro.core.results import SearchResult, SearchStats
 from repro.obs.adapters import (
     _SEARCH_FIELDS,
     bind_buffer_stats,
-    bind_cache_stats,
-    bind_database,
     bind_fault_injector,
     bind_search_stats,
     bind_service_stats,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.cache import CacheStats
 from repro.resilience.faults import FaultInjector, FaultPolicy
 from repro.service.stats import ServiceStats
 from repro.storage.buffer import BufferStats
@@ -92,19 +89,6 @@ class TestStorageAdapters:
         ratio = registry.gauge("repro_storage_page_hit_ratio")
         assert ratio.value() == pytest.approx(0.8)
 
-    def test_cache_stats_labelled(self):
-        registry = MetricsRegistry()
-        distance, text = CacheStats(), CacheStats()
-        bind_cache_stats(distance, cache="distances", registry=registry)
-        bind_cache_stats(text, cache="text", registry=registry)
-        distance.hits = 5
-        text.misses = 3
-        registry.collect()
-        hits = registry.counter("repro_cache_hits_total")
-        misses = registry.counter("repro_cache_misses_total")
-        assert hits.value(cache="distances") == 5
-        assert misses.value(cache="text") == 3
-
     def test_fault_injector(self):
         registry = MetricsRegistry()
         injector = FaultInjector(FaultPolicy(seed=1))
@@ -118,14 +102,3 @@ class TestStorageAdapters:
         )
         assert registry.counter("repro_faults_observed_reads_total").value() == 30
         assert registry.counter("repro_faults_corrupted_pages_total").value() == 2
-
-
-class TestDatasetAdapters:
-    def test_bind_database_covers_both_caches(self, database):
-        registry = MetricsRegistry()
-        bind_database(database, registry)
-        registry.collect()
-        hits = registry.counter("repro_cache_hits_total")
-        samples = dict(hits.samples())
-        assert 'repro_cache_hits_total{cache="distances"}' in samples
-        assert 'repro_cache_hits_total{cache="text"}' in samples

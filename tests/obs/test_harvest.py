@@ -1,11 +1,10 @@
-"""Cross-process telemetry harvest (tentpole contract).
+"""Cross-process span harvest.
 
 Worker span trees graft under their owning parent spans *through* the
 trace's buffer caps (a forked query obeys the same memory bounds as a
-sequential one, drop counts stay accurate), worker counter deltas merge
-into the sink with exact parity against the per-query result stats, and a
-crashed worker leaves an explicit ``telemetry_lost`` event rather than a
-silently thin trace.
+sequential one, drop counts stay accurate), the harvest is off unless the
+parent traces, and a crashed worker leaves an explicit ``telemetry_lost``
+event rather than a silently thin trace.
 """
 
 import os
@@ -16,7 +15,6 @@ from repro.core.query import UOTSQuery
 from repro.core.registry import ALGORITHMS
 from repro.core.search import CollaborativeSearcher
 from repro.obs import harvest
-from repro.obs.harvest import WORKER_COUNTERS, HarvestCollector
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, activated
 from repro.parallel.executor import fork_available
@@ -28,16 +26,16 @@ fork_only = pytest.mark.skipif(
 
 
 def _worker_telemetry(spans_per_root=3, roots=1, max_spans=4096):
-    """Telemetry a worker task would produce: plan/execute-ish trees."""
-    collector = HarvestCollector(max_spans=max_spans, max_events=64)
-    for _ in range(roots):
-        root = collector.tracer.begin("execute", algorithm="shard-scan")
-        for i in range(spans_per_root - 1):
-            child = collector.tracer.begin("round", index=i)
-            collector.tracer.event("tick", at=i)
-            collector.tracer.end(child)
-        collector.tracer.end(root)
-    return collector.telemetry()
+    """The span records a worker task would ship: plan/execute-ish trees."""
+    with harvest.collecting({"max_spans": max_spans, "max_events": 64}) as tracer:
+        for _ in range(roots):
+            root = tracer.begin("execute", algorithm="shard-scan")
+            for i in range(spans_per_root - 1):
+                child = tracer.begin("round", index=i)
+                tracer.event("tick", at=i)
+                tracer.end(child)
+            tracer.end(root)
+    return harvest.span_records(tracer)
 
 
 class TestGraft:
@@ -85,7 +83,7 @@ class TestGraft:
         # The worker's own caps truncated its tree: those drops ride home
         # embedded in the serialized roots and surface on the parent side.
         telemetry = _worker_telemetry(spans_per_root=10, max_spans=4)
-        assert telemetry.dropped_spans == 6
+        assert sum(record["dropped_spans"] for record in telemetry) == 6
         tracer = Tracer()
         with tracer.span("query") as root:
             with tracer.span("shard[0]") as owner:
@@ -115,51 +113,11 @@ class TestGraft:
         assert root.children == []
 
 
-class TestCountersAndConfig:
-    def test_counter_deltas_roundtrip_through_the_sink(self):
-        collector = HarvestCollector()
-        class _Stats:
-            elapsed_seconds = 0.25
-            expanded_vertices = 7
-            visited_trajectories = 11
-            similarity_evaluations = 5
-            refinements = 2
-        collector.record_stats(_Stats(), kind="shard")
-        sink = MetricsRegistry()
-        with harvest.sink_to(sink):
-            harvest.merge_telemetry(collector.telemetry())
-        name, help_ = WORKER_COUNTERS["evaluations"]
-        assert sink.counter(name, help_).value(kind="shard") == 5
-        name, help_ = WORKER_COUNTERS["tasks"]
-        assert sink.counter(name, help_).value(kind="shard") == 1
-
-    def test_merge_without_a_sink_is_dropped(self):
-        collector = HarvestCollector()
-        class _Stats:
-            elapsed_seconds = 0.1
-            expanded_vertices = 1
-            visited_trajectories = 1
-            similarity_evaluations = 1
-            refinements = 0
-        collector.record_stats(_Stats(), kind="search")
-        harvest.merge_telemetry(collector.telemetry())  # no sink installed
-        assert harvest.current_sink() is None
-
-    def test_harvest_config_follows_tracer_and_sink(self):
-        assert harvest.harvest_config() is None
-        with activated(Tracer(max_spans=123, max_events=45)):
-            config = harvest.harvest_config()
-            assert config == {
-                "spans": True,
-                "metrics": False,
-                "max_spans": 123,
-                "max_events": 45,
-            }
-        with harvest.sink_to(MetricsRegistry()):
-            config = harvest.harvest_config()
-            assert config is not None
-            assert config["metrics"] is True and config["spans"] is False
-        assert harvest.harvest_config() is None
+def test_harvest_config_follows_the_tracer():
+    assert harvest.harvest_config() is None
+    with activated(Tracer(max_spans=123, max_events=45)):
+        assert harvest.harvest_config() == {"max_spans": 123, "max_events": 45}
+    assert harvest.harvest_config() is None
 
 
 @fork_only
@@ -174,18 +132,18 @@ class TestScatterHarvest:
 
     def _run(self, database, tracer, algorithm="collaborative", queries=QUERIES):
         """Results, the batch's ``query`` roots (one per query: each batch
-        thread's span tree is its own trace), and the metric sink."""
-        sink = MetricsRegistry()
-        service = QueryService(database, algorithm, trace=tracer, metrics=sink)
+        thread's span tree is its own trace), and the metrics registry."""
+        registry = MetricsRegistry()
+        service = QueryService(database, algorithm, trace=tracer, metrics=registry)
         results = service.execute_many(queries, workers=2)
         assert all(result.ok for result in results)
         assert tracer.last_trace().name == "execute_many"
         roots = [root for root in tracer.traces if root.name == "query"]
         assert len(roots) == len(queries)
-        return results, roots, sink
+        return results, roots, registry
 
     def test_worker_spans_graft_under_their_query_spans(self, database):
-        results, roots, _ = self._run(database, Tracer())
+        results, roots, registry = self._run(database, Tracer())
         assert all(result.stats.executor == "fork" for result in results)
         for span in roots:
             assert span.attributes["forked"] is True
@@ -193,19 +151,8 @@ class TestScatterHarvest:
             assert span.children[1].attributes["algorithm"] == "collaborative"
             assert span.attributes["worker_pid"] != os.getpid()
         assert len({span.attributes["worker_pid"] for span in roots}) == 2
-
-    def test_counter_deltas_match_the_worker_results_exactly(self, database):
-        results, _, sink = self._run(database, Tracer())
-        for key, field in (
-            ("evaluations", "similarity_evaluations"),
-            ("expanded", "expanded_vertices"),
-            ("visited", "visited_trajectories"),
-        ):
-            name, help_ = WORKER_COUNTERS[key]
-            harvested = sink.counter(name, help_).value(kind="search")
-            assert harvested == sum(getattr(r.stats, field) for r in results), key
-        name, help_ = WORKER_COUNTERS["tasks"]
-        assert sink.counter(name, help_).value(kind="search") == len(results)
+        # Only spans come home: the work is counted once, from result stats.
+        assert "repro_worker_" not in registry.render_prometheus()
 
     def test_trace_stays_bounded_and_drops_are_counted(self, database):
         tracer = Tracer(max_spans=4)

@@ -144,7 +144,7 @@ class TestMetricsIntegration:
         assert "repro_service_latency_seconds_bucket" in text
         assert 'repro_executor_queries_total{path="in-process"} 3' in text
         assert "repro_search_expanded_vertices_total" in text
-        assert 'repro_cache_hits_total{cache="distances"}' in text
+        assert 'repro_search_cache_hits_total{cache="distance"}' in text
 
     def test_metrics_true_binds_default_registry(self, database):
         service = QueryService(database, "collaborative", metrics=True)

