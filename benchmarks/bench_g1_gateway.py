@@ -51,16 +51,21 @@ import statistics
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-from common import SMOKE, Profile, bundle_for, paper_profile
+from common import (
+    SMOKE,
+    Profile,
+    bundle_for,
+    paper_profile,
+    shed_counts,
+    write_results,
+)
 from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.service import AdmissionController, AdmissionPolicy, QueryService
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: The acceptance shape: bridge workers and closed-loop clients.
 GATEWAY_WORKERS = 8
@@ -241,7 +246,7 @@ def run_inprocess_arm(bundle, queries, per_client: int) -> dict:
     flat = [pair for lane in lanes for pair in lane]
     return _summary(
         [t for ok, t in flat if ok], sum(ok for ok, _ in flat), len(flat),
-        duration, cache_hits=service.stats.result_cache_hits,
+        duration, cache_hits=service.result_cache.stats.hits,
     )
 
 
@@ -274,7 +279,7 @@ def run_http_arm(bundle, queries, per_client: int) -> dict:
     flat = [pair for lane in lanes for pair in lane]
     return _summary(
         [t for ok, t in flat if ok], sum(ok for ok, _ in flat), len(flat),
-        duration, cache_hits=service.stats.result_cache_hits,
+        duration, cache_hits=service.result_cache.stats.hits,
     )
 
 
@@ -329,7 +334,7 @@ def run_flood_arm(bundle, interactive, hog, per_client: int) -> dict:
         for thread in threads:
             thread.join()
         duration = time.perf_counter() - started
-        shed_reasons = dict(service.stats.shed_reasons)
+        shed_reasons = shed_counts(service)
     finally:
         harness.stop()
     inter = [pair for lane in inter_lanes for pair in lane]
@@ -460,10 +465,7 @@ def run_experiment(argv: list[str] | None = None) -> int:
     report["enforced"] = not smoke
     text = _render(report)
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_g1.json").write_text(json.dumps(report, indent=2) + "\n")
-    (RESULTS_DIR / "g1_gateway.txt").write_text(text)
-    print(f"wrote {RESULTS_DIR / 'BENCH_g1.json'}")
+    write_results("g1_gateway", report, text, smoke)
     if not report["enforced"]:
         return 0
     return 0 if all(report["pass"].values()) else 1

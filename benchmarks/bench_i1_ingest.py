@@ -42,16 +42,14 @@ every scale).
 
 from __future__ import annotations
 
-import json
 import random
 import statistics
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-from common import SMOKE, Profile, bundle_for, paper_profile
+from common import SMOKE, Profile, bundle_for, paper_profile, write_results
 from repro.bench.datasets import DatasetBundle
 from repro.core.similarity import ExactScorer
 from repro.bench.reporting import format_table, print_header
@@ -61,7 +59,6 @@ from repro.perf import ResultCache
 from repro.service import QueryService
 from repro.trajectory.model import Trajectory, TrajectorySet
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Acceptance floor: scoped hit rate over wholesale hit rate.
 HIT_RATE_RATIO_MIN = 10.0
@@ -316,10 +313,7 @@ def run_experiment(argv: list[str] | None = None) -> int:
     report["enforced"] = not smoke
     text = _render(report)
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_i1.json").write_text(json.dumps(report, indent=2) + "\n")
-    (RESULTS_DIR / "i1_ingest.txt").write_text(text)
-    print(f"wrote {RESULTS_DIR / 'BENCH_i1.json'}")
+    write_results("i1_ingest", report, text, smoke)
     if not report["enforced"]:
         return 0
     return 0 if all(report["pass"].values()) else 1

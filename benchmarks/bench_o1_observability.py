@@ -17,21 +17,18 @@ queries put fixed per-span costs far above the paper-scale ratio.
 
 from __future__ import annotations
 
-import json
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-from common import SMOKE, Profile, bundle_for, paper_profile
+from common import SMOKE, Profile, bundle_for, paper_profile, write_results
 from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.obs.metrics import MetricsRegistry
 from repro.service import QueryService
 
 _INF = float("inf")
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Acceptance ceiling: tracing may cost at most this fraction of wall time.
 TRACE_OVERHEAD_MAX = 0.05
@@ -141,10 +138,7 @@ def run_experiment(argv: list[str] | None = None) -> int:
     report["enforced"] = not smoke
     text = _render(report)
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_o1.json").write_text(json.dumps(report, indent=2) + "\n")
-    (RESULTS_DIR / "o1_observability.txt").write_text(text)
-    print(f"wrote {RESULTS_DIR / 'BENCH_o1.json'}")
+    write_results("o1_observability", report, text, smoke)
     if not report["enforced"]:
         return 0
     return 0 if all(report["pass"].values()) else 1

@@ -28,22 +28,19 @@ ratio of measured work, is enforced at every scale).
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from statistics import median
-from pathlib import Path
 
 import pytest
 
-from common import SMOKE, Profile, bundle_for, paper_profile
+from common import SMOKE, Profile, bundle_for, paper_profile, write_results
 from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.executor import fork_available
 from repro.service import QueryService
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Acceptance ceiling: full diagnostics may cost this fraction of wall time.
 OVERHEAD_MAX = 0.05
@@ -211,10 +208,7 @@ def run_experiment(argv: list[str] | None = None) -> int:
     report["enforced"] = not smoke
     text = _render(report)
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_o2.json").write_text(json.dumps(report, indent=2) + "\n")
-    (RESULTS_DIR / "o2_diagnostics.txt").write_text(text)
-    print(f"wrote {RESULTS_DIR / 'BENCH_o2.json'}")
+    write_results("o2_diagnostics", report, text, smoke)
     if not report["pass"]["span_coverage"]:
         return 1
     if not report["enforced"]:

@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-from common import SMOKE, Profile, bundle_for, paper_profile
+from common import SMOKE, Profile, bundle_for, paper_profile, write_results
 from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.core.search import CollaborativeSearcher
@@ -32,7 +30,6 @@ from repro.index.database import TrajectoryDatabase
 from repro.network.dijkstra import single_source_distances
 
 _INF = float("inf")
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Acceptance floors for the P1 change.
 SSSP_SPEEDUP_MIN = 2.0
@@ -347,10 +344,7 @@ def run_experiment(argv: list[str] | None = None) -> int:
     report["enforced"] = not smoke
     text = _render(report)
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_p1.json").write_text(json.dumps(report, indent=2) + "\n")
-    (RESULTS_DIR / "p1_kernels.txt").write_text(text)
-    print(f"wrote {RESULTS_DIR / 'BENCH_p1.json'}")
+    write_results("p1_kernels", report, text, smoke)
     if not report["enforced"]:
         return 0
     return 0 if all(report["pass"].values()) else 1

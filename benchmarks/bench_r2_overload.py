@@ -36,16 +36,21 @@ latencies make the p95 ratio noise, not signal.
 
 from __future__ import annotations
 
-import json
 import statistics
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
-from common import SMOKE, Profile, bundle_for, paper_profile
+from common import (
+    SMOKE,
+    Profile,
+    bundle_for,
+    paper_profile,
+    shed_counts,
+    write_results,
+)
 from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.service import (
@@ -55,7 +60,6 @@ from repro.service import (
     QueryService,
 )
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Global in-flight capacity for both loaded conditions.
 CAPACITY = 3
@@ -234,7 +238,7 @@ def run_condition(bundle, interactive, hog, admission) -> dict:
         "overload_factor": round(
             submitted_total / max(1, served_total), 1
         ),
-        "shed_reasons": dict(service.stats.shed_reasons),
+        "shed_reasons": shed_counts(service),
     }
 
 
@@ -371,10 +375,7 @@ def run_experiment(argv: list[str] | None = None) -> int:
     report["enforced"] = not smoke
     text = _render(report)
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_r2.json").write_text(json.dumps(report, indent=2) + "\n")
-    (RESULTS_DIR / "r2_overload.txt").write_text(text)
-    print(f"wrote {RESULTS_DIR / 'BENCH_r2.json'}")
+    write_results("r2_overload", report, text, smoke)
     if not report["enforced"]:
         return 0
     return 0 if all(report["pass"].values()) else 1

@@ -28,20 +28,17 @@ searches leave too little work for a stable ratio.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-from common import SMOKE, Profile, bundle_for, paper_profile
+from common import SMOKE, Profile, bundle_for, paper_profile, write_results
 from repro.bench.reporting import format_table, print_header
 from repro.bench.workloads import WorkloadConfig, make_queries
 from repro.service import QueryService
 
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: Acceptance floor: repeats must be served at least this much faster.
 REPEAT_SPEEDUP_MIN = 5.0
@@ -103,7 +100,7 @@ def compare(bundle, num_unique: int, seed: int) -> dict:
         "unique_queries": num_unique,
         "repeat_share": REPEAT_SHARE,
         "cache_hits": hits,
-        "result_cache_hits_stat": service.stats.result_cache_hits,
+        "result_cache_hits_stat": service.result_cache.stats.hits,
         "uncached_ms": round(sum(uncached_times) * 1000, 2),
         "cached_ms": round(sum(cached_times) * 1000, 2),
         "repeat_uncached_ms": round(repeat_uncached * 1000, 2),
@@ -179,10 +176,7 @@ def run_experiment(argv: list[str] | None = None) -> int:
     report["enforced"] = not smoke
     text = _render(report)
     print(text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_s1.json").write_text(json.dumps(report, indent=2) + "\n")
-    (RESULTS_DIR / "s1_result_cache.txt").write_text(text)
-    print(f"wrote {RESULTS_DIR / 'BENCH_s1.json'}")
+    write_results("s1_result_cache", report, text, smoke)
     if not report["enforced"]:
         return 0
     return 0 if all(report["pass"].values()) else 1

@@ -98,7 +98,6 @@ from repro.service import (
     AdmissionController,
     AdmissionPolicy,
     QueryService,
-    ServiceStats,
 )
 from repro.storage import DiskTrajectoryDatabase, DiskTrajectoryStore
 from repro.viz import SvgCanvas, draw_network, draw_search_result, draw_trajectories
@@ -157,7 +156,6 @@ __all__ = [
     "Searcher",
     "SearchResult",
     "SearchStats",
-    "ServiceStats",
     "SpatialFirstSearcher",
     "SpatialNetwork",
     "StorageError",

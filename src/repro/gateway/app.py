@@ -23,7 +23,7 @@ Routes and status mapping (DESIGN.md §14):
 ``GET /healthz``          200 while the process serves at all
 ``GET /readyz``           200 ready / 503 with a reason slug: bridge
                           saturated or closing
-``GET /metrics``          Prometheus text exposition from the bound registry
+``GET /metrics``          Prometheus text exposition of the service's registry
 ==========================  ===================================================
 
 Everything non-2xx (except 429, above) is an :class:`ErrorResponse`.
@@ -46,7 +46,6 @@ from repro.gateway.schemas import (
     QueryRequest,
     QueryResponse,
 )
-from repro.obs.metrics import MetricsRegistry, get_registry
 
 __all__ = ["create_app"]
 
@@ -86,17 +85,13 @@ async def _send_error(send, status: int, error: str, detail: str = "") -> None:
     await _send_json(send, status, ErrorResponse(error=error, detail=detail))
 
 
-def create_app(gateway: AsyncQueryService, registry: MetricsRegistry | None = None):
+def create_app(gateway: AsyncQueryService):
     """Build the ASGI app serving ``gateway``.
 
-    ``registry`` is the metrics registry ``/metrics`` renders; ``None``
-    falls back to the gateway service's own bound registry when it has
-    one, else the process-wide default — so a service built with
-    ``metrics=True`` exposes exactly what the CLI's ``repro metrics``
-    command would show.
+    ``/metrics`` renders the gateway service's own registry — the one
+    every query it answers is recorded in.
     """
-    if registry is None:
-        registry = gateway.service.metrics or get_registry()
+    registry = gateway.service.metrics
 
     async def handle_query(receive, send) -> None:
         body = await _read_body(receive)

@@ -6,8 +6,9 @@ Pure-stdlib measurement substrate for the plan/execute/serve stack:
   round), ambient activation, JSONL export, CLI rendering;
 - :mod:`repro.obs.metrics` — counters / gauges / fixed-bucket histograms
   with Prometheus text exposition and a JSON snapshot;
-- :mod:`repro.obs.adapters` — collectors mirroring the existing stats
-  classes into the registry;
+- :mod:`repro.obs.adapters` — collectors publishing pull-style sources
+  (admission, result cache, tracer, slow-query journal, buffer pool,
+  fault injector) into the registry;
 - :mod:`repro.obs.harvest` — the cross-process span harvest that
   brings forked workers' span trees home (their work counts come home
   in each result's stats, not here);
@@ -21,8 +22,6 @@ plan-drift accounting.
 from repro.obs.adapters import (
     bind_buffer_stats,
     bind_fault_injector,
-    bind_search_stats,
-    bind_service_stats,
     bind_slowlog,
     bind_tracer,
 )
@@ -63,8 +62,6 @@ __all__ = [
     "set_registry",
     "SlowLogEntry",
     "SlowQueryJournal",
-    "bind_search_stats",
-    "bind_service_stats",
     "bind_tracer",
     "bind_slowlog",
     "bind_buffer_stats",

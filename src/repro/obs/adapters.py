@@ -1,16 +1,15 @@
-"""Adapters publishing the existing stats classes into the registry.
+"""Adapters publishing pull-style sources into the registry.
 
-The library already keeps three stats surfaces — ``SearchStats``,
-``ServiceStats``, ``BufferStats`` — plus the chaos-testing
-``FaultInjector`` counters.
-Each ``bind_*`` function here takes a *live* stats object and a
-:class:`~repro.obs.metrics.MetricsRegistry`, registers a collector that
-mirrors the object's current totals into named instruments at export
-time, and returns that collector (tests call it directly).  The stats
-objects stay the source of truth, and each fact is exported once: a
-query's work (including its per-query cache hits and misses) is
-``repro_search_*_total``, mirrored from the service totals that every
-answer — pooled or in process — folds into.
+Some components keep their own counters because they are the only place
+the fact is known: the admission controller's in-flight count, the
+result cache's hits / misses / invalidation scope, the tracer's dropped
+spans, the slow-query journal, a buffer pool's ``BufferStats`` and the
+chaos-testing ``FaultInjector``.  Each ``bind_*`` function here takes
+such a *live* object and a :class:`~repro.obs.metrics.MetricsRegistry`,
+registers a collector that publishes the object's current totals into
+named instruments at export time, and returns that collector (tests call
+it directly).  Each fact has one owner: what a query did is written by
+``QueryService`` straight into the registry, never mirrored from here.
 
 Metric names follow the DESIGN.md §8 convention
 (``repro_<subsystem>_<what>[_total]``); all ``bind_*`` functions default
@@ -24,18 +23,14 @@ from typing import TYPE_CHECKING, Callable
 from repro.obs.metrics import MetricsRegistry, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps import light
-    from repro.core.results import SearchStats
     from repro.obs.slowlog import SlowQueryJournal
     from repro.obs.trace import Tracer
     from repro.perf.result_cache import ResultCache
     from repro.resilience.faults import FaultInjector
     from repro.service.admission import AdmissionController
-    from repro.service.stats import ServiceStats
     from repro.storage.buffer import BufferStats
 
 __all__ = [
-    "bind_search_stats",
-    "bind_service_stats",
     "bind_tracer",
     "bind_slowlog",
     "bind_admission",
@@ -45,191 +40,6 @@ __all__ = [
 ]
 
 Collector = Callable[[], None]
-
-#: SearchStats counter fields exported one-to-one, with help strings.
-_SEARCH_FIELDS = {
-    "visited_trajectories": "Trajectories visited across served queries",
-    "expanded_vertices": "Dijkstra/expansion vertices settled",
-    "similarity_evaluations": "Exact similarity evaluations",
-    "pruned_trajectories": "Candidates eliminated by bounds",
-    "text_candidates": "Candidates surviving the text filter",
-    "refinements": "Point-to-set refinement computations",
-    "retries": "Transient faults absorbed by retry inside searches",
-    "degraded_queries": "Queries answered inexactly under a budget",
-    "failed_queries": "Queries that raised inside the search core",
-    "expand_batches": "Batched expansion rounds",
-    "alt_pruned": "Frontier caps tightened by ALT lower bounds",
-}
-
-
-def bind_search_stats(
-    stats: "SearchStats",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Mirror a live (monotone) :class:`SearchStats` into the registry.
-
-    Bind accumulating instances — a service's ``stats.totals`` — not a
-    single query's result stats, which a later bind would regress.
-    """
-    if registry is None:
-        registry = get_registry()
-    counters = {
-        field: registry.counter(f"repro_search_{field}_total", help)
-        for field, help in _SEARCH_FIELDS.items()
-    }
-    elapsed = registry.counter(
-        "repro_search_elapsed_seconds_total", "Wall time spent inside searches"
-    )
-    shard_planned = registry.counter(
-        "repro_shard_planned_total", "Shards considered by sharded plans"
-    )
-    shard_executed = registry.counter(
-        "repro_shard_executed_total", "Shards actually searched"
-    )
-    shard_pruned = registry.counter(
-        "repro_shard_pruned_total", "Shards skipped by the bound-based filter"
-    )
-    shard_seconds = registry.counter(
-        "repro_shard_seconds_total", "Summed per-shard search time"
-    )
-    cache_hits = registry.counter(
-        "repro_search_cache_hits_total", "Per-query cache hits, by cache"
-    )
-    cache_misses = registry.counter(
-        "repro_search_cache_misses_total", "Per-query cache misses, by cache"
-    )
-
-    def collect() -> None:
-        for field, counter in counters.items():
-            counter.set_total(getattr(stats, field), **labels)
-        elapsed.set_total(stats.elapsed_seconds, **labels)
-        shard_planned.set_total(stats.shards_planned, **labels)
-        shard_executed.set_total(stats.shards_executed, **labels)
-        shard_pruned.set_total(stats.shards_pruned, **labels)
-        shard_seconds.set_total(stats.shard_seconds, **labels)
-        cache_hits.set_total(stats.distance_cache_hits, cache="distance", **labels)
-        cache_hits.set_total(stats.text_cache_hits, cache="text", **labels)
-        cache_misses.set_total(stats.distance_cache_misses, cache="distance", **labels)
-        cache_misses.set_total(stats.text_cache_misses, cache="text", **labels)
-
-    registry.register_collector(collect)
-    return collect
-
-
-def bind_service_stats(
-    stats: "ServiceStats",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Mirror a :class:`ServiceStats` (outcomes, latency percentiles, totals)."""
-    if registry is None:
-        registry = get_registry()
-    outcomes = registry.counter(
-        "repro_service_queries_total", "Queries by outcome (served + rejected)"
-    )
-    p50 = registry.gauge(
-        "repro_service_latency_p50_seconds", "Median latency over the recent window"
-    )
-    p95 = registry.gauge(
-        "repro_service_latency_p95_seconds", "p95 latency over the recent window"
-    )
-    totals = bind_search_stats(stats.totals, registry, **labels)
-
-    def collect() -> None:
-        snapshot = stats.snapshot()
-        outcomes.set_total(snapshot["exact_results"], outcome="exact", **labels)
-        outcomes.set_total(snapshot["degraded_results"], outcome="degraded", **labels)
-        outcomes.set_total(snapshot["failed_queries"], outcome="failed", **labels)
-        outcomes.set_total(snapshot["rejected_queries"], outcome="rejected", **labels)
-        p50.set(snapshot["p50_ms"] / 1000.0, **labels)
-        p95.set(snapshot["p95_ms"] / 1000.0, **labels)
-        # Invalidation and admission series materialise only once such an
-        # event happened (get-or-create makes the repeats cheap).
-        if "invalidation_events" in snapshot:
-            invalidation_events = registry.counter(
-                "repro_invalidation_events_total",
-                "Result-cache invalidation events, by mutation kind",
-            )
-            for kind, count in snapshot["invalidation_kinds"].items():
-                invalidation_events.set_total(count, kind=kind, **labels)
-            registry.counter(
-                "repro_invalidation_entries_dropped_total",
-                "Result-cache entries dropped by scoped invalidation",
-            ).set_total(snapshot["invalidation_entries_dropped"], **labels)
-            registry.counter(
-                "repro_invalidation_entries_retained_total",
-                "Result-cache entries proven unaffected and retained, "
-                "summed per event",
-            ).set_total(snapshot["invalidation_entries_retained"], **labels)
-        if "shed_reasons" in snapshot:
-            shed = registry.counter(
-                "repro_service_shed_total", "Queries shed by policy, by reason"
-            )
-            for reason, count in snapshot["shed_reasons"].items():
-                shed.set_total(count, reason=reason, **labels)
-        if "policy_degraded_results" in snapshot:
-            degraded = registry.counter(
-                "repro_service_policy_degraded_total",
-                "Queries answered under an admission-tightened budget",
-            )
-            degraded.set_total(snapshot["policy_degraded_results"], **labels)
-        if "tenants" in snapshot:
-            per_tenant = registry.counter(
-                "repro_service_tenant_queries_total",
-                "Queries by tenant and admission outcome",
-            )
-            for tenant, lane in snapshot["tenants"].items():
-                per_tenant.set_total(
-                    lane["served"], tenant=tenant, outcome="served", **labels
-                )
-                per_tenant.set_total(
-                    lane["rejected"], tenant=tenant, outcome="rejected", **labels
-                )
-        if "priorities" in snapshot:
-            per_class = registry.counter(
-                "repro_service_priority_queries_total",
-                "Queries by priority class and admission outcome",
-            )
-            for priority, lane in snapshot["priorities"].items():
-                per_class.set_total(
-                    lane["served"], priority=priority, outcome="served", **labels
-                )
-                per_class.set_total(
-                    lane["rejected"], priority=priority, outcome="rejected", **labels
-                )
-        if "plan_drift" in snapshot:
-            drift_queries = registry.counter(
-                "repro_plan_drift_queries_total",
-                "Executed queries with a drift-comparable plan estimate, "
-                "by algorithm",
-            )
-            drift_estimated = registry.counter(
-                "repro_plan_drift_estimated_units_total",
-                "Planner-estimated work units across drift-tracked queries",
-            )
-            drift_actual = registry.counter(
-                "repro_plan_drift_actual_units_total",
-                "Measured work units across drift-tracked queries",
-            )
-            for algorithm, lane in snapshot["plan_drift"].items():
-                drift_queries.set_total(
-                    lane["queries"], algorithm=algorithm, **labels
-                )
-                drift_estimated.set_total(
-                    lane["estimated_units"], algorithm=algorithm, **labels
-                )
-                drift_actual.set_total(
-                    lane["actual_units"], algorithm=algorithm, **labels
-                )
-
-    registry.register_collector(collect)
-
-    def collect_both() -> None:
-        collect()
-        totals()
-
-    return collect_both
 
 
 def bind_tracer(
@@ -364,7 +174,9 @@ def bind_result_cache(
     Counters follow the service namespace (the cache is a serving-layer
     structure, not a per-database one): only *eligible* lookups count —
     budgeted queries bypass the cache entirely and appear in neither hits
-    nor misses.
+    nor misses.  The ``repro_invalidation_*`` series (scope of the
+    scoped invalidation, by mutation kind) appear once the first mutation
+    event reached the cache.
     """
     if registry is None:
         registry = get_registry()
@@ -383,6 +195,18 @@ def bind_result_cache(
     entries = registry.gauge(
         "repro_service_result_cache_entries", "Results currently cached"
     )
+    events = registry.counter(
+        "repro_invalidation_events_total",
+        "Result-cache invalidation events, by mutation kind",
+    )
+    dropped = registry.counter(
+        "repro_invalidation_entries_dropped_total",
+        "Result-cache entries dropped by scoped invalidation",
+    )
+    retained = registry.counter(
+        "repro_invalidation_entries_retained_total",
+        "Result-cache entries proven unaffected and retained, summed per event",
+    )
 
     def collect() -> None:
         stats = cache.stats
@@ -390,6 +214,12 @@ def bind_result_cache(
         misses.set_total(stats.misses, **labels)
         evictions.set_total(stats.evictions, **labels)
         entries.set(len(cache), **labels)
+        kinds = dict(cache.invalidation_kinds)
+        for kind, count in sorted(kinds.items()):
+            events.set_total(count, kind=kind, **labels)
+        if kinds:
+            dropped.set_total(cache.invalidation_entries_dropped, **labels)
+            retained.set_total(cache.invalidation_entries_retained, **labels)
 
     registry.register_collector(collect)
     return collect

@@ -21,6 +21,10 @@ the caches (a forked worker's increments die with it; the parent
 re-aggregates worker results through the service layer).  Components take
 an optional explicit registry so tests can isolate themselves.
 
+A family nothing has written to yet exports nothing — no ``# HELP`` /
+``# TYPE`` header and no snapshot key — so components can resolve every
+instrument up front and a series appears with its first fact.
+
 Collectors bridge pull-style sources: a callable registered with
 :meth:`MetricsRegistry.register_collector` runs before every export and
 publishes current values from live stats objects (the adapter layer in
@@ -347,20 +351,24 @@ class MetricsRegistry:
         lines: list[str] = []
         for name in sorted(self._instruments):
             instrument = self._instruments[name]
+            samples = list(instrument.samples())
+            if not samples:
+                continue
             if instrument.help:
                 lines.append(f"# HELP {name} {_escape(instrument.help)}")
             lines.append(f"# TYPE {name} {instrument.kind}")
-            for sample_name, value in instrument.samples():
+            for sample_name, value in samples:
                 lines.append(f"{sample_name} {_format_value(value)}")
         return "\n".join(lines) + "\n"
 
     def snapshot(self) -> dict:
         """A JSON-ready ``{metric name: value}`` view of the registry."""
         self.collect()
-        return {
+        snapshot = {
             name: instrument.snapshot_value()
             for name, instrument in sorted(self._instruments.items())
         }
+        return {name: value for name, value in snapshot.items() if value != {}}
 
     def __contains__(self, name: str) -> bool:
         return name in self._instruments

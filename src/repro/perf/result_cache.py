@@ -191,7 +191,7 @@ class ResultCache:
         "_ranked_by",
         "_scoped",
         "_lock",
-        "invalidation_events",
+        "invalidation_kinds",
         "invalidation_entries_dropped",
         "invalidation_entries_retained",
         "__weakref__",
@@ -207,7 +207,9 @@ class ResultCache:
         # Re-entrant: put -> LRU eviction -> _on_evict -> _unlink re-enters
         # while the outer put still holds the lock.
         self._lock = threading.RLock()
-        self.invalidation_events = 0
+        #: Mutation events seen, by kind (``add``/``remove``), and the
+        #: entries they dropped and provably kept, summed per event.
+        self.invalidation_kinds: dict[str, int] = {}
         self.invalidation_entries_dropped = 0
         self.invalidation_entries_retained = 0
         _LIVE_RESULT_CACHES.add(self)
@@ -233,6 +235,11 @@ class ResultCache:
         """Hit/miss/eviction counters (only eligible lookups are counted —
         budgeted queries bypass the cache and leave no trace here)."""
         return self._entries.stats
+
+    @property
+    def invalidation_events(self) -> int:
+        """Mutation events seen, all kinds."""
+        return sum(self.invalidation_kinds.values())
 
     # ------------------------------------------------------------- caching
     @staticmethod
@@ -334,7 +341,8 @@ class ResultCache:
         if self._scoped and event.kind == "add" and database is not None:
             reach = _Reach.of(event, database)
         with self._lock:
-            self.invalidation_events += 1
+            kinds = self.invalidation_kinds
+            kinds[event.kind] = kinds.get(event.kind, 0) + 1
             size_before = len(self._entries)
             if not self._scoped:
                 self.clear()

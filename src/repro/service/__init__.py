@@ -1,4 +1,4 @@
-"""The serving layer: query front-end, admission control, service stats."""
+"""The serving layer: query front-end and admission control."""
 
 from repro.service.admission import AdmissionController
 from repro.service.policy import (
@@ -9,7 +9,6 @@ from repro.service.policy import (
     AdmissionPolicy,
 )
 from repro.service.service import QueryService
-from repro.service.stats import LatencyReservoir, ServiceStats
 
 __all__ = [
     "AdmissionController",
@@ -17,8 +16,6 @@ __all__ = [
     "AdmissionPolicy",
     "DEFAULT_PRIORITY_THRESHOLDS",
     "DEFAULT_TENANT",
-    "LatencyReservoir",
     "PRIORITY_CLASSES",
     "QueryService",
-    "ServiceStats",
 ]

@@ -17,8 +17,9 @@ carry:
 - **failure isolation** — a query that raises a library error comes back
   as an error-marked result, never as an exception that takes the batch
   down;
-- **observability** — aggregated :class:`~repro.service.stats.ServiceStats`
-  (outcome counters, cache hit rates, p50/p95 latency) and per-query
+- **observability** — one :class:`~repro.obs.metrics.MetricsRegistry`
+  that every answered query is written into once (outcome, latency
+  histogram, executor path, work counters, plan drift) and per-query
   :meth:`explain` plans without execution;
 - **result caching** — an optional bounded
   :class:`~repro.perf.result_cache.ResultCache` mapping a canonical query
@@ -62,7 +63,6 @@ from repro.index.database import TrajectoryDatabase
 from repro.obs.adapters import (
     bind_admission,
     bind_result_cache,
-    bind_service_stats,
     bind_slowlog,
     bind_tracer,
 )
@@ -80,9 +80,57 @@ from repro.perf.result_cache import ResultCache, query_fingerprint
 from repro.resilience.budget import SearchBudget
 from repro.service.admission import AdmissionController
 from repro.service.policy import AdmissionDecision, AdmissionPolicy
-from repro.service.stats import ServiceStats
 
 __all__ = ["QueryService"]
+
+#: The four ``repro_service_queries_total`` outcomes; every series exists
+#: (at 0) from construction so a scrape can index any of them.
+_OUTCOMES = ("exact", "degraded", "failed", "rejected")
+
+#: ``SearchStats`` work fields as exported ``(field, series, help, labels)``,
+#: in groups written together: an executed query writes a group when it
+#: moved any field of it.  So an engine that never consults a cross-query
+#: cache or plans a shard writes no series for them, and one that does
+#: writes the group's zeros too (a sharded query that pruned nothing adds
+#: 0 to ``repro_shard_pruned_total``).
+_WORK_SERIES = (
+    (("visited_trajectories", "repro_search_visited_trajectories_total",
+      "Trajectories visited across served queries", {}),),
+    (("expanded_vertices", "repro_search_expanded_vertices_total",
+      "Dijkstra/expansion vertices settled", {}),),
+    (("similarity_evaluations", "repro_search_similarity_evaluations_total",
+      "Exact similarity evaluations", {}),),
+    (("pruned_trajectories", "repro_search_pruned_trajectories_total",
+      "Candidates eliminated by bounds", {}),),
+    (("text_candidates", "repro_search_text_candidates_total",
+      "Candidates surviving the text filter", {}),),
+    (("refinements", "repro_search_refinements_total",
+      "Point-to-set refinement computations", {}),),
+    (("retries", "repro_search_retries_total",
+      "Worker-crash re-runs plus storage retries absorbed inside searches", {}),),
+    (("expand_batches", "repro_search_expand_batches_total",
+      "Batched expansion rounds", {}),),
+    (("alt_pruned", "repro_search_alt_pruned_total",
+      "Frontier caps tightened by ALT lower bounds", {}),),
+    (("elapsed_seconds", "repro_search_elapsed_seconds_total",
+      "Wall time spent inside searches", {}),),
+    (("distance_cache_hits", "repro_search_cache_hits_total",
+      "Per-query cache hits, by cache", {"cache": "distance"}),
+     ("distance_cache_misses", "repro_search_cache_misses_total",
+      "Per-query cache misses, by cache", {"cache": "distance"})),
+    (("text_cache_hits", "repro_search_cache_hits_total",
+      "Per-query cache hits, by cache", {"cache": "text"}),
+     ("text_cache_misses", "repro_search_cache_misses_total",
+      "Per-query cache misses, by cache", {"cache": "text"})),
+    (("shards_planned", "repro_shard_planned_total",
+      "Shards considered by sharded plans", {}),
+     ("shards_executed", "repro_shard_executed_total",
+      "Shards actually searched", {}),
+     ("shards_pruned", "repro_shard_pruned_total",
+      "Shards skipped by the bound-based filter", {}),
+     ("shard_seconds", "repro_shard_seconds_total",
+      "Summed per-shard search time", {})),
+)
 
 
 class QueryService:
@@ -108,12 +156,14 @@ class QueryService:
         ``query`` span with plan/execute/stage children (read them back
         via :attr:`tracer`).
     metrics:
-        ``None``/``False`` (default, no registry binding), ``True`` for
-        the process-wide default registry, or an explicit
-        :class:`~repro.obs.metrics.MetricsRegistry`.  When set, the
-        service's stats and the database's cross-query caches are bound
-        as collectors, and per-query latency/executor-path instruments
-        are recorded live.
+        ``None``/``False`` (default: a private
+        :class:`~repro.obs.metrics.MetricsRegistry`), ``True`` for the
+        process-wide default registry, or an explicit registry.  The
+        registry is the service's only record (read it back via
+        :attr:`metrics`): every answered query writes its outcome,
+        latency, executor path, work counters and plan drift into it
+        once, and the admission controller, result cache, tracer and
+        slow-query journal are bound to it as collectors.
     result_cache:
         ``None``/``False``/``0`` (default, no result caching), an entry
         bound as an ``int``, ``True`` for the default bound, or a
@@ -165,7 +215,6 @@ class QueryService:
             # An int is shorthand for AdmissionPolicy(max_inflight=n).
             admission = AdmissionController(AdmissionPolicy(max_inflight=admission))
         self._admission = admission
-        self._stats = ServiceStats()
         # The fingerprint pins the *resolved* serving configuration, so
         # services sharing one result cache can never alias across tunings
         # (and slowlog entries identify the exact query + tuning served).
@@ -195,46 +244,10 @@ class QueryService:
         self._tracer: Tracer | None = trace
         if metrics is True:
             metrics = get_registry()
-        elif metrics is False:
-            # Not `metrics or None`: an empty registry has len() == 0 and
-            # would be discarded by truthiness.
-            metrics = None
-        self._metrics: MetricsRegistry | None = metrics
-        if self._metrics is not None:
-            bind_service_stats(self._stats, self._metrics)
-            bind_admission(self._admission, self._metrics)
-            if self._result_cache is not None:
-                bind_result_cache(self._result_cache, self._metrics)
-            if self._tracer is not None:
-                bind_tracer(self._tracer, self._metrics)
-            if self._slowlog is not None:
-                bind_slowlog(self._slowlog, self._metrics)
-            # Sub-millisecond buckets: result-cache hits and pruned-out
-            # queries finish far below DEFAULT_BUCKETS' lowest bound.
-            self._latency = self._metrics.histogram(
-                "repro_service_latency_seconds",
-                "Per-query service latency",
-                buckets=LATENCY_BUCKETS,
-            )
-            self._drift = self._metrics.histogram(
-                "repro_plan_drift_ratio",
-                "Measured work / planner-estimated cost, by algorithm",
-                buckets=DRIFT_BUCKETS,
-            )
-            self._executor_paths = self._metrics.counter(
-                "repro_executor_queries_total",
-                "Queries answered, by executor path",
-            )
-            self._executor_retries = self._metrics.counter(
-                "repro_executor_retries_total",
-                "Query re-submissions after worker crashes plus absorbed "
-                "storage retries",
-            )
-        else:
-            self._latency = None
-            self._drift = None
-            self._executor_paths = None
-            self._executor_retries = None
+        elif not isinstance(metrics, MetricsRegistry):
+            metrics = MetricsRegistry()
+        self._metrics = metrics
+        self._bind(metrics)
         # Last: the workers fork with everything above already in place.
         self._pool: SearchWorkerPool | None = (
             self._open_pool(pool, self._metrics) if pool else None
@@ -247,6 +260,67 @@ class QueryService:
         parent_only = (self._on_mutation,) if self._result_cache is not None else ()
         return SearchWorkerPool(
             self._searcher, self._database, workers, metrics, parent_only
+        )
+
+    def _bind(self, metrics: MetricsRegistry) -> None:
+        """Resolve the instruments :meth:`_record` and :meth:`_admit` write
+        and bind the service's pull-style sources as collectors."""
+        bind_admission(self._admission, metrics)
+        if self._result_cache is not None:
+            bind_result_cache(self._result_cache, metrics)
+        if self._tracer is not None:
+            bind_tracer(self._tracer, metrics)
+        if self._slowlog is not None:
+            bind_slowlog(self._slowlog, metrics)
+        self._outcomes = metrics.counter(
+            "repro_service_queries_total", "Queries by outcome (served + rejected)"
+        )
+        for outcome in _OUTCOMES:
+            self._outcomes.inc(0, outcome=outcome)
+        # Sub-millisecond buckets: result-cache hits and pruned-out
+        # queries finish far below DEFAULT_BUCKETS' lowest bound.
+        self._latency = metrics.histogram(
+            "repro_service_latency_seconds",
+            "Per-query service latency, every outcome",
+            buckets=LATENCY_BUCKETS,
+        )
+        self._executor_paths = metrics.counter(
+            "repro_executor_queries_total", "Executed queries, by executor path"
+        )
+        self._work = [
+            [
+                (field, metrics.counter(name, help), labels)
+                for field, name, help, labels in group
+            ]
+            for group in _WORK_SERIES
+        ]
+        self._drift = metrics.histogram(
+            "repro_plan_drift_ratio",
+            "Measured work / planner-estimated cost, by algorithm",
+            buckets=DRIFT_BUCKETS,
+        )
+        self._drift_estimated = metrics.counter(
+            "repro_plan_drift_estimated_units_total",
+            "Planner-estimated work units across drift-tracked queries",
+        )
+        self._drift_actual = metrics.counter(
+            "repro_plan_drift_actual_units_total",
+            "Measured work units across drift-tracked queries",
+        )
+        self._shed = metrics.counter(
+            "repro_service_shed_total", "Queries shed by policy, by reason"
+        )
+        self._policy_degraded = metrics.counter(
+            "repro_service_policy_degraded_total",
+            "Queries answered inexactly under an admission-tightened budget",
+        )
+        self._tenant_queries = metrics.counter(
+            "repro_service_tenant_queries_total",
+            "Queries by tenant and admission outcome",
+        )
+        self._priority_queries = metrics.counter(
+            "repro_service_priority_queries_total",
+            "Queries by priority class and admission outcome",
         )
 
     def close(self) -> None:
@@ -277,18 +351,13 @@ class QueryService:
         return self._admission
 
     @property
-    def stats(self) -> ServiceStats:
-        """Aggregated service-level statistics."""
-        return self._stats
-
-    @property
     def tracer(self) -> Tracer | None:
         """The tracer queries run under (``None`` when tracing is off)."""
         return self._tracer
 
     @property
-    def metrics(self) -> MetricsRegistry | None:
-        """The bound metrics registry (``None`` when metrics are off)."""
+    def metrics(self) -> MetricsRegistry:
+        """The registry every answered query is recorded in."""
         return self._metrics
 
     @property
@@ -327,13 +396,16 @@ class QueryService:
         measured work has actually compared to estimates like this one.
         """
         text = self.plan(query).describe()
-        summary = self._stats.drift_summary(self._algorithm)
-        if summary is not None:
+        lane = {"algorithm": self._algorithm}
+        queries = self._drift.count(**lane)
+        if queries:
+            mean = self._drift.sum(**lane) / queries
+            pooled = self._drift_actual.value(**lane) / self._drift_estimated.value(
+                **lane
+            )
             text += (
-                f"\nobserved drift: actual/estimated "
-                f"x{summary['mean_ratio']:.2f} mean "
-                f"({summary['min_ratio']:.2f}..{summary['max_ratio']:.2f}) "
-                f"over {summary['queries']} queries"
+                f"\nobserved drift: actual/estimated x{mean:.2f} mean, "
+                f"x{pooled:.2f} in total, over {queries} queries"
             )
         return text
 
@@ -355,32 +427,38 @@ class QueryService:
         query: UOTSQuery | None = None,
         tenant: str | None = None,
         priority: str | None = None,
-        policy_degraded: bool = False,
     ) -> None:
         """THE recording path: every answered query — ``search``,
-        ``submit``, ``execute_many``, result-cache hits — folds into the
-        service stats (and live metrics) through here, so outcome
-        counters, the latency reservoir, drift accounting, and the
+        ``submit``, ``execute_many``, result-cache hits — is written into
+        the registry here, one write per fact, so outcome counters, the
+        latency histogram, work counters, drift accounting and the
         slow-query journal can never diverge between in-process and
-        pooled execution.
+        pooled execution.  A result-cache hit ran nowhere and did no work
+        (its work counters are zero): it writes its outcome and latency,
+        and the result cache's own hit counter is its only other record.
         """
-        self._stats.record(
-            result,
-            elapsed_seconds,
-            tenant=tenant,
-            priority=priority,
-            policy_degraded=policy_degraded,
-        )
-        drift = self._record_drift(result)
-        if self._metrics is not None:
-            self._latency.observe(elapsed_seconds)
-            if result.stats.cache == "result":
-                path = "result-cache"
-            else:
-                path = result.stats.executor or "in-process"
-            self._executor_paths.inc(path=path)
-            if result.stats.retries:
-                self._executor_retries.inc(result.stats.retries)
+        stats = result.stats
+        if result.error is not None:
+            outcome = "failed"
+        elif result.exact:
+            outcome = "exact"
+        else:
+            outcome = "degraded"
+        self._outcomes.inc(outcome=outcome)
+        self._latency.observe(elapsed_seconds)
+        if tenant is not None:
+            self._tenant_queries.inc(tenant=tenant, outcome="served")
+        if priority is not None:
+            self._priority_queries.inc(priority=priority, outcome="served")
+        drift = None
+        if stats.cache != "result":
+            self._executor_paths.inc(path=stats.executor or "in-process")
+            for group in self._work:
+                values = [getattr(stats, field) for field, _, _ in group]
+                if any(values):
+                    for (_, counter, labels), value in zip(group, values):
+                        counter.inc(value, **labels)
+            drift = self._record_drift(result)
         if (
             self._slowlog is not None
             and query is not None
@@ -389,21 +467,17 @@ class QueryService:
             self._journal(query, result, elapsed_seconds, drift)
 
     def _record_drift(self, result: SearchResult) -> float | None:
-        """Fold one executed query's plan-vs-actual comparison; returns the
+        """Write one executed query's plan-vs-actual comparison; returns the
         drift ratio, or ``None`` when the query carries no comparable
-        estimate (result-cache hits, failures, plan-less search paths)."""
+        estimate (failures, plan-less search paths)."""
         stats = result.stats
-        if (
-            result.error is not None
-            or stats.cache == "result"
-            or stats.estimated_cost <= 0.0
-        ):
+        if result.error is not None or stats.estimated_cost <= 0.0:
             return None
         actual = float(stats.expanded_vertices + stats.similarity_evaluations)
-        self._stats.record_drift(self._algorithm, stats.estimated_cost, actual)
         ratio = actual / stats.estimated_cost
-        if self._drift is not None:
-            self._drift.observe(ratio, algorithm=self._algorithm)
+        self._drift.observe(ratio, algorithm=self._algorithm)
+        self._drift_estimated.inc(stats.estimated_cost, algorithm=self._algorithm)
+        self._drift_actual.inc(actual, algorithm=self._algorithm)
         return ratio
 
     def _journal(
@@ -447,14 +521,12 @@ class QueryService:
         """Database mutation listener: scoped result-cache invalidation.
 
         Routes the typed event into the result cache with the database
-        (its graph and sigma feed the add-survival bound), folds the scope
-        into the service stats, and — when tracing — records an
-        ``invalidation`` span carrying kind / trajectory id / dropped /
-        retained so ingest churn is visible next to the queries it
-        interleaves with.
+        (its graph and sigma feed the add-survival bound; the cache counts
+        the scope) and — when tracing — records an ``invalidation`` span
+        carrying kind / trajectory id / dropped / retained so ingest churn
+        is visible next to the queries it interleaves with.
         """
         dropped, retained = self._result_cache.on_event(event, self._database)
-        self._stats.record_invalidation(event.kind, dropped, retained)
         with self._traced(
             "invalidation",
             kind=event.kind,
@@ -520,10 +592,11 @@ class QueryService:
         """Stage 2: the admission decision, planned first when the policy
         wants a cost opinion.
 
-        Returns ``(decision, rejected)``.  A refusal is recorded here and
-        ``rejected`` is its error-marked result, wall time stamped like
-        every other outcome.  An admitted decision MUST be followed by
-        exactly one :meth:`_execute_admitted`, which releases its slot.
+        Returns ``(decision, rejected)``.  A refusal is recorded here
+        (outcome, latency, shed reason, lanes) and ``rejected`` is its
+        error-marked result, wall time stamped like every other outcome.
+        An admitted decision MUST be followed by exactly one
+        :meth:`_execute_admitted`, which releases its slot.
         """
         cost = None
         if self._admission.needs_plan:
@@ -536,7 +609,6 @@ class QueryService:
         decision = self._admission.admit(tenant=tenant, priority=priority, cost=cost)
         if decision.admitted:
             return decision, None
-        self._stats.record_rejection(decision.reason, tenant, priority)
         with self._traced(
             "query", algorithm=self._algorithm, k=query.k,
             admission="shed", shed_reason=decision.reason,
@@ -550,6 +622,13 @@ class QueryService:
             error=f"AdmissionError: {decision.detail}",
         )
         rejected.stats.elapsed_seconds = time.perf_counter() - started
+        self._outcomes.inc(outcome="rejected")
+        self._latency.observe(rejected.stats.elapsed_seconds)
+        self._shed.inc(reason=decision.reason)
+        if tenant is not None:
+            self._tenant_queries.inc(tenant=tenant, outcome="rejected")
+        if priority is not None:
+            self._priority_queries.inc(priority=priority, outcome="rejected")
         return decision, rejected
 
     def _execute_admitted(
@@ -608,6 +687,7 @@ class QueryService:
                 and not result.exact
             )
             if policy_degraded:
+                self._policy_degraded.inc()
                 note = f"admission degrade: {decision.detail}"
                 result.degradation_reason = (
                     f"{result.degradation_reason}; {note}"
@@ -622,7 +702,6 @@ class QueryService:
                 query=query,
                 tenant=tenant,
                 priority=priority,
-                policy_degraded=policy_degraded,
             )
             return result
         finally:
@@ -665,7 +744,7 @@ class QueryService:
         where a strict budget or an invalid query should raise rather than
         come back as an error-marked result.  It runs the probe and execute
         stages in process; successful answers are recorded in the service
-        stats.  ``tenant``/``priority`` label the stats lanes and trace
+        registry.  ``tenant``/``priority`` label the lane counters and trace
         span; this path does not pass the admission gate (it never
         rejects), so no quota or shed policy applies.
         """
@@ -694,7 +773,7 @@ class QueryService:
         (or is turned away from) an in-flight slot.
 
         ``tenant`` and ``priority`` identify the caller to the admission
-        policy (quotas, class-based shedding) and label the stats lanes
+        policy (quotas, class-based shedding) and label the lane counters
         and trace span.  An unknown ``priority`` raises
         :class:`~repro.errors.QueryError` — like invalid ``workers``, it
         is an argument error, not a query outcome.  Under a cost policy
@@ -702,7 +781,7 @@ class QueryService:
         come back *degraded*: the service attaches the policy's tightened
         budget (a caller-supplied ``budget`` always wins) and the answer
         is anytime (``exact=False`` with a usable ``confirmed_prefix()``),
-        counted under ``policy_degraded_results``.
+        counted under ``repro_service_policy_degraded_total``.
         """
         return self._submit(query, budget, None, tenant, priority)
 

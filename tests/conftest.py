@@ -6,6 +6,8 @@ shared fixtures (tests that need mutation build their own objects).
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.index.database import TrajectoryDatabase
@@ -14,6 +16,30 @@ from repro.network.generators import grid_network
 from repro.text.assignment import annotate_trajectories, assign_vertex_keywords
 from repro.text.vocabulary import Vocabulary
 from repro.trajectory.generator import generate_trips
+
+
+_SAMPLE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(.*)\})? (\S+)$")
+_LABEL = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+
+
+def series(source, name: str, **labels) -> float:
+    """What a service's registry (or a registry) exports for ``name``.
+
+    The sum over every exported sample of that name whose labels include
+    ``labels``, so ``series(service, "repro_service_queries_total")`` is
+    every outcome and ``..., outcome="exact")`` one of them; 0.0 when no
+    such sample exists.
+    """
+    registry = getattr(source, "metrics", source)
+    want = {key: str(value) for key, value in labels.items()}
+    total = 0.0
+    for line in registry.render_prometheus().splitlines():
+        match = _SAMPLE.match(line)
+        if match is None or match.group(1) != name:
+            continue
+        if want.items() <= dict(_LABEL.findall(match.group(2) or "")).items():
+            total += float(match.group(3))
+    return total
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
 """Unit tests for result types and the top-k collector."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.results import ScoredTrajectory, SearchResult, SearchStats, TopK
@@ -61,6 +63,20 @@ class TestTopK:
         assert len(topk) == 1
 
 
+#: The public field list of SearchStats (order included): the wire schema,
+#: the service's work series and ``benchmarks/e2e/tracing.py`` read them
+#: by name.
+SEARCH_STATS_FIELDS = (
+    "visited_trajectories", "expanded_vertices", "similarity_evaluations",
+    "pruned_trajectories", "text_candidates", "elapsed_seconds", "refinements",
+    "retries", "degraded_queries", "failed_queries", "executor",
+    "expand_batches", "alt_pruned", "distance_cache_hits",
+    "distance_cache_misses", "text_cache_hits", "text_cache_misses", "cache",
+    "shards_planned", "shards_executed", "shards_pruned", "shard_seconds",
+    "shard_critical_seconds", "estimated_cost",
+)
+
+
 class TestSearchStats:
     def test_merge_accumulates(self):
         a = SearchStats(visited_trajectories=3, expanded_vertices=10,
@@ -72,6 +88,23 @@ class TestSearchStats:
         assert a.expanded_vertices == 15
         assert a.pruned_trajectories == 7
         assert a.elapsed_seconds == pytest.approx(0.75)
+
+    def test_merge_keeps_retries_and_first_executor(self):
+        a = SearchStats(expanded_vertices=3, retries=1)
+        b = SearchStats(expanded_vertices=4, executor="fork")
+        a.merge(b)
+        assert a.expanded_vertices == 7
+        assert a.retries == 1
+        assert a.executor == "fork"  # the first non-empty label wins
+
+    def test_field_list_is_locked(self):
+        fields = tuple(f.name for f in dataclasses.fields(SearchStats))
+        assert fields == SEARCH_STATS_FIELDS
+
+    def test_fields_default_to_zeroes(self):
+        stats = SearchStats()
+        for field in SEARCH_STATS_FIELDS:
+            assert getattr(stats, field) == ("" if field in ("executor", "cache") else 0)
 
 
 class TestSearchResult:

@@ -17,6 +17,7 @@ from repro.resilience.budget import SearchBudget
 from repro.service.admission import AdmissionController
 from repro.service.policy import AdmissionPolicy
 from repro.service.service import QueryService
+from tests.conftest import series
 
 
 def _query(seed: int = 0, k: int = 3) -> UOTSQuery:
@@ -65,7 +66,7 @@ def test_result_cache_hit_served_on_loop(gateway_database):
     assert first.stats.cache == ""
     assert second.stats.cache == "result"
     assert second.ids == first.ids
-    assert service.stats.result_cache_hits == 1
+    assert service.result_cache.stats.hits == 1
 
 
 def test_rejection_comes_back_as_error_result_not_exception(gateway_database):
@@ -85,7 +86,7 @@ def test_rejection_comes_back_as_error_result_not_exception(gateway_database):
 
     result = _run(go())
     assert result.error is not None and "AdmissionError" in result.error
-    assert service.stats.rejected_queries == 1
+    assert series(service, "repro_service_queries_total", outcome="rejected") == 1
     assert controller.inflight == 0
 
 
@@ -110,7 +111,7 @@ def test_saturated_bridge_raises_before_touching_admission(gateway_database):
             await gateway.close()
 
     _run(go())
-    assert service.stats.queries_served == 0
+    assert series(service, "repro_service_queries_total") == 0
     assert service.admission.inflight == 0
 
 
@@ -140,9 +141,9 @@ def test_cached_answer_served_while_bridge_saturated(gateway_database):
     warm, hit = _run(go())
     assert hit.stats.cache == "result"
     assert hit.ids == warm.ids
-    assert service.stats.result_cache_hits == 1
+    assert service.result_cache.stats.hits == 1
     assert service.result_cache.stats.misses == 2  # the warm-up and the 503
-    assert service.stats.rejected_queries == 0
+    assert series(service, "repro_service_queries_total", outcome="rejected") == 0
 
 
 def test_bridge_queue_wait_counts_against_deadline_and_latency(gateway_database):
@@ -173,8 +174,8 @@ def test_bridge_queue_wait_counts_against_deadline_and_latency(gateway_database)
     assert not result.exact
     assert "deadline" in result.degradation_reason
     assert "reached" in result.degradation_reason
-    assert service.stats.queries_served == 1
-    assert service.stats.p50_ms >= queued_seconds * 1000
+    assert series(service, "repro_service_queries_total") == 1
+    assert series(service, "repro_service_latency_seconds_sum") >= queued_seconds
 
 
 def test_cancelled_awaiter_leaks_no_admission_slot(gateway_database):
@@ -212,7 +213,7 @@ def test_cancelled_awaiter_leaks_no_admission_slot(gateway_database):
     assert controller.inflight == 0, "cancellation leaked an admission slot"
     assert gateway.pending == 0
     # The abandoned query still ran to completion and was recorded.
-    assert service.stats.queries_served == 1
+    assert series(service, "repro_service_queries_total") == 1
 
 
 def test_submit_many_bridges_execute_many(gateway_database):
@@ -250,7 +251,7 @@ def test_concurrent_submissions_all_complete_and_agree(gateway_database):
     reference = QueryService(gateway_database, "collaborative")
     for query, result in zip(queries, results):
         assert result.ids == reference.submit(query).ids
-    assert service.stats.queries_served == 16
+    assert series(service, "repro_service_queries_total") == 16
     assert service.admission.inflight == 0
     assert gateway.pending == 0
 

@@ -42,7 +42,7 @@ def stack(gateway_database):
         gateway_database, "collaborative", metrics=registry, result_cache=16
     )
     gateway = AsyncQueryService(service, max_workers=2)
-    client = ASGITestClient(create_app(gateway, registry=registry))
+    client = ASGITestClient(create_app(gateway))
     yield service, gateway, client
     asyncio.run(gateway.close())
 
@@ -338,7 +338,7 @@ def _pooled_stack(database, algorithm):
         database, algorithm, metrics=registry, result_cache=16, pool=2
     )
     gateway = AsyncQueryService(service, max_workers=4)
-    return service, gateway, ASGITestClient(create_app(gateway, registry=registry))
+    return service, gateway, ASGITestClient(create_app(gateway))
 
 
 def test_readyz_reports_pool_workers_and_zero_is_not_down(stack, gateway_database):

@@ -1,78 +1,50 @@
-"""Adapters: the existing stats classes publish into the registry."""
+"""Adapters: stats objects publish into the registry."""
 
 import pytest
 
-from repro.core.results import SearchResult, SearchStats
-from repro.obs.adapters import (
-    _SEARCH_FIELDS,
-    bind_buffer_stats,
-    bind_fault_injector,
-    bind_search_stats,
-    bind_service_stats,
-)
-from repro.obs.metrics import MetricsRegistry
+from repro.core.query import UOTSQuery
+from repro.core.results import SearchStats
+from repro.obs.adapters import bind_buffer_stats, bind_fault_injector
+from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.resilience.faults import FaultInjector, FaultPolicy
-from repro.service.stats import ServiceStats
+from repro.service import QueryService
+from repro.service.service import _WORK_SERIES
 from repro.storage.buffer import BufferStats
+from tests.conftest import series
+
+QUERIES = [
+    UOTSQuery.create([5, 210], "park", k=3),
+    UOTSQuery.create([0, 399], "seafood", lam=0.3, k=3),
+]
 
 
 class TestSearchStatsAdapter:
+    """The service's table from ``SearchStats`` fields to work series."""
+
     def test_every_declared_field_exists_on_search_stats(self):
         stats = SearchStats()
-        for field in _SEARCH_FIELDS:
-            assert hasattr(stats, field), field
+        for group in _WORK_SERIES:
+            for field, name, _, _ in group:
+                assert hasattr(stats, field), field
+                assert name.endswith("_total"), name
 
-    def test_totals_mirrored_live(self):
-        registry = MetricsRegistry()
-        stats = SearchStats()
-        bind_search_stats(stats, registry)
-        stats.expanded_vertices = 42
-        stats.distance_cache_hits = 7
-        stats.elapsed_seconds = 0.5
-        registry.collect()
-        counter = registry.counter("repro_search_expanded_vertices_total")
-        assert counter.value() == 42
-        hits = registry.counter("repro_search_cache_hits_total")
-        assert hits.value(cache="distance") == 7
-        elapsed = registry.counter("repro_search_elapsed_seconds_total")
-        assert elapsed.value() == 0.5
-        # Monotone accumulation keeps collecting cleanly.
-        stats.expanded_vertices = 50
-        registry.collect()
-        assert counter.value() == 50
+    def test_totals_mirrored_live(self, database):
+        service = QueryService(database, "collaborative")
+        expanded = 0
+        for query in QUERIES:
+            expanded += service.submit(query).stats.expanded_vertices
+            # Written as each answer is recorded: no collector, no lag.
+            assert series(service, "repro_search_expanded_vertices_total") == expanded
+        assert expanded > 0
 
-    def test_defaults_to_process_registry(self):
-        from repro.obs.metrics import get_registry, set_registry
-
+    def test_defaults_to_process_registry(self, database):
         mine = MetricsRegistry()
         previous = set_registry(mine)
         try:
-            bind_search_stats(SearchStats())
-            assert "repro_search_expanded_vertices_total" in mine
+            QueryService(database, "collaborative", metrics=True).submit(QUERIES[0])
+            assert series(mine, "repro_search_expanded_vertices_total") > 0
         finally:
             set_registry(previous)
-
-
-class TestServiceStatsAdapter:
-    def test_outcomes_and_percentiles(self):
-        registry = MetricsRegistry()
-        stats = ServiceStats()
-        bind_service_stats(stats, registry)
-        ok = SearchResult(items=[], exact=True)
-        degraded = SearchResult(items=[], exact=False, degradation_reason="budget")
-        stats.record(ok, 0.010)
-        stats.record(degraded, 0.020)
-        stats.record_rejection("inflight_cap")
-        registry.collect()
-        outcomes = registry.counter("repro_service_queries_total")
-        assert outcomes.value(outcome="exact") == 1
-        assert outcomes.value(outcome="degraded") == 1
-        assert outcomes.value(outcome="rejected") == 1
-        assert outcomes.value(outcome="failed") == 0
-        p50 = registry.gauge("repro_service_latency_p50_seconds")
-        assert 0.0 < p50.value() <= 0.020
-        # The search totals ride along under repro_search_*.
-        assert "repro_search_expanded_vertices_total" in registry
 
 
 class TestStorageAdapters:

@@ -1,9 +1,10 @@
-"""QueryService observability: tracing, metrics, unified stat recording.
+"""QueryService observability: tracing, metrics, unified recording.
 
 Covers the ISSUE 4 acceptance bar (per-stage times sum to within 10% of
-the query total) and the satellite fix: every execution path — ``search``,
-``submit``, both ``execute_many`` branches — must fold latency and outcome
-counters through one recording path.
+the query total), the satellite fix that every execution path —
+``search``, ``submit``, both ``execute_many`` branches — writes latency
+and outcome counters through one recording path, and that the registry
+exports each fact about a query once.
 """
 
 import pytest
@@ -12,7 +13,12 @@ from repro.core.query import UOTSQuery
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import Tracer
 from repro.parallel.executor import fork_available
-from repro.service import QueryService
+from repro.resilience.budget import SearchBudget
+from repro.service import AdmissionController, AdmissionPolicy, QueryService
+from repro.service.service import _WORK_SERIES
+from tests.conftest import series
+
+OUTCOMES = "repro_service_queries_total"
 
 
 @pytest.fixture()
@@ -94,12 +100,13 @@ class TestUnifiedRecording:
             via_submit.submit(q)
         via_batch = QueryService(database, "collaborative")
         via_batch.execute_many(queries, workers=1)
-        a, b = via_submit.stats.snapshot(), via_batch.stats.snapshot()
-        for key in ("queries_served", "exact_results", "degraded_results",
-                    "failed_queries", "rejected_queries"):
-            assert a[key] == b[key], key
-        assert a["p50_ms"] > 0.0
-        assert b["p50_ms"] > 0.0
+        for outcome in ("exact", "degraded", "failed", "rejected"):
+            assert series(via_submit, OUTCOMES, outcome=outcome) == series(
+                via_batch, OUTCOMES, outcome=outcome
+            ), outcome
+        for service in (via_submit, via_batch):
+            latency = service.metrics.histogram("repro_service_latency_seconds")
+            assert latency.count() == len(queries) and latency.sum() > 0.0
 
     def test_sequential_batch_labels_executor(self, database, queries):
         service = QueryService(database, "collaborative")
@@ -110,12 +117,12 @@ class TestUnifiedRecording:
     def test_fork_batch_records_latency_and_outcomes(self, database, queries):
         service = QueryService(database, "collaborative")
         results = service.execute_many(queries, workers=2)
-        stats = service.stats
-        assert stats.queries_served == len(queries)
-        assert stats.exact_results == len(queries)
+        assert series(service, OUTCOMES) == len(queries)
+        assert series(service, OUTCOMES, outcome="exact") == len(queries)
         # The regression: forked results must land in the latency
-        # reservoir too, not only in the outcome counters.
-        assert stats.p50_ms > 0.0
+        # histogram too, not only in the outcome counters.
+        assert series(service, "repro_service_latency_seconds_count") == len(queries)
+        assert series(service, "repro_service_latency_seconds_sum") > 0.0
         assert all(r.stats.executor for r in results)
 
     def test_failed_query_still_records_latency(self, database):
@@ -123,11 +130,10 @@ class TestUnifiedRecording:
         bad = UOTSQuery.create([999_999], "park", k=3)
         result = service.submit(bad)
         assert result.error is not None
-        snapshot = service.stats.snapshot()
-        assert snapshot["failed_queries"] == 1
+        assert series(service, OUTCOMES, outcome="failed") == 1
         # The regression: error results used to report 0 latency on some
         # paths; the unified path stamps real wall time.
-        assert snapshot["p50_ms"] > 0.0
+        assert series(service, "repro_service_latency_seconds_sum") > 0.0
 
 
 class TestMetricsIntegration:
@@ -151,9 +157,13 @@ class TestMetricsIntegration:
         assert service.metrics is get_registry()
 
     def test_metrics_off_by_default(self, database, query):
+        """Without ``metrics=`` a service records into a private registry,
+        never into the process-wide one."""
         service = QueryService(database, "collaborative")
-        assert service.metrics is None
-        service.submit(query)  # no instruments, no crash
+        assert isinstance(service.metrics, MetricsRegistry)
+        assert service.metrics is not get_registry()
+        service.submit(query)
+        assert series(service, OUTCOMES, outcome="exact") == 1
 
     def test_histogram_counts_match_served_queries(self, database, queries):
         registry = MetricsRegistry()
@@ -162,3 +172,56 @@ class TestMetricsIntegration:
         histogram = registry.histogram("repro_service_latency_seconds")
         assert histogram.count() == len(queries)
         assert histogram.sum() > 0.0
+
+    def test_every_fact_is_exported_once(self, database, query):
+        """Hits, misses, a shed, a budget-degraded answer and a failure on
+        ``scan``: each is written once, and no series restates another."""
+        controller = AdmissionController(AdmissionPolicy(max_inflight=2))
+        service = QueryService(
+            database, "scan", admission=controller, result_cache=16
+        )
+        first = UOTSQuery.create([0, 399], "seafood", lam=0.3, k=3)
+        second = UOTSQuery.create([37, 199], "museum walk", lam=0.7, k=4)
+        results = [service.submit(q) for q in (first, second, first, second, first)]
+        held = [controller.admit(), controller.admit()]
+        shed = service.submit(UOTSQuery.create([5, 210], "park", k=3))
+        for decision in held:
+            controller.release(decision)
+        degraded = service.submit(query, SearchBudget(max_expanded_vertices=1))
+        failed = service.submit(UOTSQuery.create([999_999], "park", k=3))
+        results += [degraded, failed]
+        assert shed.degradation_reason == "shed by admission policy (inflight_cap)"
+        assert not degraded.exact and degraded.error is None
+        assert failed.error is not None
+        hits = [r for r in results if r.stats.cache == "result"]
+        misses = [r for r in results if r.stats.cache != "result"]
+        assert (len(hits), len(misses)) == (3, 4)
+
+        outcomes = {
+            outcome: series(service, OUTCOMES, outcome=outcome)
+            for outcome in ("exact", "degraded", "failed", "rejected")
+        }
+        assert outcomes == {"exact": 5, "degraded": 1, "failed": 1, "rejected": 1}
+        latency = series(service, "repro_service_latency_seconds_count")
+        assert sum(outcomes.values()) == latency
+        assert series(service, "repro_executor_queries_total") == len(misses)
+        assert series(service, "repro_service_result_cache_hits_total") == len(hits)
+        assert series(service, "repro_service_shed_total", reason="inflight_cap") == 1
+        # Drift: every executed, error-free query carries a scan estimate.
+        assert series(service, "repro_plan_drift_ratio_count", algorithm="scan") == 3
+        # Work: each series is the sum over the executed queries only.
+        for group in _WORK_SERIES:
+            for field, name, _, labels in group:
+                assert series(service, name, **labels) == pytest.approx(
+                    sum(getattr(r.stats, field) for r in misses)
+                ), field
+        # The per-result degraded/failed marks are the outcome counter.
+        assert sum(r.stats.degraded_queries for r in results) == outcomes["degraded"]
+        assert sum(r.stats.failed_queries for r in results) == outcomes["failed"]
+        rendered = service.metrics.render_prometheus()
+        for restated in (
+            "latency_p50", "latency_p95", "plan_drift_queries", "executor_retries",
+            "repro_search_cache_", "repro_search_degraded_queries",
+            "repro_search_failed_queries", 'path="result-cache"',
+        ):
+            assert restated not in rendered, restated

@@ -16,6 +16,7 @@ from repro.obs.slowlog import SlowLogEntry, SlowQueryJournal
 from repro.obs.trace import Tracer
 from repro.perf.result_cache import query_fingerprint
 from repro.service import QueryService
+from tests.conftest import series
 
 QUERY = UOTSQuery.create([5, 210], "park lakeside", k=3)
 
@@ -140,18 +141,14 @@ class TestJournal:
 class TestServiceDiagnostics:
     def test_drift_lane_recorded_per_algorithm(self, database):
         service = QueryService(database, "collaborative")
-        service.submit(QUERY)
-        service.submit(QUERY)
-        snapshot = service.stats.snapshot()
-        lane = snapshot["plan_drift"]["collaborative"]
-        assert lane["queries"] == 2
-        assert lane["estimated_units"] > 0
-        assert lane["actual_units"] > 0
-        assert lane["min_ratio"] <= lane["mean_ratio"] <= lane["max_ratio"]
-        summary = service.stats.drift_summary("collaborative")
-        assert summary == lane
-        assert service.stats.drift_summary("no-such-algorithm") is None
-        assert "plan drift:" in service.stats.describe()
+        stats = [service.submit(QUERY).stats for _ in range(2)]
+        lane = {"algorithm": "collaborative"}
+        assert series(service, "repro_plan_drift_ratio_count", **lane) == 2
+        estimated = sum(s.estimated_cost for s in stats)
+        actual = sum(s.expanded_vertices + s.similarity_evaluations for s in stats)
+        assert series(service, "repro_plan_drift_estimated_units_total", **lane) == estimated
+        assert series(service, "repro_plan_drift_actual_units_total", **lane) == actual
+        assert series(service, "repro_plan_drift_ratio_count", algorithm="other") == 0
 
     def test_explain_includes_observed_drift_once_queries_ran(self, database):
         service = QueryService(database, "collaborative")
@@ -166,9 +163,11 @@ class TestServiceDiagnostics:
         service = QueryService(database, "collaborative", result_cache=True)
         service.submit(QUERY)
         service.submit(QUERY)  # served from the result cache
-        assert service.stats.result_cache_hits == 1
-        lane = service.stats.snapshot()["plan_drift"]["collaborative"]
-        assert lane["queries"] == 1
+        assert service.result_cache.stats.hits == 1
+        assert (
+            series(service, "repro_plan_drift_ratio_count", algorithm="collaborative")
+            == 1
+        )
 
     def test_service_journals_slow_queries_with_trace_and_drift(self, database):
         service = QueryService(database, "collaborative", trace=True, slowlog=True)
@@ -217,7 +216,6 @@ class TestServiceDiagnostics:
             "repro_slowlog_worst_seconds",
             "repro_trace_dropped_spans_total 0",
             "repro_trace_dropped_events_total 0",
-            'repro_plan_drift_queries_total{algorithm="collaborative"} 1',
             'repro_plan_drift_ratio_count{algorithm="collaborative"} 1',
         ):
             assert name in text, name

@@ -29,6 +29,7 @@ from repro.parallel.pool import SearchWorkerPool, serving_workers, usable_cpus
 from repro.resilience.budget import SearchBudget
 from repro.service import QueryService
 from repro.trajectory.model import Trajectory, TrajectorySet
+from tests.conftest import series
 from tests.core.test_scan import assert_oracle_equal
 
 pytestmark = pytest.mark.skipif(
@@ -111,7 +112,8 @@ def test_every_algorithm_through_the_pool_equals_brute_force(
                 assert (result.stats.executor == "fork") != (
                     result.stats.cache == "result"
                 )
-        assert service.stats.result_cache_hits == (len(QUERIES) if cached else 0)
+        hits = series(service, "repro_service_result_cache_hits_total")
+        assert hits == (len(QUERIES) if cached else 0)
         # Budgets travel with the query: a generous one stays exact, a tight
         # one degrades exactly as the same searcher does in process.
         local = make_searcher(database, algorithm)
@@ -215,7 +217,7 @@ def test_read_your_writes_across_fifty_interleavings(own_database):
         assert not any(thread.is_alive() for thread in threads)
         assert not failures, failures
         assert service.pool.live_workers == 2 and service.pool.fallbacks == 0
-        assert service.stats.result_cache_hits > 0  # some entries survived writes
+        assert service.result_cache.stats.hits > 0  # some entries survived writes
     finally:
         service.close()
 
@@ -276,7 +278,7 @@ def test_sigkill_mid_query_is_contained(database, monkeypatch):
             _assert_equal(service.submit(query), oracle.search(query))
         registry.collect()
         assert gauge.value() == 0 and pool.live_workers == 0
-        assert service.stats.failed_queries == 0
+        assert series(service, "repro_service_queries_total", outcome="failed") == 0
     finally:
         service.close()
 

@@ -5,12 +5,8 @@ import pytest
 from repro.core.query import UOTSQuery
 from repro.errors import QueryError
 from repro.parallel.executor import fork_available
-from repro.service import (
-    AdmissionController,
-    AdmissionPolicy,
-    LatencyReservoir,
-    QueryService,
-)
+from repro.service import AdmissionController, AdmissionPolicy, QueryService
+from tests.conftest import series
 
 QUERY = UOTSQuery.create([0, 150], ["park"], lam=0.5, k=3)
 BATCH = [
@@ -52,15 +48,15 @@ class TestServiceRejection:
         assert result.error is not None
         assert result.degradation_reason == SHED
         assert result.items == []
-        assert service.stats.rejected_queries == 1
-        assert service.stats.queries_served == 0
+        assert series(service, "repro_service_queries_total", outcome="rejected") == 1
+        assert series(service, "repro_service_queries_total") == 1  # none served
 
     def test_submit_admits_after_release(self, database):
         service = QueryService(database, "collaborative", admission=1)
         result = service.submit(QUERY)
         assert result.error is None
         assert result.exact
-        assert service.stats.rejected_queries == 0
+        assert series(service, "repro_service_queries_total", outcome="rejected") == 0
 
     def test_prebuilt_controller_is_used_verbatim(self, database):
         controller = AdmissionController(AdmissionPolicy(max_inflight=3))
@@ -101,8 +97,9 @@ class TestBatchAdmissionParity:
             assert result.degradation_reason == SHED
             assert result.items == []
             assert result.stats.elapsed_seconds > 0.0
-        assert service.stats.rejected_queries == len(BATCH)
-        assert service.stats.queries_served == 0
+        rejected = series(service, "repro_service_queries_total", outcome="rejected")
+        assert rejected == len(BATCH)
+        assert series(service, "repro_service_queries_total") == len(BATCH)
 
     def test_sequential_batch_rejects_when_saturated(self, database):
         service, held = self._saturated(database)
@@ -128,33 +125,6 @@ class TestBatchAdmissionParity:
         service = QueryService(database, "collaborative", admission=1)
         results = service.execute_many(BATCH, workers=2)
         assert all(r.error is None for r in results)
-        assert service.stats.rejected_queries == 0
+        assert series(service, "repro_service_queries_total", outcome="rejected") == 0
         # The batch slot was released: a follow-up submit is admitted.
         assert service.submit(QUERY).error is None
-
-
-class TestLatencyReservoir:
-    def test_nearest_rank_percentiles(self):
-        reservoir = LatencyReservoir()
-        for value in [5.0, 1.0, 3.0, 2.0, 4.0]:
-            reservoir.record(value)
-        assert reservoir.percentile(50.0) == 3.0
-        assert reservoir.percentile(100.0) == 5.0
-        assert reservoir.percentile(0.0) == 1.0
-
-    def test_empty_reads_zero(self):
-        assert LatencyReservoir().percentile(95.0) == 0.0
-
-    def test_ring_evicts_oldest(self):
-        reservoir = LatencyReservoir(capacity=3)
-        for value in [10.0, 20.0, 30.0, 1.0]:
-            reservoir.record(value)  # 10.0 evicted
-        assert len(reservoir) == 3
-        assert reservoir.percentile(100.0) == 30.0
-        assert reservoir.percentile(0.0) == 1.0
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="capacity"):
-            LatencyReservoir(capacity=0)
-        with pytest.raises(ValueError, match="percentile"):
-            LatencyReservoir().percentile(101.0)

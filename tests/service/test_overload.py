@@ -3,9 +3,9 @@
 Covers the :class:`AdmissionPolicy` derivations, the
 :class:`AdmissionController` decision order (cap / priority / tenant
 share / cost / degrade), the wiring through ``QueryService.submit``/``execute_many``
-(stats lanes, shed reasons, trace attributes, metrics series), and the
-default-off oracle: with no policy configured, served results and
-``ServiceStats`` output are byte-identical to the pre-overload layout.
+(lane counters, shed reasons, trace attributes, metrics series), and the
+default-off oracle: with no policy configured, served results and the
+exported series are identical to the pre-overload layout.
 """
 
 import threading
@@ -13,17 +13,12 @@ import threading
 import pytest
 
 from repro.core.query import UOTSQuery
-from repro.core.results import SearchResult
 from repro.errors import QueryError
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.executor import fork_available
 from repro.resilience.budget import SearchBudget
-from repro.service import (
-    AdmissionController,
-    AdmissionPolicy,
-    QueryService,
-    ServiceStats,
-)
+from repro.service import AdmissionController, AdmissionPolicy, QueryService
+from tests.conftest import series
 
 QUERY = UOTSQuery.create([0, 150], ["park"], lam=0.5, k=3)
 BATCH = [
@@ -31,6 +26,22 @@ BATCH = [
     UOTSQuery.create([5, 210], ["lakeside"], lam=0.5, k=3),
     UOTSQuery.create([37, 199], ["museum"], lam=0.5, k=3),
 ]
+OUTCOMES = "repro_service_queries_total"
+SHED = "repro_service_shed_total"
+TENANTS = "repro_service_tenant_queries_total"
+PRIORITIES = "repro_service_priority_queries_total"
+
+
+def exported(service, volatile=("latency", "elapsed", "cache_")) -> dict:
+    """``{sample: value}`` of every exported sample, those that vary with
+    wall clock or the shared database's warm caches left out."""
+    samples = {}
+    for line in service.metrics.render_prometheus().splitlines():
+        sample, _, value = line.rpartition(" ")
+        if line.startswith("#") or any(word in sample for word in volatile):
+            continue
+        samples[sample] = float(value)
+    return samples
 
 
 class TestAdmissionPolicy:
@@ -210,13 +221,16 @@ class TestServiceIntegration:
         assert result.error.startswith("AdmissionError:")
         assert "quota" in result.error
         assert result.degradation_reason == "shed by admission policy (tenant_quota)"
-        assert service.stats.shed_reasons == {"tenant_quota": 1}
-        assert service.stats.tenant_lanes["hog"] == {"served": 0, "rejected": 1}
-        assert service.stats.priority_lanes["batch"] == {"served": 0, "rejected": 1}
+        assert series(service, SHED) == series(service, SHED, reason="tenant_quota") == 1
+        assert series(service, TENANTS, tenant="hog", outcome="rejected") == 1
+        assert series(service, TENANTS, tenant="hog", outcome="served") == 0
+        assert series(service, PRIORITIES, priority="batch", outcome="rejected") == 1
+        assert series(service, PRIORITIES, priority="batch", outcome="served") == 0
         # Another tenant is admitted and lands in its own lane.
         ok = service.submit(QUERY, tenant="polite")
         assert ok.error is None
-        assert service.stats.tenant_lanes["polite"] == {"served": 1, "rejected": 0}
+        assert series(service, TENANTS, tenant="polite", outcome="served") == 1
+        assert series(service, TENANTS, tenant="polite", outcome="rejected") == 0
 
     def test_cost_shedding_plans_first(self, database):
         plan_cost = QueryService(database, "collaborative").plan(QUERY).estimated_cost
@@ -226,7 +240,7 @@ class TestServiceIntegration:
         result = service.submit(QUERY)
         assert result.error is not None
         assert "estimated cost" in result.error
-        assert service.stats.shed_reasons == {"cost_shed": 1}
+        assert series(service, SHED) == series(service, SHED, reason="cost_shed") == 1
         assert service.admission.inflight == 0  # no slot leaked on the shed
 
     def test_graceful_degradation_attaches_budget(self, database):
@@ -246,8 +260,8 @@ class TestServiceIntegration:
         # does strictly less work than the unbudgeted one.
         assert result.stats.expanded_vertices < full_work
         result.confirmed_prefix()  # anytime contract: usable, never raises
-        assert service.stats.policy_degraded_results == 1
-        assert service.stats.degraded_results == 1
+        assert series(service, "repro_service_policy_degraded_total") == 1
+        assert series(service, OUTCOMES, outcome="degraded") == 1
         assert service.admission.inflight == 0
 
     def test_caller_budget_wins_over_policy_budget(self, database):
@@ -265,7 +279,7 @@ class TestServiceIntegration:
         # tripped — and the outcome is not counted as policy-degraded.
         assert ">= 7 vertices" in result.degradation_reason
         assert "admission degrade" not in result.degradation_reason
-        assert service.stats.policy_degraded_results == 0
+        assert series(service, "repro_service_policy_degraded_total") == 0
 
     @pytest.mark.parametrize(
         "admission",
@@ -279,7 +293,7 @@ class TestServiceIntegration:
         with pytest.raises(QueryError, match="priority"):
             service.submit(QUERY, priority="urgent")
         assert service.admission.inflight == 0
-        assert service.stats.queries_served == 0
+        assert series(service, OUTCOMES) == 0
 
     def test_execute_many_sheds_batch_with_reason(self, database):
         service = self._service(database, AdmissionPolicy(max_inflight=1))
@@ -289,8 +303,9 @@ class TestServiceIntegration:
         finally:
             service.admission.release(held)
         assert all(r.error is not None for r in results)
-        assert service.stats.shed_reasons == {"inflight_cap": len(BATCH)}
-        assert service.stats.tenant_lanes["bulk"]["rejected"] == len(BATCH)
+        assert series(service, SHED) == len(BATCH)
+        assert series(service, SHED, reason="inflight_cap") == len(BATCH)
+        assert series(service, TENANTS, tenant="bulk", outcome="rejected") == len(BATCH)
 
     def test_shed_and_degrade_reasons_reach_trace_spans(self, database):
         plan_cost = QueryService(database, "collaborative").plan(QUERY).estimated_cost
@@ -327,38 +342,22 @@ class TestServiceIntegration:
             metrics=registry,
         )
         service.submit(QUERY, tenant="hog", priority="best_effort")
-        rendered = registry.render_prometheus()
-        assert 'repro_service_shed_total{reason="cost_shed"} 1' in rendered
-        assert (
-            'repro_service_tenant_queries_total'
-            '{outcome="rejected",tenant="hog"} 1'
-        ) in rendered
-        assert (
-            'repro_service_priority_queries_total'
-            '{outcome="rejected",priority="best_effort"} 1'
-        ) in rendered
-        assert "repro_service_inflight 0" in rendered
+        assert series(registry, SHED, reason="cost_shed") == 1
+        assert series(registry, TENANTS, outcome="rejected", tenant="hog") == 1
+        assert series(registry, PRIORITIES, priority="best_effort") == 1
+        assert "repro_service_inflight 0" in registry.render_prometheus()
 
 
 class TestDefaultOffOracle:
     """Acceptance: with no tenant/priority/cost options set, served
-    results and ``ServiceStats`` output are byte-identical to the
-    pre-overload behaviour."""
-
-    # The pre-overload layout plus the always-on drift lane (every
-    # executed query carries a comparable plan estimate since the
-    # drift-accounting layer; policy keys still gate on use).
-    LEGACY_SNAPSHOT_KEYS = [
-        "queries_served", "exact_results", "degraded_results",
-        "failed_queries", "rejected_queries", "result_cache_hits",
-        "p50_ms", "p95_ms", "distance_cache_hit_rate",
-        "text_cache_hit_rate", "expanded_vertices", "refinements",
-        "plan_drift",
-    ]
+    results and the exported series are identical to the pre-overload
+    behaviour."""
 
     def test_snapshot_keys_and_describe_shape_unchanged(self, database):
-        """An int cap is a policy cap: its shed adds the ``shed_reasons``
-        key and the ``shed:`` line, and nothing else."""
+        """An int cap is a policy cap: its shed adds the
+        ``repro_service_shed_total`` family, and nothing else."""
+        plain = QueryService(database, "collaborative")
+        plain.submit(QUERY)
         service = QueryService(database, "collaborative", admission=1)
         service.submit(QUERY)
         held = service.admission.admit()
@@ -366,14 +365,9 @@ class TestDefaultOffOracle:
             service.submit(QUERY)  # shed by the cap
         finally:
             service.admission.release(held)
-        snapshot = service.stats.snapshot()
-        keys = list(self.LEGACY_SNAPSHOT_KEYS)
-        keys.insert(keys.index("plan_drift"), "shed_reasons")
-        assert list(snapshot) == keys
-        described = service.stats.describe()
-        assert len(described.splitlines()) == 6
-        assert "shed:            inflight_cap 1" in described
-        assert "tenant" not in described
+        added = set(exported(service)) - set(exported(plain))
+        assert added == {SHED + '{reason="inflight_cap"}'}
+        assert set(exported(plain)) <= set(exported(service))
 
     def test_legacy_rejection_strings_exact(self, database):
         """The int cap sheds with the unified strings; the error text (and
@@ -390,7 +384,7 @@ class TestDefaultOffOracle:
         assert result.error == (
             "AdmissionError: service at its in-flight query cap"
         )
-        assert service.stats.shed_reasons == {"inflight_cap": 1}
+        assert series(service, SHED) == series(service, SHED, reason="inflight_cap") == 1
 
     def test_default_service_results_and_stats_identical(self, database):
         plain = QueryService(database, "collaborative")
@@ -404,17 +398,10 @@ class TestDefaultOffOracle:
             assert a.ids == b.ids
             assert a.scores == pytest.approx(b.scores)
             assert a.exact == b.exact and a.error == b.error
-        snap_a, snap_b = plain.stats.snapshot(), policied_off.stats.snapshot()
-        # Latency and cross-query cache rates vary with wall clock and the
+        # Latency and cross-query cache traffic vary with wall clock and the
         # shared database's warm caches — everything else must match.
-        volatile = (
-            "p50_ms", "p95_ms",
-            "distance_cache_hit_rate", "text_cache_hit_rate",
-        )
-        assert list(snap_a) == list(snap_b) == self.LEGACY_SNAPSHOT_KEYS
-        for key in volatile:
-            snap_a.pop(key), snap_b.pop(key)
-        assert snap_a == snap_b
+        assert exported(plain) == exported(policied_off)
+        assert exported(plain)[OUTCOMES + '{outcome="exact"}'] == len(BATCH)
 
     def test_default_metrics_have_no_policy_series(self, database):
         registry = MetricsRegistry()
@@ -488,11 +475,10 @@ class TestSubmitStorm:
             t.start()
         for t in pool:
             t.join()
-        stats = service.stats
-        assert stats.queries_served + stats.rejected_queries == threads
-        lane = stats.tenant_lanes["t"]
-        assert lane["served"] + lane["rejected"] == threads
-        assert lane["served"] == stats.queries_served
+        assert series(service, OUTCOMES) == threads
+        assert series(service, TENANTS, tenant="t") == threads
+        served = series(service, OUTCOMES) - series(service, OUTCOMES, outcome="rejected")
+        assert series(service, TENANTS, tenant="t", outcome="served") == served
         assert service.admission.inflight == 0
 
     @pytest.mark.skipif(not fork_available(), reason="needs a fork platform")
@@ -513,50 +499,10 @@ class TestSubmitStorm:
                 )
             finally:
                 service.admission.release(held)
-            snapshot = service.stats.snapshot()
-            snapshot.pop("p50_ms"), snapshot.pop("p95_ms")
-            return results, snapshot
+            return results, exported(service)
 
         seq_results, seq_stats = run(workers=1)
         fork_results, fork_stats = run(workers=2)
         assert seq_stats == fork_stats
         assert [r.error for r in seq_results] == [r.error for r in fork_results]
-        assert seq_stats["shed_reasons"] == {"inflight_cap": len(BATCH)}
-
-
-class TestServiceStatsThreadSafety:
-    """ISSUE 6 satellite: the latency ring buffer, outcome counters, and
-    lanes are mutated from many threads without losing increments."""
-
-    def test_concurrent_records_lose_nothing(self):
-        stats = ServiceStats(latency_capacity=64)
-        threads, per_thread = 8, 400
-
-        def worker(i):
-            tenant = f"t{i % 2}"
-            for _ in range(per_thread):
-                stats.record(
-                    SearchResult(items=[], exact=True), 0.001,
-                    tenant=tenant, priority="interactive",
-                )
-                stats.record_rejection(
-                    reason="inflight_cap", tenant=tenant, priority="batch"
-                )
-
-        pool = [
-            threading.Thread(target=worker, args=(i,)) for i in range(threads)
-        ]
-        for t in pool:
-            t.start()
-        for t in pool:
-            t.join()
-        total = threads * per_thread
-        assert stats.queries_served == total
-        assert stats.exact_results == total
-        assert stats.rejected_queries == total
-        assert stats.shed_reasons == {"inflight_cap": total}
-        assert sum(lane["served"] for lane in stats.tenant_lanes.values()) == total
-        assert sum(lane["rejected"] for lane in stats.tenant_lanes.values()) == total
-        assert stats.priority_lanes["interactive"]["served"] == total
-        assert stats.priority_lanes["batch"]["rejected"] == total
-        assert len(stats._latencies) == 64  # ring stayed bounded
+        assert seq_stats[SHED + '{reason="inflight_cap"}'] == len(BATCH)

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from repro.core.query import UOTSQuery
-from repro.obs.adapters import _SEARCH_FIELDS
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import pool as pool_module
 from repro.parallel.executor import fork_available, parallel_search
 from repro.service import QueryService
+from repro.service.service import _WORK_SERIES
+from tests.conftest import series
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="fork start method not available"
@@ -25,12 +26,14 @@ BATCH = [
 
 
 def assert_work_counted_once(registry: MetricsRegistry, results) -> None:
-    """Each ``repro_search_*_total`` is the sum of its result-stat field,
-    and no second copy of the work (or of the caches) is exported."""
-    registry.collect()
-    for field in _SEARCH_FIELDS:
-        exported = registry.counter(f"repro_search_{field}_total").value()
-        assert exported == sum(getattr(r.stats, field) for r in results), field
+    """Each work series is the sum of its result-stat field, and no second
+    copy of the work (or of the caches) is exported."""
+    for group in _WORK_SERIES:
+        for field, name, _, labels in group:
+            exported = series(registry, name, **labels)
+            assert exported == pytest.approx(
+                sum(getattr(r.stats, field) for r in results)
+            ), field
     lines = registry.render_prometheus().splitlines()
     assert not [l for l in lines if l.startswith(("repro_worker_", "repro_cache_"))]
 
@@ -65,7 +68,7 @@ def test_a_pooled_query_traces_plan_and_execute_under_its_query_span(database):
         assert root.attributes["worker_pid"] in service.pool.worker_pids
         assert [child.name for child in root.children] == ["plan", "execute"]
         # Recording stayed in the parent.
-        assert service.stats.queries_served == 1
+        assert series(service, "repro_service_queries_total") == 1
         assert result.stats.executor == "fork"
         rendered = service.metrics.render_prometheus()
         assert 'repro_executor_queries_total{path="fork"} 1' in rendered
@@ -108,7 +111,7 @@ def test_a_batch_never_runs_wider_than_the_admission_cap(database):
     try:
         results = service.execute_many(BATCH, workers=4)
         assert all(result.ok for result in results)
-        assert service.stats.rejected_queries == 0
+        assert series(service, "repro_service_queries_total", outcome="rejected") == 0
         assert {result.stats.executor for result in results} == {"fork"}
         assert sum(service.pool.dispatched) == len(BATCH)
         assert service.admission.inflight == 0

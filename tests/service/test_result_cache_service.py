@@ -20,6 +20,7 @@ from repro.parallel.executor import fork_available
 from repro.perf import ResultCache
 from repro.resilience.budget import SearchBudget
 from repro.service import QueryService
+from tests.conftest import series
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ class TestOracle:
             else:
                 assert result.stats.cache == ""
                 first_answers[query] = result
-        assert service.stats.result_cache_hits == 40 - len(first_answers)
+        assert service.result_cache.stats.hits == 40 - len(first_answers)
 
     def test_location_order_does_not_break_the_hit(self, bundle, workload):
         service = _service(bundle)
@@ -164,11 +165,10 @@ class TestServiceWiring:
         service.search(workload[0])
         warm = service.search(workload[0])
         assert warm.stats.elapsed_seconds > 0.0  # stamped by the service
-        stats = service.stats
-        assert stats.queries_served == 2
-        assert stats.exact_results == 2
-        assert stats.result_cache_hits == 1
-        assert "result hits 1" in stats.describe()
+        assert series(service, "repro_service_queries_total") == 2
+        assert series(service, "repro_service_queries_total", outcome="exact") == 2
+        assert series(service, "repro_service_latency_seconds_count") == 2
+        assert series(service, "repro_service_result_cache_hits_total") == 1
 
     def test_metrics_counters_and_executor_path(self, bundle, workload):
         registry = MetricsRegistry()
@@ -176,16 +176,12 @@ class TestServiceWiring:
         service.search(workload[0])
         service.search(workload[0])
         service.search(workload[1])
-        registry.collect()
-        hits = registry.counter("repro_service_result_cache_hits_total")
-        misses = registry.counter("repro_service_result_cache_misses_total")
-        assert hits.value() == 1
-        assert misses.value() == 2
-        paths = registry.counter("repro_executor_queries_total")
-        assert paths.value(path="result-cache") == 1
-        assert paths.value(path="in-process") == 2
-        entries = registry.gauge("repro_service_result_cache_entries")
-        assert entries.value() == 2
+        assert series(registry, "repro_service_result_cache_hits_total") == 1
+        assert series(registry, "repro_service_result_cache_misses_total") == 2
+        # A hit ran nowhere: only executed queries have an executor path.
+        assert series(registry, "repro_executor_queries_total") == 2
+        assert series(registry, "repro_executor_queries_total", path="in-process") == 2
+        assert series(registry, "repro_service_result_cache_entries") == 2
 
     def test_trace_spans_carry_result_cache_attribute(self, bundle, workload):
         service = _service(bundle, trace=True, metrics=MetricsRegistry())
@@ -204,19 +200,12 @@ class TestServiceWiring:
         assert "result_cache" not in bare.tracer.last_trace().attributes
 
     def test_an_untraced_hit_is_counted(self, bundle, workload):
-        registry = MetricsRegistry()
-        service = _service(bundle, metrics=registry)
-        outcomes = registry.counter("repro_service_queries_total")
-        paths = registry.counter("repro_executor_queries_total")
+        service = _service(bundle)
         service.submit(workload[0])
-        registry.collect()
-        served = outcomes.value(outcome="exact")
-        cached = paths.value(path="result-cache")
         assert service.submit(workload[0]).stats.cache == "result"
-        registry.collect()
-        assert outcomes.value(outcome="exact") == served + 1
-        assert paths.value(path="result-cache") == cached + 1
-        assert service.stats.result_cache_hits == 1
+        assert series(service, "repro_service_queries_total", outcome="exact") == 2
+        assert series(service, "repro_executor_queries_total") == 1  # the miss only
+        assert series(service, "repro_service_result_cache_hits_total") == 1
 
     def test_tuning_kwargs_key_the_cache(self, bundle, workload):
         cache = ResultCache(32)
@@ -245,7 +234,7 @@ class TestExecuteMany:
         assert markers[3:] == ["result"] * 3
         for warm, cold in zip(results[3:], results[:3]):
             _assert_byte_equal(warm, cold)
-        assert service.stats.result_cache_hits == 3
+        assert service.result_cache.stats.hits == 3
 
     @pytest.mark.skipif(not fork_available(), reason="needs a fork platform")
     def test_forked_batch_probes_cache_in_parent(self, bundle, workload):

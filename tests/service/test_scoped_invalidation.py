@@ -23,6 +23,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.perf import ResultCache
 from repro.service import QueryService
 from repro.trajectory.model import Trajectory, TrajectoryPoint, TrajectorySet
+from tests.conftest import series
 
 
 @pytest.fixture()
@@ -120,8 +121,8 @@ class TestPropertySweep:
                     )
                 )
         # The sweep must have exercised both hits and invalidation.
-        assert service.stats.result_cache_hits > 0
-        assert service.stats.invalidation_events > 0
+        assert service.result_cache.stats.hits > 0
+        assert service.result_cache.invalidation_events > 0
 
     def test_sweep_scoped_and_wholesale_agree_on_answers(self, bundle):
         """The same mutation/query stream served by a scoped and a
@@ -147,7 +148,7 @@ class TestPropertySweep:
             elif len(database) > 10:
                 victim = rng.choice([t.id for t in database.trajectories])
                 removed.append(database.remove(victim))
-        assert scoped.stats.result_cache_hits >= wholesale.stats.result_cache_hits
+        assert scoped.result_cache.stats.hits >= wholesale.result_cache.stats.hits
 
 
 class TestRemovalScoping:
@@ -253,14 +254,13 @@ class TestWholesaleMode:
 class TestObservability:
     def test_stats_lane_is_gated_and_recorded(self, bundle, workload):
         service = _service(bundle)
-        assert "invalidation_events" not in service.stats.snapshot()
+        assert "repro_invalidation" not in service.metrics.render_prometheus()
         cold = service.search(workload[0])
         bundle.database.remove(cold.ids[0])
-        snapshot = service.stats.snapshot()
-        assert snapshot["invalidation_events"] == 1
-        assert snapshot["invalidation_kinds"] == {"remove": 1}
-        assert snapshot["invalidation_entries_dropped"] == 1
-        assert "invalidation:" in service.stats.describe()
+        assert service.result_cache.invalidation_kinds == {"remove": 1}
+        assert series(service, "repro_invalidation_events_total") == 1
+        assert series(service, "repro_invalidation_events_total", kind="remove") == 1
+        assert series(service, "repro_invalidation_entries_dropped_total") == 1
 
     def test_trace_span_records_invalidation_scope(self, bundle, workload):
         service = _service(bundle, trace=True)
@@ -279,14 +279,7 @@ class TestObservability:
         cold = service.search(workload[0])
         removed = bundle.database.remove(cold.ids[0])
         bundle.database.add(removed)
-        registry.collect()
-        events = registry.counter("repro_invalidation_events_total")
-        assert events.value(kind="remove") == 1
-        assert events.value(kind="add") == 1
-        dropped = registry.counter("repro_invalidation_entries_dropped_total")
-        assert dropped.value() >= 1
-        assert registry.counter(
-            "repro_invalidation_entries_retained_total"
-        ).value() >= 0
-        text = registry.render_prometheus()
-        assert "repro_invalidation_events_total" in text
+        for kind in ("remove", "add"):
+            assert series(registry, "repro_invalidation_events_total", kind=kind) == 1
+        assert series(registry, "repro_invalidation_entries_dropped_total") >= 1
+        assert "repro_invalidation_entries_retained_total" in registry.render_prometheus()

@@ -1,8 +1,8 @@
 """QueryService: the batch front-end (ISSUE 3 acceptance surface).
 
 ``execute_many`` over a small ``brn`` bundle must match the sequential
-per-query ``search()`` answers exactly, and the service must report
-aggregated stats including p50/p95 latency.
+per-query ``search()`` answers exactly, and the service must record every
+answer in its registry, latency histogram included.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.errors import QueryError
 from repro.parallel.executor import fork_available
 from repro.resilience.budget import SearchBudget
 from repro.service import QueryService
+from tests.conftest import series
 
 
 @pytest.fixture(scope="module")
@@ -48,15 +49,13 @@ def test_execute_many_matches_sequential_search(bundle, workload):
 def test_execute_many_reports_percentile_latency(bundle, workload):
     service = QueryService(bundle.database, "collaborative")
     service.execute_many(workload)
-    stats = service.stats
-    assert stats.queries_served == len(workload)
-    assert stats.exact_results == len(workload)
-    assert stats.p50_ms > 0.0
-    assert stats.p95_ms >= stats.p50_ms
-    snapshot = stats.snapshot()
-    assert snapshot["p50_ms"] == stats.p50_ms
-    assert snapshot["p95_ms"] == stats.p95_ms
-    assert "p50" in stats.describe()
+    n = len(workload)
+    assert series(service, "repro_service_queries_total") == n
+    assert series(service, "repro_service_queries_total", outcome="exact") == n
+    # The cumulative buckets reach every sample by the +Inf bound.
+    assert series(service, "repro_service_latency_seconds_bucket", le="+Inf") == n
+    assert series(service, "repro_service_latency_seconds_count") == n
+    assert series(service, "repro_service_latency_seconds_sum") > 0.0
 
 
 @pytest.mark.skipif(not fork_available(), reason="needs a fork platform")
@@ -66,8 +65,8 @@ def test_execute_many_forked_matches_sequential(bundle, workload):
     references = [searcher.search(q) for q in workload]
     results = service.execute_many(workload, workers=2)
     _assert_matches(results, references)
-    assert service.stats.queries_served == len(workload)
-    assert service.stats.p95_ms > 0.0
+    assert series(service, "repro_service_queries_total") == len(workload)
+    assert series(service, "repro_service_latency_seconds_sum") > 0.0
 
 
 def test_submit_isolates_library_errors(bundle):
@@ -76,7 +75,7 @@ def test_submit_isolates_library_errors(bundle):
     result = service.submit(bad)
     assert result.error is not None
     assert result.items == []
-    assert service.stats.failed_queries == 1
+    assert series(service, "repro_service_queries_total", outcome="failed") == 1
 
 
 def test_search_propagates_library_errors(bundle):
@@ -90,7 +89,7 @@ def test_submit_records_degraded_results(bundle, workload):
     service = QueryService(bundle.database, "collaborative")
     result = service.submit(workload[0], SearchBudget(max_expanded_vertices=5))
     assert not result.exact
-    assert service.stats.degraded_results == 1
+    assert series(service, "repro_service_queries_total", outcome="degraded") == 1
 
 
 def test_execute_many_validates_arguments(bundle, workload):
@@ -115,4 +114,4 @@ def test_plan_is_stamped_with_registry_name(bundle, workload):
     explained = service.explain(workload[0])
     assert "collaborative-rr" in explained
     # explain never executes: nothing recorded.
-    assert service.stats.queries_served == 0
+    assert series(service, "repro_service_queries_total") == 0

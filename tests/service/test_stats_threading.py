@@ -1,115 +1,64 @@
-"""Concurrency hammer for :class:`LatencyReservoir` and service stats.
+"""Concurrency hammer for the service's recording path.
 
-The gateway's thread-pool bridge records latencies from many worker
-threads into one reservoir.  Before the reservoir was locked, concurrent
-``record`` calls corrupted it in two observable ways: lost samples (two
-threads read the same ``_total`` and overwrite one slot) and
-``IndexError`` (a reservoir-phase index computed against a ``_total``
-another thread already advanced past the warm-up boundary).  These tests
-are the regression net: every recorded sample must be accounted for, and
-no record may ever raise.
+The gateway's thread-pool bridge records every answered query from many
+worker threads into one registry.  A lost increment would make the
+exported outcome counters, the latency histogram, the shed reasons and
+the tenant/priority lanes disagree with the traffic that was actually
+served.  These tests are the regression net: every submitted query must
+be accounted for, and no record may ever raise.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.service.stats import LatencyReservoir, ServiceStats
+from repro.core.query import UOTSQuery
+from repro.service import QueryService
+from tests.conftest import series
+
+THREADS = 8
 
 
-def _hammer_reservoir(capacity: int, threads: int, per_thread: int):
-    reservoir = LatencyReservoir(capacity=capacity)
-    errors: list[BaseException] = []
-    barrier = threading.Barrier(threads)
-
-    def work(seed: int) -> None:
-        try:
-            barrier.wait()
-            for i in range(per_thread):
-                reservoir.record((seed * per_thread + i) * 1e-6)
-        except BaseException as exc:  # noqa: BLE001 - the assertion target
-            errors.append(exc)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, range(threads)))
-    return reservoir, errors
-
-
-def test_reservoir_concurrent_record_loses_nothing():
-    """count == recorded: the acceptance hammer (500 iterations across
-    the capacity boundary, 8 threads)."""
-    threads, per_thread = 8, 500
-    reservoir, errors = _hammer_reservoir(
-        capacity=256, threads=threads, per_thread=per_thread
-    )
-    assert not errors, f"record() raised under concurrency: {errors[:3]}"
-    assert reservoir.total_recorded == threads * per_thread
-    # The window holds exactly its capacity once warm — no torn slots.
-    assert len(reservoir) == 256
-    assert 0.0 <= reservoir.percentile(50)
-
-
-def test_reservoir_concurrent_record_below_capacity():
-    """The warm-up phase (append path) is the historically racy index;
-    hammer it without ever crossing capacity."""
-    threads, per_thread = 8, 16
-    reservoir, errors = _hammer_reservoir(
-        capacity=4096, threads=threads, per_thread=per_thread
-    )
-    assert not errors
-    assert reservoir.total_recorded == threads * per_thread
-    assert len(reservoir) == threads * per_thread
-
-
-def test_reservoir_percentile_during_concurrent_record():
-    """Readers must see a consistent snapshot while writers run."""
-    reservoir = LatencyReservoir(capacity=128)
-    stop = threading.Event()
-    errors: list[BaseException] = []
-
-    def write() -> None:
-        i = 0
-        while not stop.is_set():
-            reservoir.record(i * 1e-6)
-            i += 1
-
-    def read() -> None:
-        try:
-            while not stop.is_set():
-                p = reservoir.percentile(95)
-                assert p >= 0.0
-        except BaseException as exc:  # noqa: BLE001
-            errors.append(exc)
-
-    writers = [threading.Thread(target=write) for _ in range(4)]
-    readers = [threading.Thread(target=read) for _ in range(2)]
-    for t in writers + readers:
-        t.start()
-    for t in writers:
-        t.join(timeout=0.3)
-    stop.set()
-    for t in writers + readers:
-        t.join()
-    assert not errors, f"percentile() raised under concurrent record: {errors[:3]}"
-
-
-def test_service_stats_concurrent_outcomes_sum_exactly():
-    """ServiceStats counters are adjusted from many bridge threads; the
-    totals must add up exactly (counters are += under the GIL, but the
-    latency reservoir they feed must not drop the samples)."""
-    from repro.core.results import SearchResult
-
-    stats = ServiceStats()
-    threads, per_thread = 8, 125
+def test_service_stats_concurrent_outcomes_sum_exactly(database):
+    """Eight threads submit served hits and in-flight-cap sheds through
+    one service: the exported outcomes, the latency histogram, the shed
+    reasons and both lanes all sum to the submitted count."""
+    service = QueryService(database, "collaborative", admission=1, result_cache=8)
+    hit = UOTSQuery.create([0, 150], ["park"], lam=0.5, k=3)
+    miss = UOTSQuery.create([5, 210], ["lakeside"], lam=0.5, k=3)
+    service.submit(hit)  # cached: every later submit of it is a served hit
+    per_thread = 125
+    barrier = threading.Barrier(THREADS)
 
     def work(seed: int) -> None:
+        tenant = f"t{seed % 2}"
+        barrier.wait()
         for i in range(per_thread):
-            result = SearchResult(items=[], exact=True)
-            result.stats.elapsed_seconds = (seed + i) * 1e-6
-            stats.record(result, (seed + i) * 1e-6)
+            service.submit((hit, miss)[(seed + i) % 2], tenant=tenant, priority="batch")
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, range(threads)))
-    assert stats.queries_served == threads * per_thread
-    assert stats._latencies.total_recorded == threads * per_thread
+    held = service.admission.admit()  # every miss is shed by the cap
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads mid-increment if one can
+    try:
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            list(pool.map(work, range(THREADS), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+        service.admission.release(held)
+    total = THREADS * per_thread
+    hits = sum((s + i) % 2 == 0 for s in range(THREADS) for i in range(per_thread))
+    outcomes = "repro_service_queries_total"
+    assert series(service, outcomes) == total + 1
+    assert series(service, outcomes, outcome="exact") == hits + 1
+    assert series(service, outcomes, outcome="rejected") == total - hits
+    assert series(service, "repro_service_latency_seconds_count") == total + 1
+    assert series(service, "repro_service_shed_total", reason="inflight_cap") == (
+        total - hits
+    )
+    lanes = "repro_service_tenant_queries_total"
+    assert series(service, lanes, outcome="served") == hits
+    assert series(service, lanes, outcome="rejected") == total - hits
+    assert series(service, "repro_service_priority_queries_total") == total
+    assert service.result_cache.stats.hits == hits

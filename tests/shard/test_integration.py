@@ -13,6 +13,7 @@ from repro.core.query import UOTSQuery
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, activated
 from repro.service import QueryService
+from tests.conftest import series
 
 QUERY = UOTSQuery.create([5, 100], ["park", "museum"], lam=0.4, k=5)
 
@@ -69,7 +70,7 @@ class TestServiceRouting:
         )
         result = service.submit(QUERY)
         assert result.error is None
-        assert service.stats.rejected_queries == 0
+        assert series(service, "repro_service_queries_total", outcome="rejected") == 0
 
     def test_explain_shows_shard_schedule(self, database):
         service = QueryService(database, "sharded", shards=8)
@@ -79,25 +80,34 @@ class TestServiceRouting:
         assert "shard[" in text
 
 
-class TestServiceStatsLanes:
+class TestShardLanes:
     def test_shard_lanes_appear_after_sharded_traffic(self, database):
         service = QueryService(database, "sharded", shards=8)
         service.submit(QUERY)
-        snapshot = service.stats.snapshot()
-        assert snapshot["shards_planned"] > 0
+        planned = series(service, "repro_shard_planned_total")
+        assert planned > 0
         assert (
-            snapshot["shards_executed"] + snapshot["shards_pruned"]
-            == snapshot["shards_planned"]
+            series(service, "repro_shard_executed_total")
+            + series(service, "repro_shard_pruned_total")
+            == planned
         )
-        assert "shards:" in service.stats.describe()
 
     def test_flat_service_snapshot_is_unchanged(self, database):
-        """Gating: a flat service's snapshot has no shard keys at all."""
+        """Gating: a flat service exports no shard series at all."""
         service = QueryService(database, "collaborative")
         service.submit(QUERY)
-        snapshot = service.stats.snapshot()
-        assert "shards_planned" not in snapshot
-        assert "shards" not in service.stats.describe()
+        assert "repro_shard_" not in service.metrics.render_prometheus()
+
+
+class TestShardTiming:
+    def test_shard_timing_fields_filled_by_sharded(self, database):
+        """``benchmarks/e2e/tracing.py`` reads these four by name."""
+        service = QueryService(database, "sharded", shards=4)
+        stats = service.submit(QUERY).stats
+        assert stats.shard_seconds > 0.0
+        # One process, one shard at a time: the critical path is the sum.
+        assert stats.shard_critical_seconds == stats.shard_seconds
+        assert stats.executor == "" and stats.retries == 0
 
 
 class TestMetrics:
@@ -106,15 +116,14 @@ class TestMetrics:
         service = QueryService(
             database, "sharded", shards=8, metrics=registry
         )
-        service.submit(QUERY)
+        stats = service.submit(QUERY).stats
         registry.collect()
-        totals = service.stats.totals
         planned = registry.counter("repro_shard_planned_total")
         executed = registry.counter("repro_shard_executed_total")
         pruned = registry.counter("repro_shard_pruned_total")
-        assert planned.value() == totals.shards_planned > 0
-        assert executed.value() == totals.shards_executed
-        assert pruned.value() == totals.shards_pruned
+        assert planned.value() == stats.shards_planned > 0
+        assert executed.value() == stats.shards_executed
+        assert pruned.value() == stats.shards_pruned
         rendered = registry.render_prometheus()
         assert "repro_shard_planned_total" in rendered
         assert "repro_shard_executed_total" in rendered
