@@ -1,8 +1,8 @@
 """O2 — full-diagnostics overhead on the pooled batch path: A/B.
 
-Claims checked, on an ``execute_many(workers=2)`` batch riding the search
-worker pool (the one place a query's work leaves the process — the pool
-is opened per batch here, so its fork is inside the timed region on both
+Claims checked, on an ``execute_many`` batch riding a two-worker service's
+search worker pool (the one place a query's work leaves the process — the
+pool forks when the service is built, outside the timed region on both
 sides of the A/B):
 
 1. **Overhead** — running with the whole diagnostics stack on (tracing +
@@ -52,7 +52,7 @@ ALGORITHM = "collaborative"
 WORKERS = 2
 
 def _make_service(bundle, **service_kwargs) -> QueryService:
-    return QueryService(bundle.database, ALGORITHM, **service_kwargs)
+    return QueryService(bundle.database, ALGORITHM, pool=WORKERS, **service_kwargs)
 
 
 def _make_diagnosed(bundle) -> QueryService:
@@ -62,21 +62,28 @@ def _make_diagnosed(bundle) -> QueryService:
 
 
 def _run_battery(service, queries):
-    return service.execute_many(queries, workers=WORKERS)
+    """One batch on ``service``, whose workers are stopped afterwards."""
+    try:
+        return service.execute_many(queries)
+    finally:
+        service.close()
 
 
 def _timed_battery(service, queries) -> float:
-    started = time.perf_counter()
-    _run_battery(service, queries)
-    return time.perf_counter() - started
+    try:
+        started = time.perf_counter()
+        service.execute_many(queries)
+        return time.perf_counter() - started
+    finally:
+        service.close()
 
 
 def _time_paired(bundle, queries, repeats: int) -> tuple[float, float]:
     """``(off_seconds, diagnosed_seconds)`` from paired per-batch samples.
 
-    A pooled batch's wall time carries fork start-up noise that spikes
-    under scheduler contention and drifts as the parent accumulates
-    memory, so the two modes run back-to-back per repeat (adjacent samples
+    A pooled batch's wall time carries pipe and scheduler noise that
+    spikes under contention and drifts as the parent accumulates memory,
+    so the two modes run back-to-back per repeat (adjacent samples
     share the machine state the noise comes from) with the order flipped
     every repeat, and the diagnostics cost is the **median of the paired
     differences** — pairing cancels the common-mode drift, the median

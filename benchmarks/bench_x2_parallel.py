@@ -3,8 +3,8 @@
 Claim checked: per-query (and per-trajectory, for the join) searches are
 independent, so batch throughput scales with workers while results stay
 identical, and the join's merge phase is worker-independent.  The batch
-grain rides the search worker pool (``execute_many(workers=N)`` opens one
-for the call); the held-pool section measures the same pool the way
+grain rides the search worker pool (``parallel_search(workers=N)`` builds
+a service that forks N workers for the call); the held-pool section measures the same pool the way
 ``repro serve`` uses it — forked once, then one caller (c1) against two
 (c2) — which is the c2/c1 ratio ROADMAP item 2 asks for.
 

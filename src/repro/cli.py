@@ -390,8 +390,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     database = _load_database(args.data)
     # The service forks its search workers here (warm -> freeze -> fork),
     # while this process is still single-threaded: before the bridge
-    # threads and the event loop exist.  Served algorithms keep their
-    # registry defaults: serve has no tuning flags.
+    # threads and the event loop exist.  They are its only executor, so
+    # this process never searches, and nothing forks after this line.
+    # Served algorithms keep their registry defaults: serve has no tuning
+    # flags.
     service = QueryService(
         database,
         args.algorithm,
@@ -677,8 +679,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--gateway-workers", type=int, default=8, metavar="N",
         help="bridge threads = searches in flight at once; searches run in "
-             "parallel on min(usable CPUs, N) pre-forked worker processes "
-             "(threads alone do not: the search holds the GIL)",
+             "parallel on min(usable CPUs, N) pre-forked worker processes, "
+             "at least one (threads alone do not: the search holds the GIL)",
     )
     p.add_argument(
         "--max-pending", type=int, default=None, metavar="N",

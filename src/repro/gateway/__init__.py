@@ -7,12 +7,15 @@ Layered so the import cost matches what a caller actually uses:
   pydantic or a web framework, keeping the core import-light contract
   intact (see ``tests/test_import_light.py``);
 - :mod:`repro.gateway.schemas` / :mod:`repro.gateway.app` — need
-  pydantic (the wire contract); gate on :func:`require_http_deps`;
+  pydantic (the wire contract); gate on :func:`http_available`;
 - :mod:`repro.gateway.server` — the stdlib HTTP/1.1 server.
 
 Typical embedding (what ``repro serve`` does)::
 
-    service = QueryService(database, "collaborative", metrics=True, ...)
+    service = QueryService(                # forks its workers here, first
+        database, "scan", metrics=get_registry(), result_cache=256,
+        pool=serving_workers(8),
+    )
     gateway = AsyncQueryService(service, max_workers=8)
     app = create_app(gateway)          # needs pydantic
     await serve(app, host, port)       # stdlib asyncio server
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from repro.gateway.aservice import AsyncQueryService
 
-__all__ = ["AsyncQueryService", "require_http_deps", "http_available"]
+__all__ = ["AsyncQueryService", "http_available"]
 
 
 def http_available() -> bool:
@@ -33,16 +36,3 @@ def http_available() -> bool:
         return False
     return True
 
-
-def require_http_deps() -> None:
-    """Raise a friendly error when the HTTP layer cannot be imported.
-
-    The async bridge itself (:class:`AsyncQueryService`) has no optional
-    dependencies — only the wire schemas do.
-    """
-    if not http_available():
-        raise ModuleNotFoundError(
-            "the gateway's HTTP layer needs pydantic "
-            "(pip install pydantic); the AsyncQueryService bridge "
-            "works without it"
-        )

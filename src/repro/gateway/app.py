@@ -15,10 +15,10 @@ Routes and status mapping (DESIGN.md §14):
                           ``error``/``degradation_reason``); 400 domain-invalid
                           (``QueryError``); 422 shape-invalid JSON; 503 bridge
                           saturated
-``POST /query/batch``     one bridged ``execute_many`` (fork fan-out intact);
-                          200 with per-query results — individual rejections
-                          ride inside the body, the *batch* itself only 503s
-                          on a saturated bridge
+``POST /query/batch``     one bridged ``execute_many`` over the service's
+                          pool; 200 with per-query results — individual
+                          rejections ride inside the body, the *batch*
+                          itself only 503s on a saturated bridge
 ``POST /explain``         200 with the rendered plan; never executes
 ``GET /healthz``          200 while the process serves at all
 ``GET /readyz``           200 ready / 503 with a reason slug: bridge
@@ -116,7 +116,7 @@ def create_app(gateway: AsyncQueryService):
         except GatewaySaturatedError as exc:
             await _send_error(send, 503, "gateway_saturated", str(exc))
             return
-        except QueryError as exc:  # unknown priority class, bad workers
+        except QueryError as exc:  # unknown priority class
             await _send_error(send, 400, "query_error", str(exc))
             return
         response = QueryResponse.from_result(result)
@@ -146,10 +146,7 @@ def create_app(gateway: AsyncQueryService):
             return
         try:
             results = await gateway.submit_many(
-                queries,
-                workers=request.workers,
-                tenant=request.tenant,
-                priority=request.priority,
+                queries, tenant=request.tenant, priority=request.priority
             )
         except GatewaySaturatedError as exc:
             await _send_error(send, 503, "gateway_saturated", str(exc))
@@ -219,17 +216,6 @@ def create_app(gateway: AsyncQueryService):
     paths = {path for _, path in routes}
 
     async def app(scope, receive, send) -> None:
-        if scope["type"] == "lifespan":
-            # Minimal lifespan protocol so general ASGI servers start
-            # cleanly; shutdown drains the bridge.
-            while True:
-                message = await receive()
-                if message["type"] == "lifespan.startup":
-                    await send({"type": "lifespan.startup.complete"})
-                elif message["type"] == "lifespan.shutdown":
-                    await gateway.close()
-                    await send({"type": "lifespan.shutdown.complete"})
-                    return
         if scope["type"] != "http":  # pragma: no cover - no websockets here
             raise RuntimeError(f"unsupported ASGI scope {scope['type']!r}")
         method = scope["method"].upper()

@@ -20,10 +20,10 @@ cost structure of one served query:
   threads bound the requests in flight and overlap their I/O; they do
   **not** make searches parallel —
   SciPy's Dijkstra holds the GIL (two threads of full SSSPs measure 0.98x
-  one).  Search parallelism is carried by processes: when the service
-  holds a :class:`~repro.parallel.pool.SearchWorkerPool`, the bridge
-  thread only waits on a worker's pipe while the search runs on another
-  core.
+  one).  Search parallelism is carried by processes: the service's one
+  executor is the :class:`~repro.parallel.pool.SearchWorkerPool` it
+  forked in its constructor, and a bridge thread only waits on a
+  worker's pipe while the search runs on another core.
 
 State-ownership rules (DESIGN.md §14): the event loop owns the gateway's
 own mutable state (the pending counter); the service's shared state is
@@ -81,7 +81,8 @@ class AsyncQueryService:
         thread waits on one search — on a pool worker's pipe, or runs it
         under the GIL when the service has no pool).  Defaults to 8.
         Threads do not add search parallelism; the service's worker pool
-        does (``repro serve`` sizes it ``min(usable CPUs, max_workers)``).
+        does (``repro serve`` forks ``min(usable CPUs, max_workers)``
+        workers, at least one).
     max_pending:
         Bound on bridged calls queued-or-running; ``None`` derives
         ``4 * max_workers`` (a small queue smooths bursts without letting
@@ -191,27 +192,22 @@ class AsyncQueryService:
         self,
         queries: Sequence[UOTSQuery],
         budget: SearchBudget | None = None,
-        workers: int | None = None,
         tenant: str | None = None,
         priority: str | None = None,
     ) -> list[SearchResult]:
         """Bridge a whole batch through :meth:`QueryService.execute_many`.
 
-        The batch rides as *one* bridged call; with ``workers > 1`` the
-        service fans it out over its search worker pool (or one opened
-        for the call), exactly as for a library batch caller.
+        The batch rides as *one* bridged call; the service fans it out
+        over the search worker pool it forked at start-up, exactly as for
+        a library batch caller.  Nothing in a request sizes or forks an
+        executor.
         """
         if self._closed:
             raise GatewayError("gateway is closed")
         if self.saturated:
             raise GatewaySaturatedError(self._pending, self._max_pending)
         return await self._bridge(
-            self._service.execute_many,
-            list(queries),
-            budget,
-            1 if workers is None else workers,
-            tenant,
-            priority,
+            self._service.execute_many, list(queries), budget, tenant, priority
         )
 
     async def explain(self, query: UOTSQuery) -> str:

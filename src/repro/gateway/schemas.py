@@ -11,7 +11,7 @@ SearchResult` comes back as the same fields ``repro query`` prints.
 This is the only gateway module (besides :mod:`repro.gateway.app`, which
 uses it) that imports pydantic.  Importing it without pydantic installed
 raises the usual ``ModuleNotFoundError`` — callers that need a friendly
-gate go through :func:`repro.gateway.require_http_deps`.
+gate check :func:`repro.gateway.http_available` first.
 
 Validation strictness is split between the layers on purpose: pydantic
 checks *shape* (types, required fields, bounds that need no domain
@@ -122,7 +122,6 @@ class BatchQueryRequest(_Strict):
     """A batch for ``/query/batch`` → :meth:`QueryService.execute_many`."""
 
     queries: list[QueryRequest] = Field(min_length=1)
-    workers: int | None = Field(default=None, ge=1)
     tenant: str | None = None
     priority: str | None = None
 

@@ -5,11 +5,14 @@ the fact is known: the admission controller's in-flight count, the
 result cache's hits / misses / invalidation scope, the tracer's dropped
 spans, the slow-query journal, a buffer pool's ``BufferStats`` and the
 chaos-testing ``FaultInjector``.  Each ``bind_*`` function here takes
-such a *live* object and a :class:`~repro.obs.metrics.MetricsRegistry`,
-registers a collector that publishes the object's current totals into
-named instruments at export time, and returns that collector (tests call
-it directly).  Each fact has one owner: what a query did is written by
-``QueryService`` straight into the registry, never mirrored from here.
+such a *live* object and a :class:`~repro.obs.metrics.MetricsRegistry`
+and binds it under the registry's one collector for its kind
+(:meth:`~repro.obs.metrics.MetricsRegistry.register_source`), which
+publishes the current totals of every bound object of that kind into
+named instruments at export time: summed, except the slow-query
+journals' worst latency (their maximum) and threshold (their minimum).
+Each fact has one owner: what a query did is written by ``QueryService``
+straight into the registry, never mirrored from here.
 
 Metric names follow the DESIGN.md §8 convention
 (``repro_<subsystem>_<what>[_total]``); all ``bind_*`` functions default
@@ -18,7 +21,7 @@ to the process-wide registry when ``registry`` is omitted.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -39,15 +42,9 @@ __all__ = [
     "bind_fault_injector",
 ]
 
-Collector = Callable[[], None]
 
-
-def bind_tracer(
-    tracer: "Tracer",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Mirror a tracer's lifetime drop counters into the registry.
+def bind_tracer(tracer: "Tracer", registry: MetricsRegistry | None = None) -> None:
+    """Mirror tracers' lifetime drop counters into the registry.
 
     Non-zero values mean the per-trace buffer caps truncated spans or
     events — locally recorded or grafted from harvested workers — so an
@@ -66,20 +63,17 @@ def bind_tracer(
         "Events dropped by per-trace buffer caps (local and grafted)",
     )
 
-    def collect() -> None:
-        dropped_spans.set_total(tracer.dropped_spans_total, **labels)
-        dropped_events.set_total(tracer.dropped_events_total, **labels)
+    def publish(tracers: list) -> None:
+        dropped_spans.set_total(sum(t.dropped_spans_total for t in tracers))
+        dropped_events.set_total(sum(t.dropped_events_total for t in tracers))
 
-    registry.register_collector(collect)
-    return collect
+    registry.register_source("tracer", tracer, publish)
 
 
 def bind_slowlog(
-    journal: "SlowQueryJournal",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Mirror a :class:`SlowQueryJournal`'s admission counters and bounds."""
+    journal: "SlowQueryJournal", registry: MetricsRegistry | None = None
+) -> None:
+    """Mirror slow-query journals' admission counters and bounds."""
     if registry is None:
         registry = get_registry()
     entries = registry.gauge(
@@ -99,42 +93,36 @@ def bind_slowlog(
         "repro_slowlog_worst_seconds", "Slowest latency currently journalled"
     )
 
-    def collect() -> None:
-        entries.set(len(journal), **labels)
-        recorded.set_total(journal.recorded, **labels)
-        evicted.set_total(journal.evicted, **labels)
-        threshold.set(journal.threshold_seconds, **labels)
-        worst.set(journal.worst_seconds(), **labels)
+    def publish(journals: list) -> None:
+        entries.set(sum(len(j) for j in journals))
+        recorded.set_total(sum(j.recorded for j in journals))
+        evicted.set_total(sum(j.evicted for j in journals))
+        threshold.set(min(j.threshold_seconds for j in journals))
+        worst.set(max(j.worst_seconds() for j in journals))
 
-    registry.register_collector(collect)
-    return collect
+    registry.register_source("slowlog", journal, publish)
 
 
 def bind_admission(
-    controller: "AdmissionController",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Mirror an admission controller's in-flight count into the registry."""
+    controller: "AdmissionController", registry: MetricsRegistry | None = None
+) -> None:
+    """Mirror admission controllers' in-flight counts into the registry."""
     if registry is None:
         registry = get_registry()
     inflight = registry.gauge(
         "repro_service_inflight", "Queries currently holding an admission slot"
     )
 
-    def collect() -> None:
-        inflight.set(controller.inflight, **labels)
+    def publish(controllers: list) -> None:
+        inflight.set(sum(c.inflight for c in controllers))
 
-    registry.register_collector(collect)
-    return collect
+    registry.register_source("admission", controller, publish)
 
 
 def bind_buffer_stats(
-    stats: "BufferStats",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Mirror a buffer pool's :class:`BufferStats` (hits/misses/retries)."""
+    stats: "BufferStats", registry: MetricsRegistry | None = None
+) -> None:
+    """Mirror buffer pools' :class:`BufferStats` (hits/misses/retries)."""
     if registry is None:
         registry = get_registry()
     hits = registry.counter(
@@ -153,30 +141,29 @@ def bind_buffer_stats(
         "repro_storage_page_hit_ratio", "Fraction of page requests served from memory"
     )
 
-    def collect() -> None:
-        hits.set_total(stats.hits, **labels)
-        misses.set_total(stats.misses, **labels)
-        evictions.set_total(stats.evictions, **labels)
-        retries.set_total(stats.retries, **labels)
-        hit_ratio.set(stats.hit_ratio, **labels)
+    def publish(bound: list) -> None:
+        total_hits = sum(s.hits for s in bound)
+        accesses = sum(s.accesses for s in bound)
+        hits.set_total(total_hits)
+        misses.set_total(sum(s.misses for s in bound))
+        evictions.set_total(sum(s.evictions for s in bound))
+        retries.set_total(sum(s.retries for s in bound))
+        hit_ratio.set(total_hits / accesses if accesses else 0.0)
 
-    registry.register_collector(collect)
-    return collect
+    registry.register_source("buffer_stats", stats, publish)
 
 
 def bind_result_cache(
-    cache: "ResultCache",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Mirror the service-level result cache into the registry.
+    cache: "ResultCache", registry: MetricsRegistry | None = None
+) -> None:
+    """Mirror service-level result caches into the registry.
 
     Counters follow the service namespace (the cache is a serving-layer
     structure, not a per-database one): only *eligible* lookups count —
     budgeted queries bypass the cache entirely and appear in neither hits
     nor misses.  The ``repro_invalidation_*`` series (scope of the
     scoped invalidation, by mutation kind) appear once the first mutation
-    event reached the cache.
+    event reached a cache.
     """
     if registry is None:
         registry = get_registry()
@@ -208,29 +195,29 @@ def bind_result_cache(
         "Result-cache entries proven unaffected and retained, summed per event",
     )
 
-    def collect() -> None:
-        stats = cache.stats
-        hits.set_total(stats.hits, **labels)
-        misses.set_total(stats.misses, **labels)
-        evictions.set_total(stats.evictions, **labels)
-        entries.set(len(cache), **labels)
-        kinds = dict(cache.invalidation_kinds)
+    def publish(caches: list) -> None:
+        stats = [cache.stats for cache in caches]
+        hits.set_total(sum(st.hits for st in stats))
+        misses.set_total(sum(st.misses for st in stats))
+        evictions.set_total(sum(st.evictions for st in stats))
+        entries.set(sum(len(cache) for cache in caches))
+        kinds: dict[str, int] = {}
+        for cache in caches:
+            for kind, count in dict(cache.invalidation_kinds).items():
+                kinds[kind] = kinds.get(kind, 0) + count
         for kind, count in sorted(kinds.items()):
-            events.set_total(count, kind=kind, **labels)
+            events.set_total(count, kind=kind)
         if kinds:
-            dropped.set_total(cache.invalidation_entries_dropped, **labels)
-            retained.set_total(cache.invalidation_entries_retained, **labels)
+            dropped.set_total(sum(c.invalidation_entries_dropped for c in caches))
+            retained.set_total(sum(c.invalidation_entries_retained for c in caches))
 
-    registry.register_collector(collect)
-    return collect
+    registry.register_source("result_cache", cache, publish)
 
 
 def bind_fault_injector(
-    injector: "FaultInjector",
-    registry: MetricsRegistry | None = None,
-    **labels,
-) -> Collector:
-    """Mirror a chaos :class:`FaultInjector`'s counters into the registry."""
+    injector: "FaultInjector", registry: MetricsRegistry | None = None
+) -> None:
+    """Mirror chaos :class:`FaultInjector` counters into the registry."""
     if registry is None:
         registry = get_registry()
     injected = registry.counter(
@@ -243,10 +230,9 @@ def bind_fault_injector(
         "repro_faults_corrupted_pages_total", "Pages deliberately corrupted"
     )
 
-    def collect() -> None:
-        injected.set_total(injector.injected_transients, **labels)
-        observed.set_total(injector.observed_reads, **labels)
-        corrupted.set_total(len(injector.corrupted_pages), **labels)
+    def publish(injectors: list) -> None:
+        injected.set_total(sum(i.injected_transients for i in injectors))
+        observed.set_total(sum(i.observed_reads for i in injectors))
+        corrupted.set_total(sum(len(i.corrupted_pages) for i in injectors))
 
-    registry.register_collector(collect)
-    return collect
+    registry.register_source("fault_injector", injector, publish)

@@ -25,9 +25,10 @@ A family nothing has written to yet exports nothing — no ``# HELP`` /
 ``# TYPE`` header and no snapshot key — so components can resolve every
 instrument up front and a series appears with its first fact.
 
-Collectors bridge pull-style sources: a callable registered with
-:meth:`MetricsRegistry.register_collector` runs before every export and
-publishes current values from live stats objects (the adapter layer in
+Collectors bridge pull-style sources:
+:meth:`MetricsRegistry.register_source` keeps one collector per source
+kind, which runs before every export and publishes the sum over every
+live stats object of that kind (the adapter layer in
 :mod:`repro.obs.adapters` is built on this).
 """
 
@@ -304,6 +305,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: dict[str, _Instrument] = {}
         self._collectors: list[Callable[[], None]] = []
+        self._sources: dict[str, list] = {}
 
     # ------------------------------------------------------------- creation
     def _get_or_create(self, cls, name: str, help: str, **kwargs):
@@ -334,10 +336,25 @@ class MetricsRegistry:
         """Get or create the named histogram (buckets fixed at creation)."""
         return self._get_or_create(Histogram, name, help, buckets=buckets)
 
-    def register_collector(self, collector: Callable[[], None]) -> None:
-        """Run ``collector()`` before every export to publish pull values."""
+    def register_source(
+        self, kind: str, source: object, publish: Callable[[list], None]
+    ) -> None:
+        """Bind a pull-style ``source`` under the one collector for ``kind``.
+
+        The first source of a kind registers ``publish``; before every
+        export it runs once with every distinct source bound under that
+        kind and publishes their combined totals.  So two services' result
+        caches on one registry export one sum, not two totals that
+        overwrite each other (and make a monotone counter regress); a
+        source bound twice (a cache two services share) counts once.
+        """
         with self._lock:
-            self._collectors.append(collector)
+            sources = self._sources.get(kind)
+            if sources is None:
+                sources = self._sources[kind] = []
+                self._collectors.append(lambda: publish(list(sources)))
+            if not any(bound is source for bound in sources):
+                sources.append(source)
 
     # --------------------------------------------------------------- export
     def collect(self) -> None:

@@ -6,8 +6,8 @@ holds the GIL).  Searches run on a :class:`~repro.parallel.pool.SearchWorkerPool
 only what both sides of that pipe share: :func:`_safe_search` (one
 isolated search: a library error becomes an *error-marked*
 :class:`SearchResult` instead of poisoning a batch) and
-:func:`parallel_search`, the library's batch convenience over
-``QueryService.execute_many(workers=N)``.  The join forks its own phase 1
+:func:`parallel_search`, the library's batch convenience over a one-shot
+pooled ``QueryService``.  The join forks its own phase 1
 (``TwoPhaseJoin(workers=N)``).
 """
 
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from repro.core.query import UOTSQuery
 from repro.core.results import SearchResult
-from repro.errors import ReproError
+from repro.errors import QueryError, ReproError
 from repro.index.database import TrajectoryDatabase
 from repro.resilience.budget import SearchBudget
 
@@ -100,19 +100,27 @@ def parallel_search(
 ) -> list[SearchResult]:
     """Run a batch of UOTS queries across ``workers`` processes.
 
-    Results come back in query order.  ``workers=1`` (or an unavailable
-    ``fork``) runs sequentially in-process.  ``budget`` applies to every
+    Results come back in query order.  ``workers=1``, a single query or
+    an unavailable ``fork`` runs sequentially in-process.  ``budget`` applies to every
     query (a per-query ``query.budget`` wins where set).  A failing query
     yields an error-marked result; a query whose worker died is re-run in
     the parent (``stats.executor = "sequential-fallback"``).
 
     This is a convenience over a one-shot
     :class:`~repro.service.service.QueryService` (imported lazily — the
-    serving layer sits above this module), which opens a
-    :class:`~repro.parallel.pool.SearchWorkerPool` for the call;
-    long-lived callers should hold a service (and its pool) of their own.
+    serving layer sits above this module) that forks
+    ``min(workers, len(queries))`` search workers when that is two or
+    more and stops them on return; long-lived callers should hold a pooled service of their own.
     """
     from repro.service.service import QueryService
 
-    service = QueryService(database, algorithm)
-    return service.execute_many(queries, budget=budget, workers=workers)
+    if workers < 1:
+        raise QueryError(f"workers must be >= 1, got {workers}")
+    queries = list(queries)
+    pool = min(workers, len(queries))
+    pool = pool if pool > 1 and fork_available() else 0
+    service = QueryService(database, algorithm, pool=pool)
+    try:
+        return service.execute_many(queries, budget=budget)
+    finally:
+        service.close()

@@ -15,8 +15,8 @@ measurements behind each rule below.
   what the first query would build lazily, ``gc.freeze()`` keeps the
   children's collector off the inherited heap, then the workers fork: they
   share every page copy-on-write and build nothing twice.  Fork before
-  starting threads (``repro serve`` does); a batch caller without a pool
-  opens one for the duration of the call.
+  starting threads: a ``QueryService`` forks its pool in its constructor
+  and nowhere else (``repro serve`` builds it before any thread).
 - **Coherence is by replication, not re-fork.**  One mutation listener
   writes every ``add`` (with its trajectory) and ``remove`` down each
   worker's FIFO pipe, in listener order; a worker applies it to its copy
@@ -94,10 +94,10 @@ def usable_cpus() -> int:
 
 
 def serving_workers(limit: int) -> int:
-    """Pool size for a serving process: ``min(usable CPUs, limit)``, or 0
-    (no pool) when that is one CPU or the platform cannot fork."""
-    workers = min(usable_cpus(), limit)
-    return workers if workers > 1 and fork_available() else 0
+    """Pool size for a serving process: ``min(usable CPUs, limit)`` and at
+    least one, so the parent never searches; 0 (no pool) only where the
+    platform cannot fork."""
+    return max(1, min(usable_cpus(), limit)) if fork_available() else 0
 
 
 # ---------------------------------------------------------------- worker side
@@ -173,7 +173,8 @@ class SearchWorkerPool:
     metrics:
         Optional registry for ``repro_pool_workers``,
         ``repro_pool_dispatched_total{worker}``,
-        ``repro_pool_fallbacks_total`` and ``repro_pool_wait_seconds``.
+        ``repro_pool_fallbacks_total`` and ``repro_pool_wait_seconds``,
+        each summed over every pool bound to that registry.
     parent_only:
         Mutation listeners of ``database`` that belong to the parent alone
         (a service's result-cache invalidation); each worker drops them
@@ -255,13 +256,17 @@ class SearchWorkerPool:
             buckets=LATENCY_BUCKETS,
         )
 
-        def collect() -> None:
-            live.set(self.live_workers)
-            for index, count in enumerate(self.dispatched):
+        def publish(pools: list) -> None:
+            live.set(sum(pool.live_workers for pool in pools))
+            per_worker: dict[int, int] = {}
+            for pool in pools:
+                for index, count in enumerate(pool.dispatched):
+                    per_worker[index] = per_worker.get(index, 0) + count
+            for index, count in per_worker.items():
                 dispatched.set_total(count, worker=str(index))
-            fallbacks.set_total(self.fallbacks)
+            fallbacks.set_total(sum(pool.fallbacks for pool in pools))
 
-        registry.register_collector(collect)
+        registry.register_source("search_worker_pool", self, publish)
 
     # ------------------------------------------------------------ accessors
     @property

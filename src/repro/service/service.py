@@ -35,21 +35,20 @@ There is one pipeline of three stages — ``_probe`` (result cache),
 record, release) — and every caller composes it: :meth:`~QueryService.
 submit` and ``execute_many`` run all three, :meth:`~QueryService.search`
 runs probe → execute in process, and the asyncio gateway runs probe →
-admit on its event loop and bridges the execute stage to a thread.  The
-search leaves the process in one place: given a ``pool=``
-(:class:`~repro.parallel.pool.SearchWorkerPool`), ``_execute_admitted``
-dispatches it to a pre-forked worker and everything else stays here in
-the parent; without one (the default) it runs on the calling thread.
-``execute_many(workers=N)`` is N threads calling the pipeline over the
-service's pool — or over a pool opened for the duration of the call when
-the service has none.
+admit on its event loop and bridges the execute stage to a thread.  A
+service has one executor: the :class:`~repro.parallel.pool.
+SearchWorkerPool` it forks in its constructor (``pool=N``), to which
+``_execute_admitted`` sends every admitted search while everything else
+stays here in the parent.  Without one (the default) searches run on the
+calling thread.  ``execute_many`` fans a batch out over that pool, never
+wider than its live workers, and never forks.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from typing import Hashable, Sequence
@@ -58,7 +57,6 @@ from repro.core.plan import QueryPlan, Searcher
 from repro.core.query import UOTSQuery
 from repro.core.registry import get_spec, make_searcher
 from repro.core.results import SearchResult
-from repro.errors import QueryError
 from repro.index.database import TrajectoryDatabase
 from repro.obs.adapters import (
     bind_admission,
@@ -74,7 +72,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.slowlog import SlowLogEntry, SlowQueryJournal
 from repro.obs.trace import Tracer, activated
-from repro.parallel.executor import _charged_search, _safe_search, fork_available
+from repro.parallel.executor import _charged_search, _safe_search
 from repro.parallel.pool import SearchWorkerPool
 from repro.perf.result_cache import ResultCache, query_fingerprint
 from repro.resilience.budget import SearchBudget
@@ -188,9 +186,10 @@ class QueryService:
         the number of search worker processes to fork — here, in the
         constructor, so build the service before starting threads.  The
         service then holds a
-        :class:`~repro.parallel.pool.SearchWorkerPool` (:attr:`pool`):
-        admitted searches run on its workers while cache, admission and
-        recording stay in this process; :meth:`close` stops the workers.
+        :class:`~repro.parallel.pool.SearchWorkerPool` (:attr:`pool`), its
+        only executor: admitted searches, single or batched, run on its
+        workers while cache, admission and recording stay in this
+        process; :meth:`close` stops the workers.
     **searcher_kwargs:
         Tuning kwargs forwarded to the registry factory (``alt=``,
         ``batch_size=``, ``refinement=``, ``scheduler=``).
@@ -249,18 +248,13 @@ class QueryService:
         self._metrics = metrics
         self._bind(metrics)
         # Last: the workers fork with everything above already in place.
-        self._pool: SearchWorkerPool | None = (
-            self._open_pool(pool, self._metrics) if pool else None
-        )
-
-    def _open_pool(
-        self, workers: int, metrics: MetricsRegistry | None = None
-    ) -> SearchWorkerPool:
-        """Fork ``workers`` search workers over this service's searcher."""
-        parent_only = (self._on_mutation,) if self._result_cache is not None else ()
-        return SearchWorkerPool(
-            self._searcher, self._database, workers, metrics, parent_only
-        )
+        # This is the only place a service forks.
+        self._pool: SearchWorkerPool | None = None
+        if pool:
+            parent_only = (self._on_mutation,) if result_cache is not None else ()
+            self._pool = SearchWorkerPool(
+                self._searcher, database, pool, metrics, parent_only
+            )
 
     def _bind(self, metrics: MetricsRegistry) -> None:
         """Resolve the instruments :meth:`_record` and :meth:`_admit` write
@@ -641,21 +635,19 @@ class QueryService:
         executor_label: str | None = None,
         tenant: str | None = None,
         priority: str | None = None,
-        pool: SearchWorkerPool | None = None,
     ) -> SearchResult:
         """Stage 3: search, record, release the admission slot.
 
         Runs on the thread that waits for the answer (the gateway calls it
         from a bridge thread), owns the slot ``decision`` claimed, and
-        releases it on every path.  The search runs on a worker of
-        ``pool`` (default: the service's own) when there is one, and on
-        this thread otherwise; either way the time since ``started`` — the
-        probe's clock — is charged to the budget's deadline and to the
-        recorded latency.  ``decision=None`` is :meth:`search`'s ungated
-        path: in process, library errors raise.
+        releases it on every path.  The search runs on a worker of the
+        service's pool when it has one, and on this thread otherwise;
+        either way the time since ``started`` — the probe's clock — is
+        charged to the budget's deadline and to the recorded latency.
+        ``decision=None`` is :meth:`search`'s ungated path: in process,
+        library errors raise.
         """
-        if pool is None and decision is not None:
-            pool = self._pool
+        pool = self._pool if decision is not None else None
         try:
             # The policy's tightened budget applies only when the caller
             # did not bring their own — an explicit budget always wins.
@@ -715,7 +707,6 @@ class QueryService:
         executor_label: str | None,
         tenant: str | None = None,
         priority: str | None = None,
-        pool: SearchWorkerPool | None = None,
     ) -> SearchResult:
         """The full pipeline: probe → admit → execute → record."""
         started, key, hit = self._probe(query, budget, tenant, priority)
@@ -726,7 +717,7 @@ class QueryService:
             return rejected
         return self._execute_admitted(
             query, budget, decision, key, started, executor_label, tenant,
-            priority, pool,
+            priority,
         )
 
     # ------------------------------------------------------------ execution
@@ -775,9 +766,9 @@ class QueryService:
         ``tenant`` and ``priority`` identify the caller to the admission
         policy (quotas, class-based shedding) and label the lane counters
         and trace span.  An unknown ``priority`` raises
-        :class:`~repro.errors.QueryError` — like invalid ``workers``, it
-        is an argument error, not a query outcome.  Under a cost policy
-        the query is planned first; a borderline-expensive admission may
+        :class:`~repro.errors.QueryError` — it is an argument error, not
+        a query outcome.  Under a cost policy the query is planned first;
+        a borderline-expensive admission may
         come back *degraded*: the service attaches the policy's tightened
         budget (a caller-supplied ``budget`` always wins) and the answer
         is anytime (``exact=False`` with a usable ``confirmed_prefix()``),
@@ -789,19 +780,17 @@ class QueryService:
         self,
         queries: Sequence[UOTSQuery],
         budget: SearchBudget | None = None,
-        workers: int = 1,
         tenant: str | None = None,
         priority: str | None = None,
     ) -> list[SearchResult]:
         """Answer a batch of queries, in query order.
 
         Every query goes through :meth:`submit`'s pipeline (result-cache
-        probe, admission, search, recording).  ``workers > 1`` runs that
-        pipeline from ``workers`` threads over the service's pool — or,
-        when the service has none and the platform can fork, over a pool
-        opened for the duration of the call — so up to ``workers``
+        probe, admission, search, recording).  On a pooled service the
+        batch fans out over the pool: one thread per live worker, so the
         searches run at once on separate processes; a query whose worker
-        died is re-run in this process.  Every result's
+        died is re-run in this process.  Without a pool the batch runs
+        sequentially on the calling thread.  Every result's
         ``stats.executor`` records the path that produced it
         (``"fork"``, ``"sequential"``, ``"sequential-fallback"``).
 
@@ -809,26 +798,23 @@ class QueryService:
         parallelism cannot shed its own queries.  ``tenant``/``priority``
         apply to every query of the batch.
         """
-        if workers < 1:
-            raise QueryError(f"workers must be >= 1, got {workers}")
         queries = list(queries)
+        live = self._pool.live_workers if self._pool is not None else 1
+        width = min(live, len(queries), self._admission.max_inflight or live)
 
-        def submit(query: UOTSQuery, pool: SearchWorkerPool | None = None):
-            return self._submit(query, budget, "sequential", tenant, priority, pool)
+        def submit(query: UOTSQuery) -> SearchResult:
+            return self._submit(query, budget, "sequential", tenant, priority)
 
-        width = min(workers, len(queries), self._admission.max_inflight or workers)
-        if width < 2 or (self._pool is None and not fork_available()):
-            with self._traced("execute_many", queries=len(queries), workers=1):
-                return [submit(query) for query in queries]
-        with ExitStack() as stack:
-            pool = self._pool or stack.enter_context(self._open_pool(width))
-            span = stack.enter_context(
-                self._traced("execute_many", queries=len(queries), workers=width)
-            )
-            # Each thread's ``query`` span is a root of its own (spans nest
-            # per thread); the batch span carries the totals.
-            with ThreadPoolExecutor(width, "uots-batch") as threads:
-                results = list(threads.map(lambda query: submit(query, pool), queries))
+        with self._traced(
+            "execute_many", queries=len(queries), workers=max(width, 1)
+        ) as span:
+            if width < 2:
+                results = [submit(query) for query in queries]
+            else:
+                # Each thread's ``query`` span is a root of its own (spans
+                # nest per thread); the batch span carries the totals.
+                with ThreadPoolExecutor(width, "uots-batch") as threads:
+                    results = list(threads.map(submit, queries))
             if span is not None and self._result_cache is not None:
                 span.set(
                     "result_cache_hits",

@@ -227,14 +227,19 @@ def test_batch_endpoint_matches_execute_many(stack, gateway_database):
         json={"queries": [_payload(deadline_ms=10), _payload()]},
     )
     assert response.status == 422
+    # No body sizes an executor: the service's pool is the only one.
+    response = client.post("/query/batch", json={"workers": 2, "queries": [_payload()]})
+    assert response.status == 422
+    assert "workers" in response.json()["detail"]
 
 
-def test_two_concurrent_forked_batches_both_answer(stack, gateway_database):
-    """Regression: the second of two concurrent ``"workers": 2`` batches
-    found the fork handoff taken and took its connection down with it."""
-    _, _, client = stack
+def test_two_concurrent_forked_batches_both_answer(gateway_database):
+    """Regression: the second of two concurrent batches found the fork
+    handoff taken and took its connection down with it.  Both now ride
+    the pool the service forked at start-up."""
+    service, gateway, client = _pooled_stack(gateway_database, "collaborative")
     bodies = [
-        {"workers": 2, "queries": [_payload(locations=[a, b], k=3) for b in (40, 60, 80)]}
+        {"queries": [_payload(locations=[a, b], k=3) for b in (40, 60, 80)]}
         for a in (3, 17)
     ]
 
@@ -244,12 +249,18 @@ def test_two_concurrent_forked_batches_both_answer(stack, gateway_database):
         )
 
     oracle = make_searcher(gateway_database, "brute-force")
-    for body, response in zip(bodies, asyncio.run(fire())):
+    try:
+        responses = asyncio.run(fire())
+    finally:
+        asyncio.run(gateway.close())
+        service.close()
+    for body, response in zip(bodies, responses):
         assert response.status == 200
         for wire, result in zip(body["queries"], response.json()["results"]):
             reference = oracle.search(
                 UOTSQuery.create(wire["locations"], wire["preference"], k=wire["k"])
             )
+            assert result["stats"]["executor"] == "fork"
             assert [item["trajectory_id"] for item in result["items"]] == reference.ids
             assert [item["score"] for item in result["items"]] == pytest.approx(
                 reference.scores, abs=1e-9

@@ -122,7 +122,7 @@ def test_harvest_config_follows_the_tracer():
 
 @fork_only
 class TestScatterHarvest:
-    """A traced pooled batch (``execute_many(workers=2)``): worker spans
+    """A traced batch on a two-worker service: worker spans
     come home under their ``query`` spans, bounded."""
 
     QUERIES = [
@@ -134,8 +134,13 @@ class TestScatterHarvest:
         """Results, the batch's ``query`` roots (one per query: each batch
         thread's span tree is its own trace), and the metrics registry."""
         registry = MetricsRegistry()
-        service = QueryService(database, algorithm, trace=tracer, metrics=registry)
-        results = service.execute_many(queries, workers=2)
+        service = QueryService(
+            database, algorithm, trace=tracer, metrics=registry, pool=2
+        )
+        try:
+            results = service.execute_many(queries)
+        finally:
+            service.close()
         assert all(result.ok for result in results)
         assert tracer.last_trace().name == "execute_many"
         roots = [root for root in tracer.traces if root.name == "query"]

@@ -120,7 +120,9 @@ class TestRegistry:
         registry = MetricsRegistry()
         gauge = registry.gauge("repro_pull")
         state = {"v": 1.0}
-        registry.register_collector(lambda: gauge.set(state["v"]))
+        registry.register_source(
+            "pull", state, lambda sources: gauge.set(sources[0]["v"])
+        )
         registry.collect()
         assert gauge.value() == 1.0
         state["v"] = 7.0

@@ -84,7 +84,7 @@ class TestTracing:
 
     def test_execute_many_sequential_traces_batch(self, database, queries):
         service = QueryService(database, "collaborative", trace=True)
-        service.execute_many(queries, workers=1)
+        service.execute_many(queries)
         root = service.tracer.last_trace()
         assert root.name == "execute_many"
         assert root.attributes["queries"] == len(queries)
@@ -99,7 +99,7 @@ class TestUnifiedRecording:
         for q in queries:
             via_submit.submit(q)
         via_batch = QueryService(database, "collaborative")
-        via_batch.execute_many(queries, workers=1)
+        via_batch.execute_many(queries)
         for outcome in ("exact", "degraded", "failed", "rejected"):
             assert series(via_submit, OUTCOMES, outcome=outcome) == series(
                 via_batch, OUTCOMES, outcome=outcome
@@ -110,20 +110,23 @@ class TestUnifiedRecording:
 
     def test_sequential_batch_labels_executor(self, database, queries):
         service = QueryService(database, "collaborative")
-        results = service.execute_many(queries, workers=1)
+        results = service.execute_many(queries)
         assert all(r.stats.executor == "sequential" for r in results)
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_fork_batch_records_latency_and_outcomes(self, database, queries):
-        service = QueryService(database, "collaborative")
-        results = service.execute_many(queries, workers=2)
+        service = QueryService(database, "collaborative", pool=2)
+        try:
+            results = service.execute_many(queries)
+        finally:
+            service.close()
         assert series(service, OUTCOMES) == len(queries)
         assert series(service, OUTCOMES, outcome="exact") == len(queries)
         # The regression: forked results must land in the latency
         # histogram too, not only in the outcome counters.
         assert series(service, "repro_service_latency_seconds_count") == len(queries)
         assert series(service, "repro_service_latency_seconds_sum") > 0.0
-        assert all(r.stats.executor for r in results)
+        assert {r.stats.executor for r in results} == {"fork"}
 
     def test_failed_query_still_records_latency(self, database):
         service = QueryService(database, "collaborative")
@@ -168,7 +171,7 @@ class TestMetricsIntegration:
     def test_histogram_counts_match_served_queries(self, database, queries):
         registry = MetricsRegistry()
         service = QueryService(database, "collaborative", metrics=registry)
-        service.execute_many(queries, workers=1)
+        service.execute_many(queries)
         histogram = registry.histogram("repro_service_latency_seconds")
         assert histogram.count() == len(queries)
         assert histogram.sum() > 0.0

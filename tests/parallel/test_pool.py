@@ -396,18 +396,12 @@ def test_a_dead_parent_leaves_no_orphan(sig):
         holder.stdout.close()
 
 
-def test_serve_startup_forks_before_any_thread_and_sigterm_reaps(tmp_path):
-    """``repro serve`` end to end: the pool forks while the process is
-    still single-threaded (3.12+ warns on fork-with-threads; the warning is
+def _serve(tmp_path, gateway_workers: int):
+    """Start ``repro serve`` on a fresh dataset; returns the process and
+    its address.  Forking with threads alive warns on 3.12+; the warning is
     an error here, BLAS pools pinned to one thread so only *our* threads
-    could trip it), two connections are served by two workers, and SIGTERM
-    leaves no child behind."""
+    could trip it."""
     pytest.importorskip("pydantic")
-    if usable_cpus() < 2:
-        pytest.skip("one usable CPU: repro serve opens no pool")
-    assert serving_workers(8) == min(usable_cpus(), 8)
-    import http.client
-    import json
     import re
 
     from repro.cli import main
@@ -425,21 +419,45 @@ def test_serve_startup_forks_before_any_thread_and_sigterm_reaps(tmp_path):
         [
             sys.executable, "-W", "error:This process:DeprecationWarning",
             "-m", "repro.cli", "serve", "--data", str(data), "--port", "0",
-            "--gateway-workers", "2",
+            "--gateway-workers", str(gateway_workers),
         ],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
     )
+    line = server.stdout.readline()
+    match = re.search(r"serving on http://([^:]+):(\d+)", line)
+    if not match:
+        server.kill()
+        server.wait()
+        pytest.fail(f"serve did not start: {line!r} {server.stderr.read()}")
+    return server, (match.group(1), int(match.group(2)))
+
+
+def _children(pid: int) -> list[int]:
+    path = Path(f"/proc/{pid}/task/{pid}/children")
+    return [int(child) for child in path.read_text().split()]
+
+
+def _stop(server) -> None:
+    server.kill()
+    server.wait()
+    server.stdout.close()
+    server.stderr.close()
+
+
+def test_serve_startup_forks_before_any_thread_and_sigterm_reaps(tmp_path):
+    """``repro serve`` end to end: the pool forks while the process is
+    still single-threaded, two connections are served by two workers, and
+    SIGTERM leaves no child behind."""
+    if usable_cpus() < 2:
+        pytest.skip("one usable CPU: repro serve forks one worker")
+    assert serving_workers(8) == min(usable_cpus(), 8)
+    import http.client
+    import json
+    import re
+
+    server, address = _serve(tmp_path, 2)
     try:
-        line = server.stdout.readline()
-        match = re.search(r"serving on http://([^:]+):(\d+)", line)
-        assert match, (line, server.stderr.read() if server.poll() else "")
-        address = (match.group(1), int(match.group(2)))
-        children = [
-            int(pid)
-            for pid in Path(
-                f"/proc/{server.pid}/task/{server.pid}/children"
-            ).read_text().split()
-        ]
+        children = _children(server.pid)
         assert len(children) == 2
 
         def fire(statuses: list, offset: int) -> None:
@@ -478,7 +496,35 @@ def test_serve_startup_forks_before_any_thread_and_sigterm_reaps(tmp_path):
         assert server.wait(timeout=15) == 0
         assert _wait_gone(children)
     finally:
-        server.kill()
-        server.wait()
-        server.stdout.close()
-        server.stderr.close()
+        _stop(server)
+
+
+def test_serve_with_one_gateway_worker_forks_one_and_a_batch_forks_none(tmp_path):
+    """Even one bridge thread gets a worker, so the parent never searches;
+    a batch rides that worker and forks nothing more."""
+    import http.client
+    import json
+
+    assert serving_workers(1) == 1
+    server, address = _serve(tmp_path, 1)
+    try:
+        children = _children(server.pid)
+        assert len(children) == 1
+        connection = http.client.HTTPConnection(*address)
+        body = json.dumps(
+            {"queries": [{"locations": [i, 399 - 7 * i], "k": 3} for i in range(6)]}
+        )
+        connection.request(
+            "POST", "/query/batch", body, {"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        assert response.status == 200
+        results = json.loads(response.read())["results"]
+        connection.close()
+        assert [result["stats"]["executor"] for result in results] == ["fork"] * 6
+        assert _children(server.pid) == children
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=15) == 0
+        assert _wait_gone(children)
+    finally:
+        _stop(server)

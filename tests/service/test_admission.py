@@ -84,8 +84,8 @@ class TestBatchAdmissionParity:
     saturated controller rejects every query of the batch identically on
     both paths."""
 
-    def _saturated(self, database):
-        service = QueryService(database, "collaborative", admission=1)
+    def _saturated(self, database, pool=None):
+        service = QueryService(database, "collaborative", admission=1, pool=pool)
         held = service.admission.admit()  # occupy the only slot
         assert held.admitted
         return service, held
@@ -104,7 +104,7 @@ class TestBatchAdmissionParity:
     def test_sequential_batch_rejects_when_saturated(self, database):
         service, held = self._saturated(database)
         try:
-            results = service.execute_many(BATCH, workers=1)
+            results = service.execute_many(BATCH)
         finally:
             service.admission.release(held)
         self._assert_all_rejected(service, results)
@@ -112,19 +112,24 @@ class TestBatchAdmissionParity:
     @pytest.mark.skipif(not fork_available(), reason="needs a fork platform")
     def test_forked_batch_rejects_identically(self, database):
         """The regression: the forked branch used to bypass admission and
-        serve the whole batch while ``workers=1`` rejected it."""
-        service, held = self._saturated(database)
+        serve the whole batch while the sequential one rejected it."""
+        service, held = self._saturated(database, pool=2)
         try:
-            results = service.execute_many(BATCH, workers=2)
+            results = service.execute_many(BATCH)
         finally:
             service.admission.release(held)
+            service.close()
         self._assert_all_rejected(service, results)
 
     @pytest.mark.skipif(not fork_available(), reason="needs a fork platform")
     def test_forked_batch_releases_its_slot(self, database):
-        service = QueryService(database, "collaborative", admission=1)
-        results = service.execute_many(BATCH, workers=2)
+        service = QueryService(database, "collaborative", admission=1, pool=2)
+        try:
+            results = service.execute_many(BATCH)
+        finally:
+            service.close()
         assert all(r.error is None for r in results)
+        assert {r.stats.executor for r in results} == {"fork"}
         assert series(service, "repro_service_queries_total", outcome="rejected") == 0
         # The batch slot was released: a follow-up submit is admitted.
         assert service.submit(QUERY).error is None

@@ -1,12 +1,12 @@
 """Concurrent fork fan-outs in one process (regression).
 
-A second ``execute_many(workers=2)`` arriving while one is in flight — two
-``POST /query/batch`` bodies with ``"workers": 2`` — used to find a
-one-at-a-time, process-wide fork handoff taken: first it raised, then it
-took a sequential detour.  Batches ride a worker pool (the service's, or
-one opened per call) and a join's phase 1 hands its state to its own pool
-as initializer arguments, so nothing is shared: every concurrent fan-out
-is answered by its own workers.
+A second pooled ``execute_many`` arriving while one is in flight — two
+concurrent ``POST /query/batch`` bodies — used to find a one-at-a-time,
+process-wide fork handoff taken: first it raised, then it took a
+sequential detour.  Batches ride the pool their service forked at
+construction, and a join's phase 1 hands its state to its own pool as
+initializer arguments, so nothing is shared: every concurrent fan-out is
+answered by workers.
 """
 
 import threading
@@ -52,7 +52,7 @@ def test_joins_and_a_batch_fork_at_once_from_three_threads(grid10, database, ref
     concurrent joins and a pooled batch cannot see each other's payload."""
     join_db = TrajectoryDatabase(grid10, generate_trips(grid10, 40, seed=33))
     expected = TwoPhaseJoin(join_db).self_join(1.4)
-    service = QueryService(database, "collaborative")
+    service = QueryService(database, "collaborative", pool=2)
     barrier = threading.Barrier(3)
     outcomes: dict[str, object] = {}
     failures: list[BaseException] = []
@@ -70,13 +70,14 @@ def test_joins_and_a_batch_fork_at_once_from_three_threads(grid10, database, ref
         threading.Thread(target=run, args=("join-b", lambda: join(1.4))),
         threading.Thread(
             target=run,
-            args=("batch", lambda: service.execute_many(QUERIES, workers=2)),
+            args=("batch", lambda: service.execute_many(QUERIES)),
         ),
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=120)
+    service.close()
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures
     for name in ("join-a", "join-b"):
@@ -87,7 +88,7 @@ def test_joins_and_a_batch_fork_at_once_from_three_threads(grid10, database, ref
 
 
 def test_three_threads_batching_at_once_all_match_brute_force(database, references):
-    service = QueryService(database, "collaborative")
+    service = QueryService(database, "collaborative", pool=2)
     barrier = threading.Barrier(3)
     outcomes: dict[int, list] = {}
     failures: list[BaseException] = []
@@ -95,7 +96,7 @@ def test_three_threads_batching_at_once_all_match_brute_force(database, referenc
     def caller(number: int) -> None:
         try:
             barrier.wait(timeout=30)
-            outcomes[number] = service.execute_many(QUERIES, workers=2)
+            outcomes[number] = service.execute_many(QUERIES)
         except BaseException as exc:  # noqa: BLE001 - reported by the assert below
             failures.append(exc)
 
@@ -104,6 +105,7 @@ def test_three_threads_batching_at_once_all_match_brute_force(database, referenc
         thread.start()
     for thread in threads:
         thread.join(timeout=120)
+    service.close()
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures
     for number in range(3):

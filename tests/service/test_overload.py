@@ -487,22 +487,24 @@ class TestSubmitStorm:
         same saturated policy sheds the whole batch with the same reasons
         and lane counts as the sequential path."""
 
-        def run(workers):
+        def run(pool):
             service = QueryService(
                 database, "collaborative",
                 admission=AdmissionController(AdmissionPolicy(max_inflight=1)),
+                pool=pool,
             )
             held = service.admission.admit()
             try:
-                results = service.execute_many(
-                    BATCH, workers=workers, tenant="bulk"
-                )
+                results = service.execute_many(BATCH, tenant="bulk")
             finally:
                 service.admission.release(held)
-            return results, exported(service)
+                service.close()
+            # The pool's own series exist only on the pooled service.
+            volatile = ("latency", "elapsed", "cache_", "repro_pool_")
+            return results, exported(service, volatile)
 
-        seq_results, seq_stats = run(workers=1)
-        fork_results, fork_stats = run(workers=2)
+        seq_results, seq_stats = run(pool=None)
+        fork_results, fork_stats = run(pool=2)
         assert seq_stats == fork_stats
         assert [r.error for r in seq_results] == [r.error for r in fork_results]
         assert seq_stats[SHED + '{reason="inflight_cap"}'] == len(BATCH)

@@ -1,16 +1,18 @@
 """``QueryService(pool=...)``: what moves to a worker and what stays home."""
 
 import inspect
+import multiprocessing
 import os
 from pathlib import Path
 
 import pytest
 
 from repro.core.query import UOTSQuery
+from repro.gateway.aservice import AsyncQueryService
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import pool as pool_module
 from repro.parallel.executor import fork_available, parallel_search
-from repro.service import QueryService
+from repro.service import AdmissionController, QueryService
 from repro.service.service import _WORK_SERIES
 from tests.conftest import series
 
@@ -45,9 +47,11 @@ def test_a_default_service_has_no_pool_and_forks_nothing(database):
     assert service.pool is None
     service.submit(QUERY)
     children = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children")
-    before = children.read_text()
-    service.execute_many(BATCH, workers=1)
+    before, forked = children.read_text(), multiprocessing.active_children()
+    results = service.execute_many(BATCH)
     assert children.read_text() == before
+    assert multiprocessing.active_children() == forked
+    assert {result.stats.executor for result in results} == {"sequential"}
     assert "repro_pool" not in service.metrics.render_prometheus()
     service.close()  # a no-op without a pool
 
@@ -55,6 +59,46 @@ def test_a_default_service_has_no_pool_and_forks_nothing(database):
 def test_the_retry_knob_is_gone():
     for function in (QueryService.execute_many, parallel_search):
         assert "max_task_retries" not in inspect.signature(function).parameters
+
+
+def test_no_call_after_construction_sizes_or_forks_an_executor():
+    for function in (
+        QueryService.execute_many,
+        QueryService._submit,
+        QueryService._execute_admitted,
+        AsyncQueryService.submit_many,
+    ):
+        parameters = inspect.signature(function).parameters
+        assert not {"workers", "pool"} & set(parameters), function.__qualname__
+
+
+class PeakAdmission(AdmissionController):
+    """An unbounded controller that records the most slots held at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.peak = 0
+
+    def admit(self, *args, **kwargs):
+        decision = super().admit(*args, **kwargs)
+        self.peak = max(self.peak, self.inflight)
+        return decision
+
+
+def test_a_batch_fans_out_over_exactly_the_pools_workers(database):
+    admission = PeakAdmission()
+    service = QueryService(database, "scan", admission=admission, pool=2)
+    queries = [
+        UOTSQuery.create([i * 13 % 400, (i * 29 + 3) % 400], ["park"], k=3)
+        for i in range(12)
+    ]
+    try:
+        results = service.execute_many(queries)
+    finally:
+        service.close()
+    assert admission.peak == 2
+    assert {result.stats.executor for result in results} == {"fork"}
+    assert sum(service.pool.dispatched) == len(queries)
 
 
 def test_a_pooled_query_traces_plan_and_execute_under_its_query_span(database):
@@ -109,7 +153,7 @@ def test_a_serve_like_service_sends_no_harvest_config_and_counts_work_once(
 def test_a_batch_never_runs_wider_than_the_admission_cap(database):
     service = QueryService(database, "scan", admission=2, pool=3)
     try:
-        results = service.execute_many(BATCH, workers=4)
+        results = service.execute_many(BATCH)
         assert all(result.ok for result in results)
         assert series(service, "repro_service_queries_total", outcome="rejected") == 0
         assert {result.stats.executor for result in results} == {"fork"}

@@ -228,7 +228,7 @@ class TestExecuteMany:
     def test_sequential_batch_serves_repeats_from_cache(self, bundle, workload):
         service = _service(bundle)
         batch = list(workload[:3]) + list(workload[:3])
-        results = service.execute_many(batch, workers=1)
+        results = service.execute_many(batch)
         markers = [r.stats.cache for r in results]
         assert markers[:3] == ["", "", ""]
         assert markers[3:] == ["result"] * 3
@@ -238,11 +238,12 @@ class TestExecuteMany:
 
     @pytest.mark.skipif(not fork_available(), reason="needs a fork platform")
     def test_forked_batch_probes_cache_in_parent(self, bundle, workload):
-        service = _service(bundle, trace=True)
+        service = _service(bundle, trace=True, pool=2)
         cold = [service.search(q) for q in workload[:2]]
-        results = service.execute_many(
-            list(workload[:2]) + [workload[3]], workers=2
-        )
+        try:
+            results = service.execute_many(list(workload[:2]) + [workload[3]])
+        finally:
+            service.close()
         assert [r.stats.cache for r in results] == ["result", "result", ""]
         for warm, reference in zip(results, cold):
             _assert_byte_equal(warm, reference)
@@ -253,8 +254,12 @@ class TestExecuteMany:
 
     @pytest.mark.skipif(not fork_available(), reason="needs a fork platform")
     def test_forked_results_populate_the_parent_cache(self, bundle, workload):
-        service = _service(bundle)
-        service.execute_many(list(workload[:3]), workers=2)
+        service = _service(bundle, pool=2)
+        try:
+            results = service.execute_many(list(workload[:3]))
+        finally:
+            service.close()
+        assert {r.stats.executor for r in results} == {"fork"}
         assert len(service.result_cache) == 3
         warm = service.search(workload[0])
         assert warm.stats.cache == "result"

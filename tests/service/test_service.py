@@ -60,11 +60,15 @@ def test_execute_many_reports_percentile_latency(bundle, workload):
 
 @pytest.mark.skipif(not fork_available(), reason="needs a fork platform")
 def test_execute_many_forked_matches_sequential(bundle, workload):
-    service = QueryService(bundle.database, "collaborative")
+    service = QueryService(bundle.database, "collaborative", pool=2)
     searcher = make_searcher(bundle.database, "collaborative")
     references = [searcher.search(q) for q in workload]
-    results = service.execute_many(workload, workers=2)
+    try:
+        results = service.execute_many(workload)
+    finally:
+        service.close()
     _assert_matches(results, references)
+    assert {result.stats.executor for result in results} == {"fork"}
     assert series(service, "repro_service_queries_total") == len(workload)
     assert series(service, "repro_service_latency_seconds_sum") > 0.0
 
@@ -91,11 +95,6 @@ def test_submit_records_degraded_results(bundle, workload):
     assert not result.exact
     assert series(service, "repro_service_queries_total", outcome="degraded") == 1
 
-
-def test_execute_many_validates_arguments(bundle, workload):
-    service = QueryService(bundle.database, "collaborative")
-    with pytest.raises(QueryError, match="workers"):
-        service.execute_many(workload, workers=0)
 
 
 def test_service_forwards_tuning_kwargs(bundle):

@@ -37,8 +37,8 @@ class TestServiceRouting:
             UOTSQuery.create([42], ["park"], lam=0.0, k=3),
         ]
         for r, ref in zip(
-            sharded.execute_many(queries, workers=1),
-            flat.execute_many(queries, workers=1),
+            sharded.execute_many(queries),
+            flat.execute_many(queries),
         ):
             assert r.ids == ref.ids
             assert r.scores == pytest.approx(ref.scores, abs=1e-9)
@@ -51,12 +51,14 @@ class TestServiceRouting:
         if not fork_available():
             pytest.skip("fork start method not available")
         flat = QueryService(database, "collaborative")
-        sharded = QueryService(database, "sharded", shards=4)
+        sharded = QueryService(database, "sharded", shards=4, pool=2)
         queries = [QUERY, UOTSQuery.create([0, 210], ["lake"], lam=0.6, k=3)]
-        for r, ref in zip(
-            sharded.execute_many(queries, workers=2),
-            flat.execute_many(queries, workers=1),
-        ):
+        try:
+            results = sharded.execute_many(queries)
+        finally:
+            sharded.close()
+        assert {r.stats.executor for r in results} == {"fork"}
+        for r, ref in zip(results, flat.execute_many(queries)):
             assert r.ids == ref.ids
             assert r.scores == pytest.approx(ref.scores, abs=1e-9)
 
