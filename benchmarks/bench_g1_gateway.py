@@ -474,7 +474,6 @@ def run_experiment(argv: list[str] | None = None) -> int:
 # ------------------------------------------------------ pytest-benchmark
 @pytest.mark.benchmark(group="g1-gateway")
 def test_g1_http_closed_loop(benchmark):
-    pytest.importorskip("pydantic")
     bundle = bundle_for(SMOKE, "brn")
     interactive, _ = make_workload(bundle, SMOKE)
 

@@ -3,10 +3,12 @@
 Claim checked: per-query (and per-trajectory, for the join) searches are
 independent, so batch throughput scales with workers while results stay
 identical, and the join's merge phase is worker-independent.  The batch
-grain rides the search worker pool (``parallel_search(workers=N)`` builds
-a service that forks N workers for the call); the held-pool section measures the same pool the way
-``repro serve`` uses it — forked once, then one caller (c1) against two
-(c2) — which is the c2/c1 ratio ROADMAP item 2 asks for.
+grain rides the search worker pool: each width is timed through
+``execute_many`` on a held ``QueryService(pool=N)``, forked and warmed
+before the timer, so the rows measure fan-out rather than the pool's fork,
+warm-up and close.  The held-pool section drives a pool the way
+``repro serve`` uses it — one caller (c1) against two (c2) — which is the
+c2/c1 ratio ROADMAP item 2 asks for.
 
 Honesty note: the measured speedup is a property of the host.  On a
 single-core machine (like some CI sandboxes) fork overhead makes the
@@ -81,14 +83,18 @@ def run_experiment() -> None:
     )
     rows = []
     for algorithm in ALGORITHMS:
-        # Untimed: the sequential pass would otherwise warm the database's
-        # cross-query caches for the forked passes that inherit them.
-        parallel_search(bundle.database, queries, algorithm=algorithm)
         reference = None
         for workers in WORKERS:
-            elapsed, results = _median_seconds(lambda: parallel_search(
-                bundle.database, queries, algorithm=algorithm, workers=workers
-            ))
+            service = QueryService(
+                bundle.database, algorithm, pool=workers if fork_available() else 0
+            )
+            try:
+                service.execute_many(queries)  # untimed: workers touch their pages
+                elapsed, results = _median_seconds(
+                    lambda service=service: service.execute_many(queries)
+                )
+            finally:
+                service.close()
             scores = [tuple(r.scores) for r in results]
             if reference is None:
                 reference, base = scores, elapsed

@@ -373,15 +373,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.gateway import AsyncQueryService, http_available
-
-    if not http_available():
-        print(
-            "error: repro serve needs pydantic for the HTTP wire schemas "
-            "(pip install pydantic)",
-            file=sys.stderr,
-        )
-        return 1
+    from repro.gateway import AsyncQueryService
     from repro.gateway.app import create_app
     from repro.gateway.server import serve as serve_app
     from repro.obs.metrics import get_registry

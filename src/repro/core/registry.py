@@ -154,7 +154,7 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
         _spec(
             "scan",
             ScanSearcher,
-            description="flat exact scan: one SSSP per location, every trajectory scored",
+            description="exact two-phase scan: bounded SSSP per location, phase 2 on the blocking set only",
         ),
         _spec(
             "sharded",

@@ -287,19 +287,12 @@ def _transpose(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The value -> trajectory-position CSR of one of a snapshot's segment
     arrays (values in ``range(num_values)``, distinct within a segment):
-    SciPy's ``tocsc`` (resolved lazily) when present, a stable argsort
-    otherwise."""
-    n = starts.size
+    SciPy's ``tocsc``, imported lazily."""
     csr_matrix = _scipy_kernels()[0]
-    if csr_matrix is not None:
-        indptr = np.append(starts, values.size).astype(np.int32)
-        flat = np.ones(values.size, dtype=bool)
-        csc = csr_matrix((flat, values, indptr), shape=(n, num_values)).tocsc()
-        return csc.indptr, csc.indices
-    owners = np.repeat(np.arange(n, dtype=np.int32), np.diff(starts, append=values.size))
-    indptr = np.zeros(num_values + 1, dtype=np.int32)
-    np.cumsum(np.bincount(values, minlength=num_values), out=indptr[1:])
-    return indptr, owners[np.argsort(values, kind="stable")]
+    indptr = np.append(starts, values.size).astype(np.int32)
+    flat = np.ones(values.size, dtype=bool)
+    csc = csr_matrix((flat, values, indptr), shape=(starts.size, num_values)).tocsc()
+    return csc.indptr, csc.indices
 
 
 # ------------------------------------------------------------------ kernels

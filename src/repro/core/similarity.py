@@ -47,8 +47,7 @@ def distance_transform(
     zero: the settled distance of any vertex ``v`` is
     ``min over p in vertex_set of sd(v, p)``.  This is the refinement
     primitive — it prices *all* query locations against one trajectory in a
-    single traversal.  Runs on the CSR fast path (one SciPy ``min_only``
-    call when available).
+    single traversal: one SciPy ``min_only`` call.
     """
     from repro.network.csr import array_to_distance_dict, sssp_array
 

@@ -6,8 +6,8 @@ Layered so the import cost matches what a caller actually uses:
   stdlib + ``repro.service`` only.  Importing the package never pulls
   pydantic or a web framework, keeping the core import-light contract
   intact (see ``tests/test_import_light.py``);
-- :mod:`repro.gateway.schemas` / :mod:`repro.gateway.app` — need
-  pydantic (the wire contract); gate on :func:`http_available`;
+- :mod:`repro.gateway.schemas` / :mod:`repro.gateway.app` — import
+  pydantic (the wire contract);
 - :mod:`repro.gateway.server` — the stdlib HTTP/1.1 server.
 
 Typical embedding (what ``repro serve`` does)::
@@ -17,7 +17,7 @@ Typical embedding (what ``repro serve`` does)::
         pool=serving_workers(8),
     )
     gateway = AsyncQueryService(service, max_workers=8)
-    app = create_app(gateway)          # needs pydantic
+    app = create_app(gateway)          # imports pydantic
     await serve(app, host, port)       # stdlib asyncio server
 """
 
@@ -25,14 +25,4 @@ from __future__ import annotations
 
 from repro.gateway.aservice import AsyncQueryService
 
-__all__ = ["AsyncQueryService", "http_available"]
-
-
-def http_available() -> bool:
-    """Whether the HTTP layer's one dependency (pydantic) is importable."""
-    try:
-        import pydantic  # noqa: F401
-    except ModuleNotFoundError:
-        return False
-    return True
-
+__all__ = ["AsyncQueryService"]

@@ -9,9 +9,8 @@ SearchBudget` the CLI builds, and a :class:`~repro.core.results.
 SearchResult` comes back as the same fields ``repro query`` prints.
 
 This is the only gateway module (besides :mod:`repro.gateway.app`, which
-uses it) that imports pydantic.  Importing it without pydantic installed
-raises the usual ``ModuleNotFoundError`` — callers that need a friendly
-gate check :func:`repro.gateway.http_available` first.
+uses it) that imports pydantic, so the core and the service layer never
+pay for it.
 
 Validation strictness is split between the layers on purpose: pydantic
 checks *shape* (types, required fields, bounds that need no domain

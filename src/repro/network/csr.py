@@ -3,26 +3,20 @@
 A network's only adjacency structure is one ``indptr``/``indices``/
 ``weights`` triple (the classic compressed-sparse-row layout) built once
 per graph from its edge columns.  This module holds it, plus the
-shortest-path kernels written against it with flat ``dist`` arrays and a
-``settled`` byte mask instead of dicts and sets, and the connected
-components.
+shortest-path kernels written against it and the connected components.
 
-Every multi-source shortest-path call in the package lands on one of two
-execution tiers:
+Every full or cutoff-bounded multi-source shortest-path call in the
+package is one SciPy ``scipy.sparse.csgraph.dijkstra`` call.  SciPy cannot
+stop once a target is settled, so one interpreted kernel, ``_sssp_python``,
+serves the early-exit searches (``sssp_array(target=...)``, and
+``targets_array`` on small graphs), where stopping early beats a compiled
+full row.  It walks Python-list mirrors of the CSR arrays (scalar indexing
+on lists is several times faster than on NumPy arrays inside interpreted
+loops).
 
-- one interpreted kernel, ``_sssp_python``, that walks Python-list
-  mirrors of the CSR arrays (scalar indexing on lists is several times
-  faster than on NumPy arrays inside interpreted loops) and serves every
-  early-exit variant (a stop set of targets, a cutoff);
-- SciPy's compiled ``scipy.sparse.csgraph.dijkstra`` for full or
-  cutoff-bounded single/multi-source explorations, used when SciPy is
-  importable.  SciPy is an optional accelerator, never a requirement:
-  every public kernel falls back to the interpreted one.
-
-SciPy is resolved *lazily*, on the first kernel call that could use it —
-importing this module (and therefore ``repro.core.search`` and the serving
-layer above it) never pays the scipy import, keeping service cold-start
-light.
+SciPy is imported *lazily*, on the first kernel call — importing this
+module (and therefore ``repro.core.search`` and the serving layer above
+it) never pays the scipy import, keeping service cold-start light.
 
 All kernels return dense ``float64`` distance arrays with ``inf`` marking
 vertices that were not settled (unreachable, or beyond the cutoff), which
@@ -31,8 +25,8 @@ callers convert to the historical dict form where needed.
 
 from __future__ import annotations
 
+import functools
 import heapq
-from collections import deque
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +34,6 @@ import numpy as np
 __all__ = [
     "CSRAdjacency",
     "component_labels",
-    "scipy_available",
     "sssp_array",
     "sssp_arrays_batch",
     "targets_array",
@@ -49,28 +42,14 @@ __all__ = [
 
 _INF = float("inf")
 
-# Lazily resolved (csr_matrix, dijkstra) pair; None = not yet attempted.
-# (None, None) after a failed import — the Python tier serves everything.
-_SCIPY_KERNELS: tuple | None = None
 
-
+@functools.cache
 def _scipy_kernels() -> tuple:
-    """Resolve the optional SciPy accelerator on first use (cached)."""
-    global _SCIPY_KERNELS
-    if _SCIPY_KERNELS is None:
-        try:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.csgraph import dijkstra
-        except ImportError:  # pragma: no cover - exercised only without scipy
-            _SCIPY_KERNELS = (None, None)
-        else:
-            _SCIPY_KERNELS = (csr_matrix, dijkstra)
-    return _SCIPY_KERNELS
+    """SciPy's ``(csr_matrix, dijkstra)``, imported on first use."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
 
-
-def scipy_available() -> bool:
-    """Whether the SciPy ``csgraph`` fast path is importable."""
-    return _scipy_kernels()[1] is not None
+    return csr_matrix, dijkstra
 
 
 class CSRAdjacency:
@@ -82,10 +61,10 @@ class CSRAdjacency:
     directed graph.  Immutable once built (like the graph it mirrors).
 
     The NumPy arrays serve vectorised consumers (SciPy, landmark tables);
-    the ``*_list`` mirrors serve the interpreted kernels, where Python-list
-    scalar indexing avoids a NumPy-scalar box per access.  The mirrors are
-    built on the first interpreted-kernel access: a process that only runs
-    the SciPy tier (the serving default) never boxes them.
+    the ``*_list`` mirrors serve the interpreted early-exit kernel, where
+    Python-list scalar indexing avoids a NumPy-scalar box per access.  The
+    mirrors are built on that kernel's first access: a process that only
+    runs full or bounded rows (the serving default) never boxes them.
     """
 
     __slots__ = ("num_vertices", "indptr", "indices", "weights", "_lists", "_matrix")
@@ -132,11 +111,9 @@ class CSRAdjacency:
         return cls(indptr, tails[order], np.concatenate([ws, ws])[order])
 
     def matrix(self):
-        """The SciPy CSR matrix (cached; ``None`` when SciPy is absent)."""
-        csr_matrix = _scipy_kernels()[0]
-        if csr_matrix is None:
-            return None
+        """The SciPy CSR matrix (cached)."""
         if self._matrix is None:
+            csr_matrix = _scipy_kernels()[0]
             n = self.num_vertices
             self._matrix = csr_matrix(
                 (self.weights, self.indices, self.indptr), shape=(n, n)
@@ -152,30 +129,12 @@ class CSRAdjacency:
 
 # ------------------------------------------------------------------ kernels
 def component_labels(csr: CSRAdjacency) -> np.ndarray:
-    """The connected-component label of every vertex: SciPy's
-    ``connected_components`` when available, else a BFS over the list
-    mirrors.  Vertices share a label exactly when they are connected."""
-    if scipy_available():
-        from scipy.sparse.csgraph import connected_components
+    """The connected-component label of every vertex (SciPy's
+    ``connected_components``).  Vertices share a label exactly when they
+    are connected."""
+    from scipy.sparse.csgraph import connected_components
 
-        return connected_components(csr.matrix(), directed=False)[1]
-    labels = [-1] * csr.num_vertices
-    indptr, indices = csr.indptr_list, csr.indices_list
-    label = 0
-    for start in range(csr.num_vertices):
-        if labels[start] >= 0:
-            continue
-        labels[start] = label
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                if labels[v] < 0:
-                    labels[v] = label
-                    queue.append(v)
-        label += 1
-    return np.array(labels, dtype=np.int64)
+    return connected_components(csr.matrix(), directed=False)[1]
 
 
 def _sssp_python(
@@ -186,10 +145,10 @@ def _sssp_python(
 ) -> np.ndarray:
     """Interpreted multi-source Dijkstra over the CSR list mirrors.
 
-    The only heap loop of this module.  Settles vertices in distance order
-    until the frontier passes ``cutoff`` or every member of ``stop`` is
-    settled (``None``: explore the whole component); unsettled entries are
-    ``inf``.
+    The only heap loop of this module, and the only kernel that can stop
+    early.  Settles vertices in distance order until the frontier passes
+    ``cutoff`` or every member of ``stop`` is settled (``None``: explore
+    the whole component); unsettled entries are ``inf``.
     """
     n = csr.num_vertices
     dist = [_INF] * n
@@ -241,24 +200,21 @@ def sssp_array(
     when that distance is ``<= cutoff`` (every distance with
     ``cutoff=None``) and ``inf`` otherwise.  ``target`` requests an early
     exit: only the target's entry (plus whatever was settled on the way)
-    is guaranteed.  The SciPy tier handles full and cutoff-bounded
-    explorations; targeted searches always run the interpreted tier, which
-    can actually stop early.
+    is guaranteed.  Full and cutoff-bounded explorations are one SciPy
+    call; targeted searches run the interpreted kernel, which can actually
+    stop early.
     """
     source_list = list(sources)
+    if target is not None:
+        return _sssp_python(csr, source_list, cutoff, {target})
     dijkstra = _scipy_kernels()[1]
-    if target is None and dijkstra is not None and csr.num_vertices > 0:
-        matrix = csr.matrix()
-        limit = np.inf if cutoff is None else float(cutoff)
-        if len(source_list) == 1:
-            return dijkstra(
-                matrix, directed=True, indices=source_list[0], limit=limit
-            )
+    limit = np.inf if cutoff is None else float(cutoff)
+    if len(source_list) == 1:
         return dijkstra(
-            matrix, directed=True, indices=source_list, limit=limit, min_only=True
+            csr.matrix(), directed=True, indices=source_list[0], limit=limit
         )
-    return _sssp_python(
-        csr, source_list, cutoff, None if target is None else {target}
+    return dijkstra(
+        csr.matrix(), directed=True, indices=source_list, limit=limit, min_only=True
     )
 
 
@@ -268,18 +224,16 @@ def sssp_arrays_batch(
     """Distances from each source: shape ``(len(sources), |V|)``.
 
     Full rows by default; with ``limit``, entries farther than it are
-    ``inf``.  One vectorised SciPy call when available (the all-pairs /
-    landmark-table shape), otherwise a row-per-source interpreted loop.
+    ``inf``.  One vectorised SciPy call (the all-pairs / landmark-table
+    shape).
     """
     if not len(sources):
         return np.empty((0, csr.num_vertices))
     dijkstra = _scipy_kernels()[1]
-    if dijkstra is not None and csr.num_vertices > 0:
-        bound = np.inf if limit is None else float(limit)
-        return np.atleast_2d(
-            dijkstra(csr.matrix(), directed=True, indices=list(sources), limit=bound)
-        )
-    return np.vstack([_sssp_python(csr, (s,), limit, None) for s in sources])
+    bound = np.inf if limit is None else float(limit)
+    return np.atleast_2d(
+        dijkstra(csr.matrix(), directed=True, indices=list(sources), limit=bound)
+    )
 
 
 # Above this vertex count a full C-speed sweep beats the interpreted
@@ -299,15 +253,11 @@ def targets_array(
     as soon as every target is settled (or the frontier passes ``cutoff``).
     Unreached targets, and targets beyond ``cutoff``, come back as ``inf``,
     in ``targets`` order.  On large graphs the early exit cannot outrun
-    SciPy's compiled sweep, so the SciPy tier takes over past
+    SciPy's compiled sweep, so one SciPy row serves past
     ``_SCIPY_TARGETS_MIN_VERTICES`` vertices.
     """
     sources = list(sources)
-    if (
-        sources
-        and csr.num_vertices >= _SCIPY_TARGETS_MIN_VERTICES
-        and _scipy_kernels()[1] is not None
-    ):
+    if sources and csr.num_vertices >= _SCIPY_TARGETS_MIN_VERTICES:
         row = sssp_array(csr, sources, cutoff=cutoff)
     else:
         row = _sssp_python(csr, sources, cutoff, set(targets))

@@ -1,10 +1,11 @@
 """Shortest-path primitives on spatial networks.
 
 Graph-level wrappers over the multi-source Dijkstra of
-:mod:`repro.network.csr` (SciPy ``csgraph`` when importable, its one
-interpreted kernel otherwise): single-target search with early exit,
-bounded exploration (``cutoff``), multi-target search that stops once all
-targets are settled, and dense all-pairs matrices for small graphs.
+:mod:`repro.network.csr` (SciPy ``csgraph`` rows, and its one interpreted
+kernel where a search can stop early): single-target search with early
+exit, bounded exploration (``cutoff``), multi-target search that stops
+once all targets are settled, and dense all-pairs matrices for small
+graphs.
 
 Two heap loops of their own remain here, each for a stated reason:
 :func:`shortest_path` is the one search that tracks parents, and
@@ -137,9 +138,9 @@ def distance_matrix(
     """Dense matrix of pairwise network distances.
 
     ``sources`` defaults to all vertices; rows follow ``sources`` and columns
-    are all vertex ids.  Unreachable pairs are ``inf``.  One batched CSR
-    call when SciPy is present.  Intended for small graphs (the all-pairs
-    pre-computation the TF baseline of the paper family relies on).
+    are all vertex ids.  Unreachable pairs are ``inf``.  One batched SciPy
+    call.  Intended for small graphs (the all-pairs pre-computation the TF
+    baseline of the paper family relies on).
     """
     if sources is None:
         sources = range(graph.num_vertices)

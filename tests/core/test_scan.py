@@ -35,7 +35,7 @@ from repro.core.similarity import ExactScorer
 from repro.errors import BudgetExceededError, QueryError
 from repro.index.database import TrajectoryDatabase
 from repro.index.events import MutationEvent
-from repro.network.csr import CSRAdjacency, scipy_available
+from repro.network.csr import CSRAdjacency
 from repro.network.generators import grid_network
 from repro.network.io import load_json, save_json
 from repro.obs.metrics import MetricsRegistry
@@ -606,14 +606,9 @@ def test_folded_snapshots_equal_a_fresh_build_after_any_write_sequence():
         assert keyword_segments(arrays, folded) == live_keywords(database)
 
 
-@pytest.mark.parametrize("tier", ("scipy", "argsort"))
-def test_transpose_lists_exactly_the_trajectories_on_each_vertex(monkeypatch, tier):
+def test_transpose_lists_exactly_the_trajectories_on_each_vertex():
     """Both postings: per vertex against the vertex index, per keyword
     against the keyword index."""
-    if tier == "argsort":
-        monkeypatch.setattr(scan_module, "_scipy_kernels", lambda: (None, None))
-    elif not scipy_available():
-        pytest.skip("scipy absent")
     database = build_world()
     database.remove(database.trajectories.ids()[3])
     scan_arrays = ScanArrays(database)
@@ -770,7 +765,6 @@ def test_query_service_answers_stay_oracle_equal_under_mutation(result_cache):
 
 
 def test_http_answers_are_oracle_equal_and_errors_typed(world):
-    pytest.importorskip("pydantic")
     from repro.gateway import AsyncQueryService
     from repro.gateway.app import create_app
     from repro.gateway.testing import ASGITestClient
@@ -847,7 +841,6 @@ def test_explain_notes_name_the_radius_and_both_phases(world):
     assert "phase 2" in rendered and "blocking set" in rendered
 
 
-@pytest.mark.skipif(not scipy_available(), reason="the interpreted tier reads the lists")
 def test_scan_path_never_materialises_the_csr_list_mirrors():
     database = build_world()
     csr = database.graph.csr

@@ -13,8 +13,6 @@ import re
 
 import pytest
 
-pytest.importorskip("pydantic")
-
 from repro.core.query import UOTSQuery
 from repro.core.registry import ALGORITHMS, make_searcher
 from repro.gateway import AsyncQueryService

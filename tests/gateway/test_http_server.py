@@ -13,10 +13,6 @@ import http.client
 import json
 import socket
 
-import pytest
-
-pytest.importorskip("pydantic")
-
 from repro.gateway import AsyncQueryService
 from repro.gateway.app import create_app
 from repro.gateway.server import MAX_BODY_BYTES, HTTPServer

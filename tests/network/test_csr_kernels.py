@@ -4,13 +4,14 @@ The array-backed kernels in :mod:`repro.network.csr` replaced the original
 dict-based Dijkstra.  ``dict_reference_sssp`` is kept as the executable
 specification; hypothesis drives random connected weighted graphs through
 both implementations and requires identical settled sets and distances —
-including the cutoff and early-exit target variants.  Every property runs
-once per kernel branch: the interpreted kernel with SciPy hidden, and (when
-SciPy is importable) SciPy for every call it can serve, so both tiers are
-checked against the same oracle.
+including the cutoff and early-exit target variants.  Full and bounded
+rows are SciPy's; the interpreted early-exit kernel is checked directly,
+and ``targets_array`` once on each side of its graph-size choice, so both
+kernels answer to the same oracle.
 """
 
 import math
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.network.csr import (
     CSRAdjacency,
     _sssp_python,
     array_to_distance_dict,
-    scipy_available,
     sssp_array,
     sssp_arrays_batch,
     targets_array,
@@ -55,21 +55,16 @@ def connected_graphs(draw):
 
 @contextmanager
 def _tier(scipy: bool):
-    """Force one kernel branch: SciPy wherever it can serve (even on tiny
-    graphs), or the interpreted kernel alone.  A context manager rather
-    than ``monkeypatch``, which hypothesis rejects as function-scoped."""
-    saved = csr._SCIPY_KERNELS, csr._SCIPY_TARGETS_MIN_VERTICES
-    if scipy:
-        csr._SCIPY_TARGETS_MIN_VERTICES = 0
-    else:
-        csr._SCIPY_KERNELS = (None, None)
+    """Force one side of ``targets_array``'s size choice: a SciPy row even
+    on tiny graphs, or the interpreted early exit on any graph.  A context
+    manager rather than ``monkeypatch``, which hypothesis rejects as
+    function-scoped."""
+    saved = csr._SCIPY_TARGETS_MIN_VERTICES
+    csr._SCIPY_TARGETS_MIN_VERTICES = 0 if scipy else sys.maxsize
     try:
         yield
     finally:
-        csr._SCIPY_KERNELS, csr._SCIPY_TARGETS_MIN_VERTICES = saved
-
-
-_TIERS = (False, True) if scipy_available() else (False,)
+        csr._SCIPY_TARGETS_MIN_VERTICES = saved
 
 
 def _as_dict(distances):
@@ -88,10 +83,7 @@ class TestAgainstDictReference:
     def test_single_source_full(self, graph, data):
         source = data.draw(st.integers(0, graph.num_vertices - 1))
         want = dict_reference_sssp(graph, (source,))
-        for scipy in _TIERS:
-            with _tier(scipy):
-                got = _as_dict(sssp_array(graph.csr, (source,)))
-            _assert_same(got, want)
+        _assert_same(_as_dict(sssp_array(graph.csr, (source,))), want)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=connected_graphs(), data=st.data())
@@ -101,10 +93,7 @@ class TestAgainstDictReference:
             {data.draw(st.integers(0, graph.num_vertices - 1)) for __ in range(k)}
         )
         want = dict_reference_sssp(graph, sources)
-        for scipy in _TIERS:
-            with _tier(scipy):
-                got = _as_dict(sssp_array(graph.csr, sources))
-            _assert_same(got, want)
+        _assert_same(_as_dict(sssp_array(graph.csr, sources)), want)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=connected_graphs(), data=st.data())
@@ -112,10 +101,8 @@ class TestAgainstDictReference:
         source = data.draw(st.integers(0, graph.num_vertices - 1))
         cutoff = data.draw(st.floats(min_value=0.0, max_value=30.0))
         want = dict_reference_sssp(graph, (source,), cutoff=cutoff)
-        for scipy in _TIERS:
-            with _tier(scipy):
-                got = _as_dict(sssp_array(graph.csr, (source,), cutoff=cutoff))
-            _assert_same(got, want)
+        _assert_same(_as_dict(sssp_array(graph.csr, (source,), cutoff=cutoff)), want)
+        _assert_same(_as_dict(_sssp_python(graph.csr, (source,), cutoff, None)), want)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=connected_graphs(), data=st.data())
@@ -124,14 +111,12 @@ class TestAgainstDictReference:
         target = data.draw(st.integers(0, graph.num_vertices - 1))
         want = dict_reference_sssp(graph, (source,), target=target)
         full = dict_reference_sssp(graph, (source,))
-        for scipy in _TIERS:
-            with _tier(scipy):
-                got = sssp_array(graph.csr, (source,), target=target)
-            # The early exit guarantees the target entry; everything settled
-            # on the way must carry its exact (full-search) distance.
-            assert got[target] == pytest.approx(want[target], abs=1e-9)
-            for v, d in _as_dict(got).items():
-                assert d == pytest.approx(full[v], abs=1e-9)
+        got = sssp_array(graph.csr, (source,), target=target)
+        # The early exit guarantees the target entry; everything settled
+        # on the way must carry its exact (full-search) distance.
+        assert got[target] == pytest.approx(want[target], abs=1e-9)
+        for v, d in _as_dict(got).items():
+            assert d == pytest.approx(full[v], abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(graph=connected_graphs(), data=st.data())
@@ -152,14 +137,13 @@ class TestAgainstDictReference:
             st.none() | st.floats(0.0, 30.0) | st.sampled_from(just_short)
         )
         want = dict_reference_sssp(graph, (source,), cutoff=cutoff)
-        for scipy in _TIERS:
+        for scipy in (False, True):
             with _tier(scipy):
                 got = targets_array(graph.csr, (source,), targets, cutoff=cutoff)
             for t, d in zip(targets, got):
                 assert d == pytest.approx(want.get(t, _INF), abs=1e-9)
 
 
-@pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
 class TestAgainstScipy:
     """SciPy csgraph as an independent third implementation."""
 

@@ -1,9 +1,5 @@
 """Unit tests for the spatial network model."""
 
-import json
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -259,60 +255,23 @@ def test_total_weight_adds_left_to_right():
     assert graph.total_weight == total != float(np.sum(weights))
 
 
-_VIEWS_PROBE = """\
-import json, sys
-
-class _Blocker:
-    def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy":
-            raise ModuleNotFoundError(f"No module named {name!r} (blocked)")
-        return None
-
-if sys.argv[1] == "blocked":
-    sys.meta_path.insert(0, _Blocker())
-from repro.network.csr import scipy_available
-from repro.network.graph import SpatialNetwork
-
-g = SpatialNetwork(
-    [0, 1, 2, 5, 6, 9], [0, 0, 0, 0, 0, 0],
-    [(4, 3, 1.0), (0, 1, 2.0), (2, 1, 0.5)],
-)
-sub, remap = g.subgraph([1, 2, 4, 3])
-print(json.dumps({
-    "scipy": scipy_available(),
-    "components": g.connected_components(),
-    "connected": g.is_connected(),
-    "edges": list(g.edges()),
-    "neighbors": [sorted(g.neighbors(v)) for v in g.vertices()],
-    "degrees": [g.degree(v) for v in g.vertices()],
-    "has_edge": [g.has_edge(1, 2), g.has_edge(2, 1), g.has_edge(0, 2), g.has_edge(0, 9)],
-    "weight": g.edge_weight(1, 2),
-    "total": g.total_weight,
-    "sub": [list(sub.edges()), sorted(remap.items()), sub.connected_components()],
-}))
-"""
-
-
-def test_views_agree_on_two_components_without_scipy():
-    """Every view reads the arrays the same way with and without SciPy
-    (the BFS fallback stands in for ``csgraph.connected_components``)."""
-    views = {}
-    for mode in ("blocked", "free"):
-        proc = subprocess.run(
-            [sys.executable, "-c", _VIEWS_PROBE, mode], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        views[mode] = json.loads(proc.stdout)
-    blocked = views["blocked"]
-    assert blocked.pop("scipy") is False
-    views["free"].pop("scipy")
-    assert blocked == views["free"]
-    assert blocked["components"] == [[0, 1, 2], [3, 4], [5]]
-    assert not blocked["connected"]
-    assert blocked["edges"] == [[4, 3, 1.0], [0, 1, 2.0], [2, 1, 0.5]]
-    assert blocked["neighbors"][1] == [[0, 2.0], [2, 0.5]]
-    assert blocked["degrees"] == [1, 2, 1, 1, 1, 0]
-    assert blocked["has_edge"] == [True, True, False, False]
-    assert blocked["weight"] == 0.5 and blocked["total"] == 3.5
-    assert blocked["sub"] == [[[3, 2, 1.0], [1, 0, 0.5]], [[1, 0], [2, 1], [3, 2], [4, 3]],
-                              [[0, 1], [2, 3]]]
+def test_views_read_the_arrays_on_two_components():
+    """Every view reads the arrays right on a graph with two components and
+    an isolated vertex."""
+    g = SpatialNetwork(
+        [0, 1, 2, 5, 6, 9], [0, 0, 0, 0, 0, 0],
+        [(4, 3, 1.0), (0, 1, 2.0), (2, 1, 0.5)],
+    )
+    assert g.connected_components() == [[0, 1, 2], [3, 4], [5]]
+    assert not g.is_connected()
+    assert list(g.edges()) == [(4, 3, 1.0), (0, 1, 2.0), (2, 1, 0.5)]
+    assert sorted(g.neighbors(1)) == [(0, 2.0), (2, 0.5)]
+    assert [g.degree(v) for v in g.vertices()] == [1, 2, 1, 1, 1, 0]
+    assert [g.has_edge(1, 2), g.has_edge(2, 1), g.has_edge(0, 2), g.has_edge(0, 9)] == [
+        True, True, False, False
+    ]
+    assert g.edge_weight(1, 2) == 0.5 and g.total_weight == 3.5
+    sub, remap = g.subgraph([1, 2, 4, 3])
+    assert list(sub.edges()) == [(3, 2, 1.0), (1, 0, 0.5)]
+    assert sorted(remap.items()) == [(1, 0), (2, 1), (3, 2), (4, 3)]
+    assert sub.connected_components() == [[0, 1], [2, 3]]

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.errors import GraphError
-from repro.network import csr
 from repro.network.dijkstra import distance_matrix, single_source_distances
 from repro.network.generators import grid_network, random_geometric_network
 from repro.network.graph import SpatialNetwork
@@ -84,10 +83,7 @@ class TestCharacteristicDistanceIsThePerSourceMedian:
         ids=["grid", "geometric", "disconnected-5", "disconnected-6"],
     )
     @pytest.mark.parametrize("samples, seed", [(16, 0), (1, 2), (5, 7), (17, 11)])
-    @pytest.mark.parametrize("tier", ["default", "interpreted"])
-    def test_equals_reference(self, graph, samples, seed, tier, monkeypatch):
-        if tier == "interpreted":
-            monkeypatch.setattr(csr, "_scipy_kernels", lambda: (None, None))
+    def test_equals_reference(self, graph, samples, seed):
         # Both forms agree on the value, or on the error when every sampled
         # source is isolated.
         assert _outcome(characteristic_distance, graph, samples, seed) == _outcome(

@@ -401,7 +401,6 @@ def _serve(tmp_path, gateway_workers: int):
     its address.  Forking with threads alive warns on 3.12+; the warning is
     an error here, BLAS pools pinned to one thread so only *our* threads
     could trip it."""
-    pytest.importorskip("pydantic")
     import re
 
     from repro.cli import main
